@@ -14,8 +14,6 @@ from .features import (
     FeatureBank,
     RffSpec,
     feature_map,
-    feature_partials,
-    kernel_estimate,
     sample_feature_bank,
 )
 from .filters import (
@@ -25,18 +23,10 @@ from .filters import (
     RffLms,
     StepOutcome,
 )
-from .kernels import Dictionary, GaussianKernel, coherence_admit, kernel_eval, kernelized_input
-from .metrics import (
-    LearningCurve,
-    McAggregate,
-    aggregate_runs,
-    emse_curve,
-    emse_sample,
-    steady_state_emse,
-    to_db,
-)
+from .kernels import Dictionary, GaussianKernel, coherence_admit, kernelized_input
+from .metrics import McAggregate, steady_state_emse, to_db
 from .runner import ExperimentError, RunArtifacts, export_artifacts, run_experiment
-from .seeding import derive_seed, make_rng
+from .seeding import derive_seed
 from .systems import (
     Ar1Spec,
     KernelPlantSpec,
@@ -64,7 +54,6 @@ __all__ = [
     "FilterSpec",
     "GaussianKernel",
     "KernelPlantSpec",
-    "LearningCurve",
     "McAggregate",
     "NoiseSpec",
     "PiecewisePlantSpec",
@@ -74,24 +63,17 @@ __all__ = [
     "RunArtifacts",
     "SampleStream",
     "StepOutcome",
-    "aggregate_runs",
     "calibrate_noise",
     "coherence_admit",
     "derive_seed",
-    "emse_curve",
-    "emse_sample",
     "export_artifacts",
     "feature_map",
-    "feature_partials",
     "gen_ar1",
     "gen_nonstationary_stream",
     "gen_stationary_stream",
-    "kernel_estimate",
-    "kernel_eval",
     "kernelized_input",
     "list_presets",
     "load_config",
-    "make_rng",
     "preset",
     "run_experiment",
     "sample_feature_bank",

@@ -11,14 +11,21 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
-from .config import ConfigError, ExperimentConfig, list_presets, load_config, preset
+from .config import (
+    FILTER_FIELDS,
+    ConfigError,
+    ExperimentConfig,
+    list_presets,
+    load_config,
+    preset,
+)
 from .runner import ExperimentError, export_artifacts, run_experiment
 
-SWEEPABLE = ("bandwidth", "n_features", "lr_weights", "lr_freqs", "lr_phases",
-             "coherence_threshold")
+SWEEPABLE = tuple(sorted({name for fields in FILTER_FIELDS.values() for name in fields}))
 
 
 def _parse_sweep(text: str) -> tuple[str, list[float]]:
@@ -31,6 +38,8 @@ def _parse_sweep(text: str) -> tuple[str, list[float]]:
         ) from None
     if name not in SWEEPABLE:
         raise ConfigError(f"--sweep field must be one of {SWEEPABLE}, got {name!r}")
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ConfigError(f"--sweep needs finite bounds and step, got {text!r}")
     if step <= 0 or stop < start:
         raise ConfigError(f"--sweep needs step > 0 and stop >= start, got {text!r}")
     values, v, k = [], start, 0
@@ -42,19 +51,17 @@ def _parse_sweep(text: str) -> tuple[str, list[float]]:
 
 
 def _override_filters(cfg: ExperimentConfig, name: str, value: float) -> ExperimentConfig:
-    """Set one field on every filter that uses it (n_features only on the RFF family)."""
-    new_filters = []
-    for f in cfg.filters:
-        if name == "n_features" and f.kind == "coherence-klms":
-            new_filters.append(f)
-        elif name == "coherence_threshold" and f.kind != "coherence-klms":
-            new_filters.append(f)
-        elif name in ("lr_freqs", "lr_phases") and f.kind != "adaptive-rff":
-            new_filters.append(f)
-        else:
-            cast = int if name == "n_features" else float
-            new_filters.append(dataclasses.replace(f, **{name: cast(value)}))
-    return dataclasses.replace(cfg, filters=tuple(new_filters))
+    """Set one field on every filter whose kind reads it (see ``FILTER_FIELDS``)."""
+    if not any(name in FILTER_FIELDS[f.kind] for f in cfg.filters):
+        raise ConfigError(f"--sweep field {name!r} is read by none of the configured filters")
+    if name == "n_features":
+        if value != int(value):
+            raise ConfigError(f"--sweep n_features takes integer values, got {value:g}")
+        value = int(value)
+    return dataclasses.replace(cfg, filters=tuple(
+        dataclasses.replace(f, **{name: value}) if name in FILTER_FIELDS[f.kind] else f
+        for f in cfg.filters
+    ))
 
 
 def _resolve_config(args) -> ExperimentConfig:
@@ -93,8 +100,11 @@ def _cmd_run(args) -> int:
     out_dir = Path(cfg.out_dir) if cfg.out_dir else Path("results") / cfg.name
     if args.sweep:
         name, values = _parse_sweep(args.sweep)
-        for value in values:
-            cfg_v = _override_filters(cfg, name, value)
+        # check the whole grid before the first run
+        grid = [_override_filters(cfg, name, value) for value in values]
+        for cfg_v in grid:
+            cfg_v.validate()
+        for value, cfg_v in zip(values, grid):
             art = run_experiment(cfg_v, workers=args.workers)
             sub = out_dir / f"sweep_{name}={value:g}"
             export_artifacts(art, sub)

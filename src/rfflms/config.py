@@ -3,14 +3,16 @@
 An experiment is fully declarative: a plant, a list of filters with their
 step sizes and feature/kernel settings, a horizon, a Monte Carlo run
 count, one root seed, and a steady-state window. Configs come from the
-built-in presets or from a JSON file validated against this schema
-(unknown keys are rejected, errors name the offending field).
+built-in presets or from a JSON file validated against this schema:
+unknown keys, mistyped or non-finite values, and nonzero parameters that
+a filter's kind does not read are rejected, and errors name the field.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,18 +21,45 @@ class ConfigError(ValueError):
     pass
 
 
-FILTER_KINDS = ("adaptive-rff", "rff", "coherence-klms")
+# The parameters each filter kind reads. A parameter its kind does not read
+# must stay 0: an "rff" spec with a nonzero lr_freqs would otherwise run as
+# an adaptive filter.
+FILTER_FIELDS = {
+    "adaptive-rff": ("lr_weights", "lr_freqs", "lr_phases", "n_features", "bandwidth"),
+    "rff": ("lr_weights", "n_features", "bandwidth"),
+    "coherence-klms": ("lr_weights", "bandwidth", "coherence_threshold"),
+}
+FILTER_KINDS = tuple(FILTER_FIELDS)
 PLANT_KINDS = ("stationary", "nonstationary")
-RFF_FAMILY = ("adaptive-rff", "rff")
+
+
+# annotation -> accepted Python types; bool is never accepted
+_FIELD_TYPES = {"int": int, "float": (int, float), "str": str, "str | None": (str, type(None))}
+
+
+def _check_types(obj, prefix: str, infinite_ok: tuple[str, ...] = ()) -> None:
+    """Check each field's type against its annotation before any range check.
+
+    A ``float`` field must also be finite, or +inf if its name is in
+    ``infinite_ok``.
+    """
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if f.type not in _FIELD_TYPES:
+            continue
+        if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+            raise ConfigError(f"{prefix}{f.name} must be of type {f.type}, got {value!r}")
+        if f.type == "float" and not (
+                math.isfinite(value) or (f.name in infinite_ok and value == math.inf)):
+            raise ConfigError(f"{prefix}{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """One filter entry: its kind plus the parameters that kind requires.
+    """One filter entry: its kind plus the parameters that kind reads.
 
-    kind "adaptive-rff": lr_weights, lr_freqs, lr_phases, n_features, bandwidth
-    kind "rff":          lr_weights, n_features, bandwidth
-    kind "coherence-klms": lr_weights, bandwidth, coherence_threshold
+    ``FILTER_FIELDS`` lists, per kind, the parameters it reads; the others
+    must be left at 0.
     """
 
     kind: str
@@ -45,14 +74,23 @@ class FilterSpec:
     def validate(self) -> None:
         if self.kind not in FILTER_KINDS:
             raise ConfigError(f"filter.kind must be one of {FILTER_KINDS}, got {self.kind!r}")
+        _check_types(self, "filter.")
+        reads = FILTER_FIELDS[self.kind]
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type in ("int", "float") and f.name not in reads and value != 0:
+                raise ConfigError(
+                    f"filter.{f.name} is not read by kind {self.kind!r} and must be 0 "
+                    f"or absent, got {value!r}"
+                )
         for name in ("lr_weights", "lr_freqs", "lr_phases"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"filter.{name} must be >= 0")
         if self.bandwidth <= 0:
             raise ConfigError(f"filter.bandwidth must be > 0, got {self.bandwidth}")
-        if self.kind in RFF_FAMILY and self.n_features < 1:
+        if "n_features" in reads and self.n_features < 1:
             raise ConfigError(f"filter.n_features must be >= 1, got {self.n_features}")
-        if self.kind == "coherence-klms" and not 0.0 < self.coherence_threshold < 1.0:
+        if "coherence_threshold" in reads and not 0.0 < self.coherence_threshold < 1.0:
             raise ConfigError(
                 "filter.coherence_threshold must lie in (0, 1), "
                 f"got {self.coherence_threshold}"
@@ -79,6 +117,7 @@ class PlantConfig:
     def validate(self, horizon: int) -> None:
         if self.kind not in PLANT_KINDS:
             raise ConfigError(f"plant.kind must be one of {PLANT_KINDS}, got {self.kind!r}")
+        _check_types(self, "plant.", infinite_ok=("snr_db",))
         if self.kind == "stationary" and not abs(self.rho) < 1:
             raise ConfigError(f"plant.rho must satisfy |rho| < 1, got {self.rho}")
         if self.kind == "nonstationary" and not 0 < self.change_step < horizon:
@@ -113,6 +152,7 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def validate(self) -> None:
+        _check_types(self, "")
         if self.runs < 1:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
         if self.horizon < 1:

@@ -117,24 +117,3 @@ def feature_map(bank: FeatureBank, x) -> np.ndarray:
     """Evaluate all D features at x. Every component lies in [-amplitude, amplitude]."""
     x = _check_input(bank, x)
     return bank.amplitude * np.cos(phase_angles(bank, x))
-
-
-def kernel_estimate(bank: FeatureBank, x, x2) -> float:
-    """Monte Carlo kernel estimate z(x).z(x2); requires the estimator amplitude."""
-    if not math.isclose(bank.amplitude, estimator_amplitude(bank.n_features), rel_tol=1e-12):
-        raise ValueError("kernel_estimate needs a bank sampled with estimator_scale=True")
-    return float(feature_map(bank, x) @ feature_map(bank, x2))
-
-
-def feature_partials(bank: FeatureBank, x, m: int) -> tuple[np.ndarray, float]:
-    """Exact partials of feature m (0-based) at x.
-
-    Returns (d z_m / d freqs[m], d z_m / d phases[m]); both carry the factor
-    -amplitude * sin(freqs[m] @ x + phases[m]), the frequency partial
-    additionally multiplies by x.
-    """
-    x = _check_input(bank, x)
-    if not 0 <= m < bank.n_features:
-        raise IndexError(f"feature index {m} out of range [0, {bank.n_features})")
-    s = -bank.amplitude * math.sin(float(bank.freqs[m] @ x + bank.phases[m]))
-    return s * x, s

@@ -1,7 +1,10 @@
 """Streaming kernel LMS filters.
 
-All three filters share one step contract: consume a sample (x, y), return
-the pre-update prediction and error, then update their state by one
+Two classes implement the three filter kinds. ``AdaptiveRffLms`` runs
+both RFF kinds: ``rff`` is ``AdaptiveRffLms`` with zero frequency and
+phase step sizes, also available as ``RffLms``. ``CoherenceKlms`` runs
+``coherence-klms``. Both share one step contract: consume a sample (x, y),
+return the pre-update prediction and error, then update their state by one
 stochastic gradient step on the squared error. A step with zero error
 leaves the state untouched, and any learning rate may be zero to freeze
 the corresponding update.
@@ -68,9 +71,10 @@ class AdaptiveRffLms:
         phases[m]-=  lr_phases * e * weights[m] * amplitude * sin(theta_m)
 
     The joint objective is not convex in the frequencies and phases, so a
-    bad step size can blow the state up; every step verifies finiteness and
-    raises DivergenceError with the offending step index instead of
-    continuing silently.
+    bad step size can blow the state up; every step verifies that the state
+    it updated is finite and raises DivergenceError with the offending step
+    index instead of continuing silently. With both feature step sizes zero
+    the bank never changes, so only the weights are checked.
     """
 
     def __init__(self, bank: FeatureBank, lr_weights: float,
@@ -110,46 +114,21 @@ class AdaptiveRffLms:
             g = (e * self.bank.amplitude) * self.weights * np.sin(theta)
             self.bank.freqs -= self.lr_freqs * g[:, None] * x[None, :]
             self.bank.phases -= self.lr_phases * g
-        self.weights = self.weights + self.lr_weights * e * z
-        self.n_steps += 1
-        if not (np.isfinite(self.weights).all()
-                and np.isfinite(self.bank.freqs).all()
-                and np.isfinite(self.bank.phases).all()):
-            raise DivergenceError(self.n_steps)
-        return StepOutcome(prediction, e, self.model_size)
-
-
-class RffLms:
-    """LMS on a frozen cosine feature expansion; only the weights adapt."""
-
-    def __init__(self, bank: FeatureBank, lr_weights: float):
-        self.bank = bank.copy()
-        self.weights = np.zeros(self.bank.n_features)
-        self.lr_weights = _check_rate("lr_weights", lr_weights)
-        self.n_steps = 0
-
-    @property
-    def input_dim(self) -> int:
-        return self.bank.input_dim
-
-    @property
-    def model_size(self) -> int:
-        return self.bank.n_features
-
-    def predict(self, x) -> float:
-        return float(self.weights @ feature_map(self.bank, x))
-
-    def step(self, x, y) -> StepOutcome:
-        x, y = _check_sample(x, y, self.input_dim)
-        theta = phase_angles(self.bank, x)
-        z = self.bank.amplitude * np.cos(theta)
-        prediction = float(self.weights @ z)
-        e = y - prediction
+            if not (np.isfinite(self.bank.freqs).all()
+                    and np.isfinite(self.bank.phases).all()):
+                raise DivergenceError(self.n_steps + 1)
         self.weights = self.weights + self.lr_weights * e * z
         self.n_steps += 1
         if not np.isfinite(self.weights).all():
             raise DivergenceError(self.n_steps)
         return StepOutcome(prediction, e, self.model_size)
+
+
+class RffLms(AdaptiveRffLms):
+    """LMS on a frozen cosine feature expansion; only the weights adapt."""
+
+    def __init__(self, bank: FeatureBank, lr_weights: float):
+        super().__init__(bank, lr_weights, 0.0, 0.0)
 
 
 class CoherenceKlms:
@@ -161,7 +140,7 @@ class CoherenceKlms:
     """
 
     def __init__(self, kernel: GaussianKernel, coherence_threshold: float,
-                 lr_weights: float, input_dim: int, capacity: int | None = None):
+                 lr_weights: float, input_dim: int):
         if not 0.0 < coherence_threshold < 1.0:
             raise ValueError(
                 f"coherence_threshold must lie in (0, 1), got {coherence_threshold}"
@@ -169,7 +148,7 @@ class CoherenceKlms:
         self.kernel = kernel
         self.coherence_threshold = float(coherence_threshold)
         self.lr_weights = _check_rate("lr_weights", lr_weights)
-        self.dictionary = Dictionary(input_dim, capacity)
+        self.dictionary = Dictionary(input_dim)
         self.weights = np.zeros(0)
         self.n_steps = 0
 

@@ -18,15 +18,6 @@ class GaussianKernel:
             raise ValueError(f"bandwidth must be positive and finite, got {self.bandwidth}")
 
 
-def kernel_eval(kernel: GaussianKernel, x, x2) -> float:
-    x = np.asarray(x, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    if x.shape != x2.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {x2.shape}")
-    d = x - x2
-    return float(np.exp(-np.dot(d, d) / (2.0 * kernel.bandwidth**2)))
-
-
 class Dictionary:
     """Append-only set of kernel expansion centers, all of one input dimension."""
 

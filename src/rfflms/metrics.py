@@ -2,8 +2,9 @@
 
 Excess error is the squared gap between the plant's noiseless output and
 the filter's pre-update prediction, so the observation-noise floor never
-enters the curves. Curves live in linear scale; conversion to dB happens
-only at export, after any averaging.
+enters the curves. The runner computes it per step and sums the curves in
+run order; that sum is the only aggregation. Curves live in linear scale;
+conversion to dB happens only at export, after averaging.
 """
 
 from __future__ import annotations
@@ -14,57 +15,11 @@ import numpy as np
 
 
 @dataclass
-class LearningCurve:
-    """Per-iteration excess squared error, linear scale."""
-
-    values: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float).ravel()
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("curve values must be finite")
-        if np.any(self.values < 0):
-            raise ValueError("curve values must be >= 0")
-
-    @property
-    def n_steps(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass
 class McAggregate:
     """Pointwise mean over Monte Carlo runs."""
 
     mean: np.ndarray
     n_runs: int
-    per_run: list[LearningCurve] | None = None
-
-
-def emse_sample(clean: float, prediction: float) -> float:
-    """Squared gap between the noiseless target and the prediction."""
-    d = float(clean) - float(prediction)
-    return d * d
-
-
-def emse_curve(clean: np.ndarray, predictions: np.ndarray, label: str = "") -> LearningCurve:
-    """Vectorized emse_sample over a whole run."""
-    clean = np.asarray(clean, dtype=float)
-    predictions = np.asarray(predictions, dtype=float)
-    if clean.shape != predictions.shape:
-        raise ValueError(f"shape mismatch: {clean.shape} vs {predictions.shape}")
-    return LearningCurve((clean - predictions) ** 2, label)
-
-
-def aggregate_runs(curves: list[LearningCurve], keep_runs: bool = False) -> McAggregate:
-    """Pointwise arithmetic mean of equal-length curves."""
-    if len(curves) == 0:
-        raise ValueError("need at least one curve")
-    lengths = {c.n_steps for c in curves}
-    if len(lengths) != 1:
-        raise ValueError(f"curves have ragged lengths: {sorted(lengths)}")
-    mean = np.mean(np.stack([c.values for c in curves]), axis=0)
-    return McAggregate(mean, len(curves), list(curves) if keep_runs else None)
 
 
 def steady_state_emse(agg: McAggregate, window: int) -> float:

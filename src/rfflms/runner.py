@@ -38,7 +38,7 @@ import numpy as np
 
 from .config import ExperimentConfig, FilterSpec, config_to_dict
 from .features import RffSpec, sample_feature_bank
-from .filters import AdaptiveRffLms, CoherenceKlms, DivergenceError, RffLms
+from .filters import AdaptiveRffLms, CoherenceKlms, DivergenceError
 from .kernels import GaussianKernel
 from .metrics import McAggregate, steady_state_emse, to_db
 from .seeding import derive_seed
@@ -96,11 +96,11 @@ def build_filter(spec: FilterSpec, input_dim: int, bank_seed: int):
     if spec.kind == "coherence-klms":
         return CoherenceKlms(GaussianKernel(spec.bandwidth), spec.coherence_threshold,
                              spec.lr_weights, input_dim)
+    # an rff spec has zero feature step sizes (FilterSpec.validate), which
+    # freezes the bank
     bank = sample_feature_bank(
         RffSpec(spec.bandwidth, spec.n_features, input_dim, bank_seed)
     )
-    if spec.kind == "rff":
-        return RffLms(bank, spec.lr_weights)
     return AdaptiveRffLms(bank, spec.lr_weights, spec.lr_freqs, spec.lr_phases)
 
 
@@ -116,7 +116,7 @@ def _run_single(cfg: ExperimentConfig, run_index: int) -> dict:
     for spec in cfg.filters:
         filt = build_filter(spec, input_dim, bank_seed)
         snapshots = None
-        if take_snapshots and spec.kind in ("adaptive-rff", "rff"):
+        if take_snapshots and isinstance(filt, AdaptiveRffLms):
             snapshots = {"initial": filt.bank.freqs.copy()}
         emse = np.empty(cfg.horizon)
         sizes = np.empty(cfg.horizon)

@@ -57,8 +57,3 @@ def derive_seed(root: int, *path: int | str) -> int:
         words.extend(_token_words(token))
     ss = np.random.SeedSequence(np.array(words, dtype=np.uint32))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
-def make_rng(root: int, *path: int | str) -> np.random.Generator:
-    """Generator seeded by ``derive_seed(root, *path)``."""
-    return np.random.default_rng(derive_seed(root, *path))

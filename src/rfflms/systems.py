@@ -10,10 +10,8 @@ signal power of each run.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy.signal import lfilter
@@ -137,19 +135,6 @@ class SampleStream:
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
-
-    def to_csv(self, path) -> None:
-        """Columns: n, one column per input coordinate, clean, y."""
-        dim = self.inputs.shape[1]
-        with Path(path).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n"] + [f"x{i}" for i in range(dim)] + ["clean", "y"])
-            for n in range(len(self)):
-                writer.writerow(
-                    [n]
-                    + [f"{v:.12g}" for v in self.inputs[n]]
-                    + [f"{self.clean[n]:.12g}", f"{self.targets[n]:.12g}"]
-                )
 
 
 def gen_ar1(spec: Ar1Spec, n_steps: int, seed: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -170,3 +171,49 @@ def test_oversized_seed_rejected():
         config_from_dict(payload)
     payload["seed"] = 2**64 - 1
     assert config_from_dict(payload).seed == 2**64 - 1
+
+
+@pytest.mark.parametrize("where, key, value", [
+    ("filter", "n_features", "8"),
+    ("filter", "n_features", 8.5),
+    ("filter", "n_features", True),
+    ("top", "runs", 1.5),
+    ("top", "horizon", "50"),
+    ("filter", "lr_weights", math.nan),
+    ("filter", "bandwidth", math.inf),
+    ("plant", "snr_db", math.nan),
+    ("plant", "snr_db", -math.inf),
+    ("top", "name", 5),
+    ("top", "out_dir", 5),
+    ("filter", "label", 3),
+])
+def test_mistyped_and_nonfinite_values_rejected(tmp_path, where, key, value):
+    payload = good_payload()
+    target = {"top": payload, "plant": payload["plant"], "filter": payload["filters"][0]}
+    target[where][key] = value
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(payload))  # json writes NaN and Infinity as such
+    with pytest.raises(ConfigError, match=key):
+        load_config(path)
+
+
+def test_noiseless_plant_is_allowed():
+    payload = good_payload()
+    payload["plant"]["snr_db"] = math.inf
+    assert config_from_dict(payload).plant.snr_db == math.inf
+
+
+def test_fields_a_kind_does_not_read_must_be_zero():
+    for kind_fields, name in [
+        ({"kind": "rff", "n_features": 8}, "lr_freqs"),
+        ({"kind": "rff", "n_features": 8}, "lr_phases"),
+        ({"kind": "rff", "n_features": 8}, "coherence_threshold"),
+        ({"kind": "coherence-klms", "coherence_threshold": 0.5}, "n_features"),
+    ]:
+        payload = good_payload()
+        payload["filters"] = [{**kind_fields, "lr_weights": 0.1, "bandwidth": 1.0, name: 1}]
+        with pytest.raises(ConfigError, match=name):
+            config_from_dict(payload)
+    payload = good_payload()
+    payload["filters"][0]["lr_freqs"] = 0.0
+    assert config_from_dict(payload).filters[0].lr_freqs == 0.0

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import feature_partials, kernel_estimate
 from rfflms.features import (
     FeatureBank,
     RffSpec,
     estimator_amplitude,
     feature_map,
-    feature_partials,
-    kernel_estimate,
     sample_feature_bank,
 )
 

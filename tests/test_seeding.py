@@ -1,6 +1,7 @@
 import pytest
 
-from rfflms.seeding import derive_seed, make_rng
+from oracles import make_rng
+from rfflms.seeding import derive_seed
 
 
 def test_derivation_is_deterministic():

