@@ -96,6 +96,8 @@ def _summary_lines(art) -> list[str]:
 
 
 def _cmd_run(args) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     cfg = _resolve_config(args)
     out_dir = Path(cfg.out_dir) if cfg.out_dir else Path("results") / cfg.name
     if args.sweep:

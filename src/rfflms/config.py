@@ -30,7 +30,15 @@ FILTER_FIELDS = {
     "coherence-klms": ("lr_weights", "bandwidth", "coherence_threshold"),
 }
 FILTER_KINDS = tuple(FILTER_FIELDS)
-PLANT_KINDS = ("stationary", "nonstationary")
+
+# The parameters each plant kind reads. A parameter its kind does not read
+# must keep its default (rho 0.5, change_step 5000): a nonstationary plant
+# with rho set would otherwise validate and silently ignore it.
+PLANT_FIELDS = {
+    "stationary": ("snr_db", "rho"),
+    "nonstationary": ("snr_db", "change_step"),
+}
+PLANT_KINDS = tuple(PLANT_FIELDS)
 
 
 # annotation -> accepted Python types; bool is never accepted
@@ -107,6 +115,9 @@ class PlantConfig:
 
     kind "stationary": rho (AR(1) input correlation), snr_db
     kind "nonstationary": change_step, snr_db
+
+    ``PLANT_FIELDS`` lists, per kind, the parameters it reads; the others
+    must keep their defaults.
     """
 
     kind: str
@@ -118,6 +129,14 @@ class PlantConfig:
         if self.kind not in PLANT_KINDS:
             raise ConfigError(f"plant.kind must be one of {PLANT_KINDS}, got {self.kind!r}")
         _check_types(self, "plant.", infinite_ok=("snr_db",))
+        reads = PLANT_FIELDS[self.kind]
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type in ("int", "float") and f.name not in reads and value != f.default:
+                raise ConfigError(
+                    f"plant.{f.name} is not read by kind {self.kind!r} and must be "
+                    f"{f.default!r} or absent, got {value!r}"
+                )
         if self.kind == "stationary" and not abs(self.rho) < 1:
             raise ConfigError(f"plant.rho must satisfy |rho| < 1, got {self.rho}")
         if self.kind == "nonstationary" and not 0 < self.change_step < horizon:
@@ -209,7 +228,10 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return dataclasses.asdict(cfg)
+    """The JSON form of ``cfg``, which ``config_from_dict`` reads back."""
+    payload = dataclasses.asdict(cfg)
+    payload["filters"] = list(payload["filters"])
+    return payload
 
 
 def load_config(path) -> ExperimentConfig:

@@ -9,6 +9,20 @@ stochastic gradient step on the squared error. A step with zero error
 leaves the state untouched, and any learning rate may be zero to freeze
 the corresponding update.
 
+Each class has exactly one time loop, ``run(inputs, targets)``, which
+consumes a whole stream (inputs of shape (T, L), targets of shape (T,))
+and returns ``(predictions, model_sizes)``, both of length T: the
+pre-update prediction of every step and the model size after it. The
+stream is checked for shape and finiteness once per call, not once per
+step. The state carries over between calls, so running a stream in
+pieces gives bit-for-bit what one call over the whole stream gives.
+``step(x, y)`` is ``run`` over a stream of length 1 that returns a
+``StepOutcome``. Every step still verifies the state it updated; if that
+state stopped being finite, ``run`` raises ``DivergenceError`` carrying
+the global 1-based step index, counted over every step the filter has
+taken (``n_steps`` before the call plus the position in the stream), and
+the filter is not usable afterwards.
+
 ``AdaptiveRffLms`` additionally descends on the feature frequencies and
 phases. Within one step every right-hand side uses the pre-update state
 (a simultaneous update): the fresh weights are not fed into the frequency
@@ -23,8 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import FeatureBank, feature_map, phase_angles
-from .kernels import Dictionary, GaussianKernel, coherence_admit, kernelized_input
+# phase_angles, coherence_admit and kernelized_input stay importable from
+# this module: perfbench/tracing.py patches them under these names
+from .features import FeatureBank, feature_map, phase_angles  # noqa: F401
+from .kernels import Dictionary, GaussianKernel, coherence_admit, kernelized_input  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -54,6 +70,20 @@ def _check_sample(x, y, input_dim: int) -> tuple[np.ndarray, float]:
     return x, y
 
 
+def _check_stream(inputs, targets, input_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    inputs = np.asarray(inputs, dtype=float)
+    targets = np.asarray(targets, dtype=float)
+    if (inputs.ndim != 2 or inputs.shape[1] != input_dim
+            or targets.shape != inputs.shape[:1]):
+        raise ValueError(
+            f"expected inputs of shape (T, {input_dim}) and targets of shape (T,), "
+            f"got {inputs.shape} and {targets.shape}"
+        )
+    if not (np.isfinite(inputs).all() and np.isfinite(targets).all()):
+        raise ValueError("stream (inputs, targets) must be finite")
+    return inputs, targets
+
+
 def _check_rate(name: str, value: float) -> float:
     value = float(value)
     if not (np.isfinite(value) and value >= 0.0):
@@ -61,7 +91,17 @@ def _check_rate(name: str, value: float) -> float:
     return value
 
 
-class AdaptiveRffLms:
+class _StreamFilter:
+    """``step`` for a filter whose one time loop is ``run``."""
+
+    def step(self, x, y) -> StepOutcome:
+        x, y = _check_sample(x, y, self.input_dim)
+        predictions, sizes = self.run(x[None, :], np.array([y]))
+        prediction = float(predictions[0])
+        return StepOutcome(prediction, y - prediction, int(sizes[0]))
+
+
+class AdaptiveRffLms(_StreamFilter):
     """LMS on a cosine feature expansion that also learns the features.
 
     Per step, with e the pre-update error and theta_m the m-th feature angle:
@@ -103,25 +143,37 @@ class AdaptiveRffLms:
         e = y - self.predict(x)
         return e * e
 
-    def step(self, x, y) -> StepOutcome:
-        x, y = _check_sample(x, y, self.input_dim)
-        theta = phase_angles(self.bank, x)
-        z = self.bank.amplitude * np.cos(theta)
-        prediction = float(self.weights @ z)
-        e = y - prediction
-        if self.lr_freqs != 0.0 or self.lr_phases != 0.0:
-            # pre-update weights drive the feature gradients
-            g = (e * self.bank.amplitude) * self.weights * np.sin(theta)
-            self.bank.freqs -= self.lr_freqs * g[:, None] * x[None, :]
-            self.bank.phases -= self.lr_phases * g
-            if not (np.isfinite(self.bank.freqs).all()
-                    and np.isfinite(self.bank.phases).all()):
-                raise DivergenceError(self.n_steps + 1)
-        self.weights = self.weights + self.lr_weights * e * z
-        self.n_steps += 1
-        if not np.isfinite(self.weights).all():
-            raise DivergenceError(self.n_steps)
-        return StepOutcome(prediction, e, self.model_size)
+    def run(self, inputs, targets) -> tuple[np.ndarray, np.ndarray]:
+        inputs, targets = _check_stream(inputs, targets, self.input_dim)
+        freqs, phases, amp = self.bank.freqs, self.bank.phases, self.bank.amplitude
+        lr_weights, lr_freqs, lr_phases = self.lr_weights, self.lr_freqs, self.lr_phases
+        adaptive = lr_freqs != 0.0 or lr_phases != 0.0
+        cos, sin, isfinite = np.cos, np.sin, np.isfinite
+        w = self.weights
+        predictions = []
+        base, n = self.n_steps, -1
+        try:
+            for n, y in enumerate(targets.tolist()):
+                x = inputs[n]
+                theta = freqs @ x + phases
+                z = amp * cos(theta)
+                prediction = float(w @ z)
+                e = y - prediction
+                if adaptive:
+                    # pre-update weights drive the feature gradients
+                    g = (e * amp) * w * sin(theta)
+                    freqs -= lr_freqs * g[:, None] * x[None, :]
+                    phases -= lr_phases * g
+                    if not (isfinite(freqs).all() and isfinite(phases).all()):
+                        raise DivergenceError(base + n + 1)
+                w = w + lr_weights * e * z
+                if not isfinite(w).all():
+                    raise DivergenceError(base + n + 1)
+                predictions.append(prediction)
+        finally:
+            self.weights = w
+            self.n_steps = base + n + 1
+        return np.array(predictions, dtype=float), np.full(len(targets), self.model_size)
 
 
 class RffLms(AdaptiveRffLms):
@@ -131,12 +183,16 @@ class RffLms(AdaptiveRffLms):
         super().__init__(bank, lr_weights, 0.0, 0.0)
 
 
-class CoherenceKlms:
+class CoherenceKlms(_StreamFilter):
     """Gaussian kernel LMS over a dictionary grown online by the coherence rule.
 
     Each step first offers x to the dictionary (admitted centers enter at
     weight zero, so the prediction is continuous across admissions), then
     predicts from the kernelized input and LMS-updates all active weights.
+    The admission test's kernel vector is the one the step predicts with:
+    an admitted center's own entry is exp(-0.0) == 1.0. Like the centers
+    (see ``Dictionary``), the weights live in a buffer that doubles when
+    full; ``weights`` is the view of the active ones.
     """
 
     def __init__(self, kernel: GaussianKernel, coherence_threshold: float,
@@ -149,7 +205,7 @@ class CoherenceKlms:
         self.coherence_threshold = float(coherence_threshold)
         self.lr_weights = _check_rate("lr_weights", lr_weights)
         self.dictionary = Dictionary(input_dim)
-        self.weights = np.zeros(0)
+        self._weights = np.zeros(16)
         self.n_steps = 0
 
     @property
@@ -160,20 +216,50 @@ class CoherenceKlms:
     def model_size(self) -> int:
         return len(self.dictionary)
 
+    @property
+    def weights(self) -> np.ndarray:
+        return self._weights[:len(self.dictionary)]
+
     def predict(self, x) -> float:
         if len(self.dictionary) == 0:
             return 0.0
         return float(self.weights @ kernelized_input(self.kernel, self.dictionary, x))
 
-    def step(self, x, y) -> StepOutcome:
-        x, y = _check_sample(x, y, self.input_dim)
-        if coherence_admit(self.kernel, self.dictionary, x, self.coherence_threshold):
-            self.weights = np.append(self.weights, 0.0)
-        k = kernelized_input(self.kernel, self.dictionary, x)
-        prediction = float(self.weights @ k)
-        e = y - prediction
-        self.weights = self.weights + self.lr_weights * e * k
-        self.n_steps += 1
-        if not np.isfinite(self.weights).all():
-            raise DivergenceError(self.n_steps)
-        return StepOutcome(prediction, e, self.model_size)
+    def run(self, inputs, targets) -> tuple[np.ndarray, np.ndarray]:
+        inputs, targets = _check_stream(inputs, targets, self.input_dim)
+        dictionary, threshold, lr = self.dictionary, self.coherence_threshold, self.lr_weights
+        scale = 2.0 * self.kernel.bandwidth**2
+        exp, einsum, isfinite = np.exp, np.einsum, np.isfinite
+        centers = dictionary.centers
+        size = len(centers)
+        w = self.weights
+        predictions, sizes = [], []
+        base, n = self.n_steps, -1
+        try:
+            for n, y in enumerate(targets.tolist()):
+                x = inputs[n]
+                if size:
+                    diff = centers - x
+                    k = exp(-einsum("ij,ij->i", diff, diff) / scale)
+                    admit = not float(k.max()) > threshold
+                else:
+                    k, admit = np.empty(0), True
+                if admit:
+                    dictionary.append(x)
+                    centers = dictionary.centers
+                    size += 1
+                    k = np.append(k, 1.0)
+                    if size > len(self._weights):
+                        self._weights = np.concatenate(
+                            [self._weights, np.zeros_like(self._weights)])
+                    w = self._weights[:size]
+                prediction = float(w @ k)
+                e = y - prediction
+                w += lr * e * k
+                if not isfinite(w).all():
+                    raise DivergenceError(base + n + 1)
+                predictions.append(prediction)
+                sizes.append(size)
+        finally:
+            self.n_steps = base + n + 1
+        return np.array(predictions, dtype=float), np.array(sizes, dtype=int)

@@ -1,4 +1,10 @@
-"""Exact Gaussian kernel and the coherence-sparsified center dictionary."""
+"""Exact Gaussian kernel and the coherence-sparsified center dictionary.
+
+``kernelized_input`` and ``coherence_admit`` are the reference forms of the
+kernel vector and the admission rule; ``CoherenceKlms.run`` inlines both in
+its time loop, computing the kernel vector once per step for the
+admission test and the prediction alike.
+"""
 
 from __future__ import annotations
 
@@ -19,7 +25,12 @@ class GaussianKernel:
 
 
 class Dictionary:
-    """Append-only set of kernel expansion centers, all of one input dimension."""
+    """Append-only set of kernel expansion centers, all of one input dimension.
+
+    The centers fill the leading rows of a buffer that doubles when full, so
+    an admission copies the existing centers only when the buffer grows;
+    ``centers`` is a view of the rows in use.
+    """
 
     def __init__(self, input_dim: int, capacity: int | None = None):
         if input_dim < 1:
@@ -28,14 +39,15 @@ class Dictionary:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.input_dim = input_dim
         self.capacity = capacity
-        self._centers = np.empty((0, input_dim), dtype=float)
+        self._buffer = np.empty((16, input_dim), dtype=float)
+        self._size = 0
 
     def __len__(self) -> int:
-        return self._centers.shape[0]
+        return self._size
 
     @property
     def centers(self) -> np.ndarray:
-        return self._centers
+        return self._buffer[:self._size]
 
     @property
     def is_full(self) -> bool:
@@ -47,7 +59,10 @@ class Dictionary:
             raise ValueError(f"expected center of shape ({self.input_dim},), got {x.shape}")
         if self.is_full:
             raise ValueError(f"dictionary is at capacity {self.capacity}")
-        self._centers = np.vstack([self._centers, x[None, :]])
+        if self._size == len(self._buffer):
+            self._buffer = np.concatenate([self._buffer, np.empty_like(self._buffer)])
+        self._buffer[self._size] = x
+        self._size += 1
 
 
 def kernelized_input(kernel: GaussianKernel, dictionary: Dictionary, x) -> np.ndarray:

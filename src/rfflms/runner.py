@@ -6,6 +6,12 @@ how many workers execute the runs. When both RFF-family filters appear in
 one config with the same bank settings they start from identical banks,
 giving a paired comparison.
 
+Each filter consumes its run's stream in one ``run`` call (see
+``rfflms.filters``), except that run 0 of a nonstationary experiment
+splits an RFF-family filter's call at the change step to record its
+frequency bank there. The EMSE curve is then computed over the whole run
+at once from the clean targets and the returned predictions.
+
 Divergence policy. A filter diverges in a run when it raises
 ``DivergenceError`` or its squared error stops being finite; that run's
 curve of that filter is listed in ``RunArtifacts.diverged`` and left out
@@ -118,19 +124,22 @@ def _run_single(cfg: ExperimentConfig, run_index: int) -> dict:
         snapshots = None
         if take_snapshots and isinstance(filt, AdaptiveRffLms):
             snapshots = {"initial": filt.bank.freqs.copy()}
-        emse = np.empty(cfg.horizon)
-        sizes = np.empty(cfg.horizon)
-        diverged_step = None
+        # run 0 stops at the regime change to record the bank there
+        split = change_step if snapshots is not None else None
+        diverged_step = emse = sizes = None
         with np.errstate(all="ignore"):
             try:
-                for n in range(cfg.horizon):
-                    outcome = filt.step(stream.inputs[n], stream.targets[n])
-                    d = stream.clean[n] - outcome.prediction
-                    emse[n] = d * d
-                    sizes[n] = outcome.model_size
-                    if snapshots is not None and change_step is not None \
-                            and n + 1 == change_step:
-                        snapshots["change"] = filt.bank.freqs.copy()
+                if split is None:
+                    preds, sizes = filt.run(stream.inputs, stream.targets)
+                else:
+                    preds, sizes = filt.run(stream.inputs[:split], stream.targets[:split])
+                    snapshots["change"] = filt.bank.freqs.copy()
+                    tail_preds, tail_sizes = filt.run(stream.inputs[split:],
+                                                      stream.targets[split:])
+                    preds = np.concatenate([preds, tail_preds])
+                    sizes = np.concatenate([sizes, tail_sizes])
+                d = stream.clean - preds
+                emse = d * d
             except DivergenceError as exc:
                 diverged_step = exc.step
         if diverged_step is None and not np.all(np.isfinite(emse)):
@@ -155,6 +164,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunArtifacts:
     Aggregation is a sequential reduction in run-index order whatever the
     worker count, so the artifacts are byte-reproducible under the root seed.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     cfg.validate()
     labels = [f.column for f in cfg.filters]
     emse_sum = {lab: np.zeros(cfg.horizon) for lab in labels}
@@ -218,11 +229,13 @@ def _fmt(value: float) -> str:
 
 
 def _write_curve_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+    # one %-format per row: the cells read as _fmt writes them, with
+    # csv.writer's \r\n line ending
+    row = "%d" + ",%.12g" * len(columns) + "\r\n"
+    cells = zip(range(columns[0].shape[0]), *(col.tolist() for col in columns))
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for n in range(columns[0].shape[0]):
-            writer.writerow([n] + [_fmt(col[n]) for col in columns])
+        csv.writer(fh).writerow(header)
+        fh.writelines(row % values for values in cells)
 
 
 def export_artifacts(art: RunArtifacts, out_dir) -> dict:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from rfflms.features import FeatureBank, _check_input, estimator_amplitude, feature_map
-from rfflms.kernels import GaussianKernel
+from rfflms.kernels import Dictionary, GaussianKernel, coherence_admit, kernelized_input
 from rfflms.metrics import McAggregate
 from rfflms.seeding import derive_seed
 from rfflms.systems import SampleStream
@@ -113,3 +113,22 @@ def stream_to_csv(stream: SampleStream, path) -> None:
                 + [f"{v:.12g}" for v in stream.inputs[n]]
                 + [f"{stream.clean[n]:.12g}", f"{stream.targets[n]:.12g}"]
             )
+
+
+def klms_reference(kernel: GaussianKernel, threshold: float, lr_weights: float,
+                   inputs: np.ndarray, targets: np.ndarray):
+    """Coherence KLMS one sample at a time through the public kernel helpers:
+    offer x to the dictionary, kernelize x against the grown dictionary,
+    predict and update. Returns (predictions, sizes, weights, centers)."""
+    dictionary = Dictionary(inputs.shape[1])
+    weights = np.zeros(0)
+    predictions, sizes = [], []
+    for x, y in zip(inputs, targets):
+        if coherence_admit(kernel, dictionary, x, threshold):
+            weights = np.append(weights, 0.0)
+        k = kernelized_input(kernel, dictionary, x)
+        prediction = float(weights @ k)
+        weights = weights + lr_weights * (float(y) - prediction) * k
+        predictions.append(prediction)
+        sizes.append(len(dictionary))
+    return np.array(predictions), np.array(sizes), weights, dictionary.centers

@@ -178,3 +178,13 @@ def test_sweep_checks_every_grid_point_before_the_first_run(tmp_path, capsys):
     assert code == 2
     assert "coherence_threshold" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-4"])
+def test_run_rejects_workers_below_one(tmp_path, capsys, workers):
+    out = tmp_path / "res"
+    code = main(["run", "--config", str(rff_config(tmp_path)), "--out", str(out),
+                 "--workers", workers])
+    assert code == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not out.exists()

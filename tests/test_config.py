@@ -6,6 +6,7 @@ import pytest
 from rfflms.config import (
     ConfigError,
     config_from_dict,
+    config_to_dict,
     list_presets,
     load_config,
     preset,
@@ -217,3 +218,25 @@ def test_fields_a_kind_does_not_read_must_be_zero():
     payload = good_payload()
     payload["filters"][0]["lr_freqs"] = 0.0
     assert config_from_dict(payload).filters[0].lr_freqs == 0.0
+
+
+@pytest.mark.parametrize("plant, name", [
+    ({"kind": "nonstationary", "snr_db": 25.0, "change_step": 50, "rho": 0.99}, "plant.rho"),
+    ({"kind": "stationary", "snr_db": 15.0, "change_step": 1000000000}, "plant.change_step"),
+])
+def test_plant_fields_the_kind_does_not_read_must_keep_their_default(plant, name):
+    payload = good_payload()
+    payload["plant"] = plant
+    with pytest.raises(ConfigError, match=name):
+        config_from_dict(payload)
+    # the default itself, written out, is accepted
+    field = name.split(".")[1]
+    payload["plant"][field] = {"rho": 0.5, "change_step": 5000}[field]
+    assert getattr(config_from_dict(payload).plant, field) == payload["plant"][field]
+
+
+@pytest.mark.parametrize("name", ["stationary-paper", "nonstationary-paper"])
+def test_presets_round_trip_through_their_manifest_form(name):
+    cfg = preset(name)
+    assert config_from_dict(config_to_dict(cfg)) == cfg
+    assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg

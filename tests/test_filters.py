@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import kernel_eval
+from oracles import kernel_eval, klms_reference
 from rfflms.features import FeatureBank, RffSpec, sample_feature_bank
 from rfflms.filters import AdaptiveRffLms, CoherenceKlms, DivergenceError, RffLms
 from rfflms.kernels import GaussianKernel
@@ -275,3 +275,126 @@ def test_klms_zero_error_fixed_point():
     # admission may still grow the dictionary; the active weights stay put
     assert np.array_equal(f.weights[:size_before], w_before)
     assert np.all(f.weights[size_before:] == 0.0)
+
+
+# ---- the whole-stream core ------------------------------------------------
+
+def smooth_stream(steps=2000, seed=4):
+    rng = np.random.default_rng(seed)
+    inputs = rng.normal(size=(steps, 2)) * 1.5
+    targets = np.sin(inputs[:, 0]) * np.cos(inputs[:, 1]) + 0.1 * rng.normal(size=steps)
+    return inputs, targets
+
+
+STREAM_BANK = sample_feature_bank(RffSpec(0.95, 48, 2, seed=77))
+
+# per kind: a stable filter, and ones whose state overflows mid-stream
+# (the adaptive ones through the weights and through the bank)
+MAKERS = {
+    "rff": lambda: RffLms(STREAM_BANK, 0.05),
+    "adaptive-rff": lambda: AdaptiveRffLms(STREAM_BANK, 0.05, 0.5, 0.5),
+    "coherence-klms": lambda: CoherenceKlms(GaussianKernel(0.5), 0.5, 0.2, input_dim=2),
+}
+DIVERGENT = {
+    "rff": lambda: RffLms(STREAM_BANK, 1.0),
+    "adaptive-rff": lambda: AdaptiveRffLms(STREAM_BANK, 1.0, 0.5, 0.5),
+    "adaptive-rff-bank": lambda: AdaptiveRffLms(STREAM_BANK, 0.3, 1e250, 1e250),
+    "coherence-klms": lambda: CoherenceKlms(GaussianKernel(0.5), 0.5, 1e3, input_dim=2),
+}
+
+
+def filter_state(f):
+    if isinstance(f, CoherenceKlms):
+        return [f.weights, f.dictionary.centers]
+    return [f.weights, f.bank.freqs, f.bank.phases]
+
+
+def assert_same_state(a, b):
+    assert a.n_steps == b.n_steps
+    for x, y in zip(filter_state(a), filter_state(b), strict=True):
+        assert x.shape == y.shape and np.array_equal(x, y)
+
+
+def step_loop(f, inputs, targets):
+    outcomes = [f.step(x, y) for x, y in zip(inputs, targets)]
+    return (np.array([o.prediction for o in outcomes]),
+            np.array([o.model_size for o in outcomes]))
+
+
+@pytest.mark.parametrize("kind", sorted(MAKERS))
+def test_run_matches_the_step_loop_bit_for_bit(kind):
+    inputs, targets = smooth_stream()
+    a, b = MAKERS[kind](), MAKERS[kind]()
+    preds, sizes = a.run(inputs, targets)
+    step_preds, step_sizes = step_loop(b, inputs, targets)
+    assert preds.shape == sizes.shape == (2000,)
+    assert np.array_equal(preds, step_preds)
+    assert np.array_equal(sizes, step_sizes)
+    assert_same_state(a, b)
+    assert a.n_steps == 2000
+
+
+@pytest.mark.parametrize("cuts", [(0,), (1,), (16,), (777,), (1999,), (2000,), (5, 40, 1500)])
+@pytest.mark.parametrize("kind", sorted(MAKERS))
+def test_run_split_anywhere_matches_one_run(kind, cuts):
+    inputs, targets = smooth_stream()
+    whole, pieces = MAKERS[kind](), MAKERS[kind]()
+    preds, sizes = whole.run(inputs, targets)
+    bounds = [0, *cuts, len(targets)]
+    parts = [pieces.run(inputs[a:b], targets[a:b]) for a, b in zip(bounds, bounds[1:])]
+    assert np.array_equal(preds, np.concatenate([p for p, _ in parts]))
+    assert np.array_equal(sizes, np.concatenate([s for _, s in parts]))
+    assert_same_state(whole, pieces)
+
+
+def test_coherence_klms_run_matches_the_admit_then_kernelize_reference():
+    # the run loop reuses the admission test's kernel vector and buffers
+    # the dictionary; the reference recomputes one and appends to the other
+    inputs, targets = smooth_stream()
+    f = MAKERS["coherence-klms"]()
+    preds, sizes = f.run(inputs, targets)
+    ref_preds, ref_sizes, ref_weights, ref_centers = klms_reference(
+        GaussianKernel(0.5), 0.5, 0.2, inputs, targets)
+    assert sizes[-1] > 32  # the center and weight buffers grew twice
+    assert np.array_equal(preds, ref_preds)
+    assert np.array_equal(sizes, ref_sizes)
+    assert np.array_equal(f.weights, ref_weights)
+    assert np.array_equal(f.dictionary.centers, ref_centers)
+
+
+@pytest.mark.parametrize("kind", sorted(DIVERGENT))
+def test_divergence_step_is_global_across_run_split_run_and_step_loop(kind):
+    inputs, targets = smooth_stream()
+    with np.errstate(all="ignore"):
+        with pytest.raises(DivergenceError) as whole:
+            DIVERGENT[kind]().run(inputs, targets)
+        step = whole.value.step
+        assert 1 < step < 2000
+        # cut halfway, and just before the diverging step so that it is the
+        # second call's first
+        for cut in (step // 2, step - 1):
+            f = DIVERGENT[kind]()
+            f.run(inputs[:cut], targets[:cut])
+            with pytest.raises(DivergenceError) as split:
+                f.run(inputs[cut:], targets[cut:])
+            assert split.value.step == step
+        with pytest.raises(DivergenceError) as looped:
+            step_loop(DIVERGENT[kind](), inputs, targets)
+        assert looped.value.step == step
+
+
+@pytest.mark.parametrize("kind", sorted(MAKERS))
+def test_run_rejects_a_bad_stream_before_the_first_step(kind):
+    inputs, targets = smooth_stream(steps=50)
+    bad_last_input = inputs.copy()
+    bad_last_input[-1, 1] = np.nan
+    bad_last_target = targets.copy()
+    bad_last_target[-1] = np.inf
+    for bad in [(bad_last_input, targets), (inputs, bad_last_target),
+                (np.zeros((50, 3)), targets), (inputs, targets[:-1]),
+                (inputs[:, 0], targets), (inputs[None], targets)]:
+        f = MAKERS[kind]()
+        with pytest.raises(ValueError):
+            f.run(*bad)
+        assert f.n_steps == 0 and f.model_size == MAKERS[kind]().model_size
+        assert not np.any(f.weights)

@@ -62,6 +62,12 @@ def test_worker_count_does_not_change_results(tmp_path):
         assert filecmp.cmp(tmp_path / "w1" / name, tmp_path / "w2" / name, shallow=False), name
 
 
+@pytest.mark.parametrize("workers", [0, -4])
+def test_workers_below_one_rejected(workers):
+    with pytest.raises(ValueError, match="workers"):
+        run_experiment(tiny_config(), workers=workers)
+
+
 def test_reexport_is_byte_identical(tmp_path):
     art = run_experiment(tiny_config())
     export_artifacts(art, tmp_path / "a")
