@@ -23,7 +23,7 @@ from .filters import (
     RffLms,
     StepOutcome,
 )
-from .kernels import Dictionary, GaussianKernel, coherence_admit, kernelized_input
+from .kernels import Dictionary, GaussianKernel, kernelized_input
 from .metrics import McAggregate, steady_state_emse, to_db
 from .runner import ExperimentError, RunArtifacts, export_artifacts, run_experiment
 from .seeding import derive_seed
@@ -64,7 +64,6 @@ __all__ = [
     "SampleStream",
     "StepOutcome",
     "calibrate_noise",
-    "coherence_admit",
     "derive_seed",
     "export_artifacts",
     "feature_map",

@@ -102,15 +102,18 @@ def _cmd_run(args) -> int:
     out_dir = Path(cfg.out_dir) if cfg.out_dir else Path("results") / cfg.name
     if args.sweep:
         name, values = _parse_sweep(args.sweep)
-        # check the whole grid before the first run
+        # check the whole grid before the first run; names keep _parse_sweep's 12 digits
         grid = [_override_filters(cfg, name, value) for value in values]
         for cfg_v in grid:
             cfg_v.validate()
-        for value, cfg_v in zip(values, grid):
+        points = [f"{name}={value:.12g}" for value in values]
+        if len(set(points)) != len(points):
+            raise ConfigError(f"--sweep grid points share a directory name: {points}")
+        for point, cfg_v in zip(points, grid):
             art = run_experiment(cfg_v, workers=args.workers)
-            sub = out_dir / f"sweep_{name}={value:g}"
+            sub = out_dir / f"sweep_{point}"
             export_artifacts(art, sub)
-            print(f"[{cfg.name}] {name}={value:g} -> {sub}")
+            print(f"[{cfg.name}] {point} -> {sub}")
             for line in _summary_lines(art):
                 print("  " + line)
         return 0

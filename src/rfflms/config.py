@@ -62,6 +62,15 @@ def _check_types(obj, prefix: str, infinite_ok: tuple[str, ...] = ()) -> None:
             raise ConfigError(f"{prefix}{f.name} must be finite, got {value!r}")
 
 
+def _check_unread(obj, prefix: str, reads: tuple[str, ...]) -> None:
+    """A numeric field that ``obj.kind`` does not read must keep its default."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if f.type in ("int", "float") and f.name not in reads and value != f.default:
+            raise ConfigError(f"{prefix}{f.name} is not read by kind {obj.kind!r} and must "
+                              f"be {f.default!r} or absent, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FilterSpec:
     """One filter entry: its kind plus the parameters that kind reads.
@@ -84,13 +93,7 @@ class FilterSpec:
             raise ConfigError(f"filter.kind must be one of {FILTER_KINDS}, got {self.kind!r}")
         _check_types(self, "filter.")
         reads = FILTER_FIELDS[self.kind]
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if f.type in ("int", "float") and f.name not in reads and value != 0:
-                raise ConfigError(
-                    f"filter.{f.name} is not read by kind {self.kind!r} and must be 0 "
-                    f"or absent, got {value!r}"
-                )
+        _check_unread(self, "filter.", reads)
         for name in ("lr_weights", "lr_freqs", "lr_phases"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"filter.{name} must be >= 0")
@@ -129,14 +132,7 @@ class PlantConfig:
         if self.kind not in PLANT_KINDS:
             raise ConfigError(f"plant.kind must be one of {PLANT_KINDS}, got {self.kind!r}")
         _check_types(self, "plant.", infinite_ok=("snr_db",))
-        reads = PLANT_FIELDS[self.kind]
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if f.type in ("int", "float") and f.name not in reads and value != f.default:
-                raise ConfigError(
-                    f"plant.{f.name} is not read by kind {self.kind!r} and must be "
-                    f"{f.default!r} or absent, got {value!r}"
-                )
+        _check_unread(self, "plant.", PLANT_FIELDS[self.kind])
         if self.kind == "stationary" and not abs(self.rho) < 1:
             raise ConfigError(f"plant.rho must satisfy |rho| < 1, got {self.rho}")
         if self.kind == "nonstationary" and not 0 < self.change_step < horizon:

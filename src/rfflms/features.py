@@ -1,17 +1,15 @@
 """Random Fourier feature banks.
 
-A bank holds D frequency vectors and D phase factors defining the cosine
-feature map
+A bank holds D frequency vectors and D phase factors defining the unit
+amplitude cosine feature map
 
-    z_m(x) = amplitude * cos(freqs[m] @ x + phases[m]),   m = 0..D-1.
+    z_m(x) = cos(freqs[m] @ x + phases[m]),   m = 0..D-1.
 
 Frequencies are sampled from a zero-mean Gaussian with standard deviation
-1/bandwidth per coordinate, phases uniformly on [0, 2*pi), so that with the
-estimator amplitude sqrt(2/D) the inner product z(x).z(x') is an unbiased
-Monte Carlo estimate of the Gaussian kernel exp(-||x-x'||^2 / (2*bandwidth^2)).
-
-Adaptive filters use unit amplitude instead and let the learned weights
-absorb the scale; both conventions are supported, nothing in between.
+1/bandwidth per coordinate, phases uniformly on [0, 2*pi), so that
+(2/D) z(x).z(x') is an unbiased Monte Carlo estimate of the Gaussian kernel
+exp(-||x-x'||^2 / (2*bandwidth^2)). The filters never form that estimate:
+their learned weights absorb the scale of the features.
 """
 
 from __future__ import annotations
@@ -22,11 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-
-
-def estimator_amplitude(n_features: int) -> float:
-    """Map gain that makes z(x).z(x') estimate the kernel: sqrt(2/D)."""
-    return math.sqrt(2.0 / n_features)
 
 
 @dataclass(frozen=True)
@@ -49,11 +42,10 @@ class RffSpec:
 
 @dataclass
 class FeatureBank:
-    """D cosine features: frequency matrix (D, L), phase vector (D,), scalar gain."""
+    """D cosine features: frequency matrix (D, L) and phase vector (D,)."""
 
     freqs: np.ndarray
     phases: np.ndarray
-    amplitude: float = 1.0
 
     def __post_init__(self):
         self.freqs = np.atleast_2d(np.asarray(self.freqs, dtype=float))
@@ -65,13 +57,6 @@ class FeatureBank:
             )
         if not (np.all(np.isfinite(self.freqs)) and np.all(np.isfinite(self.phases))):
             raise ValueError("feature bank entries must be finite")
-        unit = math.isclose(self.amplitude, 1.0, rel_tol=1e-12)
-        est = math.isclose(self.amplitude, estimator_amplitude(self.n_features), rel_tol=1e-12)
-        if not (unit or est):
-            raise ValueError(
-                f"amplitude must be 1 or sqrt(2/D)={estimator_amplitude(self.n_features):.6g}, "
-                f"got {self.amplitude}"
-            )
 
     @property
     def n_features(self) -> int:
@@ -82,21 +67,19 @@ class FeatureBank:
         return self.freqs.shape[1]
 
     def copy(self) -> "FeatureBank":
-        return FeatureBank(self.freqs.copy(), self.phases.copy(), self.amplitude)
+        return FeatureBank(self.freqs.copy(), self.phases.copy())
 
 
-def sample_feature_bank(spec: RffSpec, estimator_scale: bool = False) -> FeatureBank:
+def sample_feature_bank(spec: RffSpec) -> FeatureBank:
     """Draw a fresh bank; the same spec (seed included) gives a bit-identical bank.
 
     Frequencies: i.i.d. N(0, bandwidth**-2) per coordinate.
     Phases: i.i.d. uniform on [0, 2*pi).
-    ``estimator_scale`` selects amplitude sqrt(2/D) instead of 1.
     """
     rng = np.random.default_rng(spec.seed)
     freqs = rng.standard_normal((spec.n_features, spec.input_dim)) / spec.bandwidth
     phases = rng.uniform(0.0, TWO_PI, spec.n_features)
-    amp = estimator_amplitude(spec.n_features) if estimator_scale else 1.0
-    return FeatureBank(freqs, phases, amp)
+    return FeatureBank(freqs, phases)
 
 
 def _check_input(bank: FeatureBank, x: np.ndarray) -> np.ndarray:
@@ -114,6 +97,6 @@ def phase_angles(bank: FeatureBank, x: np.ndarray) -> np.ndarray:
 
 
 def feature_map(bank: FeatureBank, x) -> np.ndarray:
-    """Evaluate all D features at x. Every component lies in [-amplitude, amplitude]."""
+    """Evaluate all D features at x. Every component lies in [-1, 1]."""
     x = _check_input(bank, x)
-    return bank.amplitude * np.cos(phase_angles(bank, x))
+    return np.cos(phase_angles(bank, x))

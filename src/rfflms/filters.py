@@ -17,18 +17,18 @@ stream is checked for shape and finiteness once per call, not once per
 step. The state carries over between calls, so running a stream in
 pieces gives bit-for-bit what one call over the whole stream gives.
 ``step(x, y)`` is ``run`` over a stream of length 1 that returns a
-``StepOutcome``. Every step still verifies the state it updated; if that
+``StepOutcome``; ``predict`` and ``loss`` check their sample with the same
+stream check. Every step still verifies the state it updated; if that
 state stopped being finite, ``run`` raises ``DivergenceError`` carrying
 the global 1-based step index, counted over every step the filter has
 taken (``n_steps`` before the call plus the position in the stream), and
-the filter is not usable afterwards.
+the filter is not usable afterwards. Overflow on the way there raises no
+numpy warning: ``DivergenceError`` is how it is reported.
 
 ``AdaptiveRffLms`` additionally descends on the feature frequencies and
 phases. Within one step every right-hand side uses the pre-update state
 (a simultaneous update): the fresh weights are not fed into the frequency
-or phase updates. The frequency/phase gradient terms carry the bank
-amplitude so they stay exact derivatives of ``loss`` under either
-amplitude convention; at the default unit amplitude the factor drops out.
+or phase updates.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 
 # phase_angles, coherence_admit and kernelized_input stay importable from
 # this module: perfbench/tracing.py patches them under these names
-from .features import FeatureBank, feature_map, phase_angles  # noqa: F401
+from .features import FeatureBank, phase_angles
 from .kernels import Dictionary, GaussianKernel, coherence_admit, kernelized_input  # noqa: F401
 
 
@@ -58,16 +58,6 @@ class DivergenceError(RuntimeError):
     def __init__(self, step: int):
         super().__init__(f"filter state became non-finite at step {step}")
         self.step = step
-
-
-def _check_sample(x, y, input_dim: int) -> tuple[np.ndarray, float]:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (input_dim,):
-        raise ValueError(f"expected input of shape ({input_dim},), got {x.shape}")
-    y = float(y)
-    if not (np.all(np.isfinite(x)) and np.isfinite(y)):
-        raise ValueError("sample (x, y) must be finite")
-    return x, y
 
 
 def _check_stream(inputs, targets, input_dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -92,13 +82,16 @@ def _check_rate(name: str, value: float) -> float:
 
 
 class _StreamFilter:
-    """``step`` for a filter whose one time loop is ``run``."""
+    """``step`` and the sample check for a filter whose one time loop is ``run``."""
+
+    def _sample(self, x, y=0.0) -> tuple[np.ndarray, float]:
+        inputs, targets = _check_stream(np.asarray(x)[None], [y], self.input_dim)
+        return inputs[0], float(targets[0])
 
     def step(self, x, y) -> StepOutcome:
-        x, y = _check_sample(x, y, self.input_dim)
-        predictions, sizes = self.run(x[None, :], np.array([y]))
+        predictions, sizes = self.run(np.asarray(x)[None], [y])
         prediction = float(predictions[0])
-        return StepOutcome(prediction, y - prediction, int(sizes[0]))
+        return StepOutcome(prediction, float(y) - prediction, int(sizes[0]))
 
 
 class AdaptiveRffLms(_StreamFilter):
@@ -107,8 +100,8 @@ class AdaptiveRffLms(_StreamFilter):
     Per step, with e the pre-update error and theta_m the m-th feature angle:
 
         weights  +=  lr_weights * e * z(x)
-        freqs[m] -=  lr_freqs  * e * weights[m] * amplitude * sin(theta_m) * x
-        phases[m]-=  lr_phases * e * weights[m] * amplitude * sin(theta_m)
+        freqs[m] -=  lr_freqs  * e * weights[m] * sin(theta_m) * x
+        phases[m]-=  lr_phases * e * weights[m] * sin(theta_m)
 
     The joint objective is not convex in the frequencies and phases, so a
     bad step size can blow the state up; every step verifies that the state
@@ -135,17 +128,19 @@ class AdaptiveRffLms(_StreamFilter):
         return self.bank.n_features
 
     def predict(self, x) -> float:
-        return float(self.weights @ feature_map(self.bank, x))
+        x, _ = self._sample(x)
+        return float(self.weights @ np.cos(phase_angles(self.bank, x)))
 
     def loss(self, x, y) -> float:
         """Instantaneous squared prediction error; pure, supports gradient checks."""
-        x, y = _check_sample(x, y, self.input_dim)
+        x, y = self._sample(x, y)
         e = y - self.predict(x)
         return e * e
 
+    @np.errstate(all="ignore")
     def run(self, inputs, targets) -> tuple[np.ndarray, np.ndarray]:
         inputs, targets = _check_stream(inputs, targets, self.input_dim)
-        freqs, phases, amp = self.bank.freqs, self.bank.phases, self.bank.amplitude
+        freqs, phases = self.bank.freqs, self.bank.phases
         lr_weights, lr_freqs, lr_phases = self.lr_weights, self.lr_freqs, self.lr_phases
         adaptive = lr_freqs != 0.0 or lr_phases != 0.0
         cos, sin, isfinite = np.cos, np.sin, np.isfinite
@@ -156,12 +151,12 @@ class AdaptiveRffLms(_StreamFilter):
             for n, y in enumerate(targets.tolist()):
                 x = inputs[n]
                 theta = freqs @ x + phases
-                z = amp * cos(theta)
+                z = cos(theta)
                 prediction = float(w @ z)
                 e = y - prediction
                 if adaptive:
                     # pre-update weights drive the feature gradients
-                    g = (e * amp) * w * sin(theta)
+                    g = e * w * sin(theta)
                     freqs -= lr_freqs * g[:, None] * x[None, :]
                     phases -= lr_phases * g
                     if not (isfinite(freqs).all() and isfinite(phases).all()):
@@ -221,10 +216,12 @@ class CoherenceKlms(_StreamFilter):
         return self._weights[:len(self.dictionary)]
 
     def predict(self, x) -> float:
+        x, _ = self._sample(x)
         if len(self.dictionary) == 0:
             return 0.0
         return float(self.weights @ kernelized_input(self.kernel, self.dictionary, x))
 
+    @np.errstate(all="ignore")
     def run(self, inputs, targets) -> tuple[np.ndarray, np.ndarray]:
         inputs, targets = _check_stream(inputs, targets, self.input_dim)
         dictionary, threshold, lr = self.dictionary, self.coherence_threshold, self.lr_weights

@@ -32,13 +32,10 @@ class Dictionary:
     ``centers`` is a view of the rows in use.
     """
 
-    def __init__(self, input_dim: int, capacity: int | None = None):
+    def __init__(self, input_dim: int):
         if input_dim < 1:
             raise ValueError(f"input_dim must be >= 1, got {input_dim}")
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.input_dim = input_dim
-        self.capacity = capacity
         self._buffer = np.empty((16, input_dim), dtype=float)
         self._size = 0
 
@@ -49,16 +46,10 @@ class Dictionary:
     def centers(self) -> np.ndarray:
         return self._buffer[:self._size]
 
-    @property
-    def is_full(self) -> bool:
-        return self.capacity is not None and len(self) >= self.capacity
-
     def append(self, x) -> None:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.input_dim,):
             raise ValueError(f"expected center of shape ({self.input_dim},), got {x.shape}")
-        if self.is_full:
-            raise ValueError(f"dictionary is at capacity {self.capacity}")
         if self._size == len(self._buffer):
             self._buffer = np.concatenate([self._buffer, np.empty_like(self._buffer)])
         self._buffer[self._size] = x
@@ -79,12 +70,10 @@ def kernelized_input(kernel: GaussianKernel, dictionary: Dictionary, x) -> np.nd
 def coherence_admit(kernel: GaussianKernel, dictionary: Dictionary, x, threshold: float) -> bool:
     """Admit x as a new center iff its peak kernel similarity to the current
     centers is at most ``threshold`` (vacuously true for an empty dictionary).
-    Admission appends x; a full dictionary rejects regardless of coherence.
+    Admission appends x.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
-    if dictionary.is_full:
-        return False
     if len(dictionary) > 0:
         if float(np.max(kernelized_input(kernel, dictionary, x))) > threshold:
             return False

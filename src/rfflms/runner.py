@@ -127,21 +127,21 @@ def _run_single(cfg: ExperimentConfig, run_index: int) -> dict:
         # run 0 stops at the regime change to record the bank there
         split = change_step if snapshots is not None else None
         diverged_step = emse = sizes = None
-        with np.errstate(all="ignore"):
-            try:
-                if split is None:
-                    preds, sizes = filt.run(stream.inputs, stream.targets)
-                else:
-                    preds, sizes = filt.run(stream.inputs[:split], stream.targets[:split])
-                    snapshots["change"] = filt.bank.freqs.copy()
-                    tail_preds, tail_sizes = filt.run(stream.inputs[split:],
-                                                      stream.targets[split:])
-                    preds = np.concatenate([preds, tail_preds])
-                    sizes = np.concatenate([sizes, tail_sizes])
+        try:
+            if split is None:
+                preds, sizes = filt.run(stream.inputs, stream.targets)
+            else:
+                preds, sizes = filt.run(stream.inputs[:split], stream.targets[:split])
+                snapshots["change"] = filt.bank.freqs.copy()
+                tail_preds, tail_sizes = filt.run(stream.inputs[split:],
+                                                  stream.targets[split:])
+                preds = np.concatenate([preds, tail_preds])
+                sizes = np.concatenate([sizes, tail_sizes])
+            with np.errstate(all="ignore"):  # d * d can overflow for a finite prediction
                 d = stream.clean - preds
                 emse = d * d
-            except DivergenceError as exc:
-                diverged_step = exc.step
+        except DivergenceError as exc:
+            diverged_step = exc.step
         if diverged_step is None and not np.all(np.isfinite(emse)):
             # state still finite but the squared error overflowed: the run
             # is just as unusable, flag it at the first bad step

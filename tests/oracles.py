@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from rfflms.features import FeatureBank, _check_input, estimator_amplitude, feature_map
+from rfflms.features import FeatureBank, _check_input, feature_map
 from rfflms.kernels import Dictionary, GaussianKernel, coherence_admit, kernelized_input
 from rfflms.metrics import McAggregate
 from rfflms.seeding import derive_seed
@@ -66,23 +66,21 @@ def aggregate_runs(curves: list[LearningCurve]) -> McAggregate:
 
 
 def kernel_estimate(bank: FeatureBank, x, x2) -> float:
-    """Monte Carlo kernel estimate z(x).z(x2); requires the estimator amplitude."""
-    if not math.isclose(bank.amplitude, estimator_amplitude(bank.n_features), rel_tol=1e-12):
-        raise ValueError("kernel_estimate needs a bank sampled with estimator_scale=True")
-    return float(feature_map(bank, x) @ feature_map(bank, x2))
+    """Monte Carlo kernel estimate (2/D) z(x).z(x2) of the unit-amplitude map."""
+    return 2.0 / bank.n_features * float(feature_map(bank, x) @ feature_map(bank, x2))
 
 
 def feature_partials(bank: FeatureBank, x, m: int) -> tuple[np.ndarray, float]:
     """Exact partials of feature m (0-based) at x.
 
     Returns (d z_m / d freqs[m], d z_m / d phases[m]); both carry the factor
-    -amplitude * sin(freqs[m] @ x + phases[m]), the frequency partial
-    additionally multiplies by x.
+    -sin(freqs[m] @ x + phases[m]), the frequency partial additionally
+    multiplies by x.
     """
     x = _check_input(bank, x)
     if not 0 <= m < bank.n_features:
         raise IndexError(f"feature index {m} out of range [0, {bank.n_features})")
-    s = -bank.amplitude * math.sin(float(bank.freqs[m] @ x + bank.phases[m]))
+    s = -math.sin(float(bank.freqs[m] @ x + bank.phases[m]))
     return s * x, s
 
 

@@ -23,7 +23,6 @@ PUBLIC = [
     "SampleStream",
     "StepOutcome",
     "calibrate_noise",
-    "coherence_admit",
     "derive_seed",
     "export_artifacts",
     "feature_map",

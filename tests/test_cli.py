@@ -180,6 +180,30 @@ def test_sweep_checks_every_grid_point_before_the_first_run(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_points_within_six_digits_get_their_own_directories(tmp_path, capsys):
+    # the grid points differ only past the 6th significant digit
+    out = tmp_path / "res"
+    code = main(["run", "--config", str(rff_config(tmp_path)), "--out", str(out),
+                 "--sweep", "bandwidth=1.0:1.0000003:0.0000001"])
+    assert code == 0
+    points = [line for line in capsys.readouterr().out.splitlines() if " -> " in line]
+    subs = sorted(p.name for p in out.iterdir())
+    assert len(subs) == len(points) >= 3
+    for sub in subs:
+        bandwidth = json.loads((out / sub / "manifest.json").read_text())[
+            "config"]["filters"][0]["bandwidth"]
+        assert sub == f"sweep_bandwidth={bandwidth:.12g}"
+
+
+def test_sweep_rejects_points_that_share_a_directory_name(tmp_path, capsys):
+    out = tmp_path / "res"
+    code = main(["run", "--config", str(rff_config(tmp_path)), "--out", str(out),
+                 "--sweep", "bandwidth=1000000:1000000.0000003:0.0000001"])
+    assert code == 2
+    assert "directory name" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("workers", ["0", "-4"])
 def test_run_rejects_workers_below_one(tmp_path, capsys, workers):
     out = tmp_path / "res"

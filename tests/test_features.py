@@ -9,7 +9,6 @@ from oracles import feature_partials, kernel_estimate
 from rfflms.features import (
     FeatureBank,
     RffSpec,
-    estimator_amplitude,
     feature_map,
     sample_feature_bank,
 )
@@ -36,7 +35,6 @@ def test_sampling_is_deterministic_under_seed():
     b = sample_feature_bank(spec)
     assert np.array_equal(a.freqs, b.freqs)
     assert np.array_equal(a.phases, b.phases)
-    assert a.amplitude == b.amplitude
 
 
 def test_single_feature_shape_contract():
@@ -63,9 +61,6 @@ def test_bank_validates_shapes_and_amplitude():
         FeatureBank(np.zeros((3, 2)), np.zeros(2))
     with pytest.raises(ValueError):
         FeatureBank(np.array([[np.inf, 0.0]]), np.zeros(1))
-    with pytest.raises(ValueError):
-        FeatureBank(np.zeros((4, 2)), np.zeros(4), amplitude=0.5)
-    FeatureBank(np.zeros((4, 2)), np.zeros(4), amplitude=estimator_amplitude(4))
 
 
 def test_map_at_origin_with_zero_phases_is_all_ones():
@@ -90,22 +85,15 @@ def test_map_rejects_bad_input():
 @given(
     seed=st.integers(0, 2**32 - 1),
     x=st.lists(st.floats(-50, 50), min_size=2, max_size=2),
-    estimator=st.booleans(),
 )
-def test_map_is_bounded_by_amplitude(seed, x, estimator):
-    bank = sample_feature_bank(RffSpec(0.7, 12, 2, seed=seed), estimator_scale=estimator)
+def test_map_is_bounded_by_amplitude(seed, x):
+    bank = sample_feature_bank(RffSpec(0.7, 12, 2, seed=seed))
     z = feature_map(bank, np.array(x))
-    assert np.max(np.abs(z)) <= bank.amplitude + 1e-15
-
-
-def test_kernel_estimate_requires_estimator_amplitude():
-    bank = sample_feature_bank(RffSpec(1.0, 8, 2, seed=0))
-    with pytest.raises(ValueError):
-        kernel_estimate(bank, np.zeros(2), np.ones(2))
+    assert np.max(np.abs(z)) <= 1.0 + 1e-15
 
 
 def test_kernel_estimate_self_similarity_range():
-    bank = sample_feature_bank(RffSpec(1.0, 64, 2, seed=5), estimator_scale=True)
+    bank = sample_feature_bank(RffSpec(1.0, 64, 2, seed=5))
     x = np.array([0.4, -1.1])
     v = kernel_estimate(bank, x, x)
     assert 0.0 <= v <= 2.0
@@ -117,14 +105,14 @@ def test_kernel_estimate_mean_over_banks_matches_exact_kernel():
     x2 = x + np.array([1.0, 0.0])
     spec = dict(bandwidth=0.95, n_features=2048, input_dim=2)
     est = np.mean([
-        kernel_estimate(sample_feature_bank(RffSpec(**spec, seed=s), estimator_scale=True), x, x2)
+        kernel_estimate(sample_feature_bank(RffSpec(**spec, seed=s)), x, x2)
         for s in range(200)
     ])
     assert abs(est - KERNEL_AT_DIST1_BW095) <= 0.02
 
 
 def test_kernel_estimate_single_large_bank_is_close():
-    bank = sample_feature_bank(RffSpec(1.0, 2**16, 2, seed=11), estimator_scale=True)
+    bank = sample_feature_bank(RffSpec(1.0, 2**16, 2, seed=11))
     rng = np.random.default_rng(0)
     for _ in range(10):
         x = rng.uniform(-2, 2, 2)
@@ -146,7 +134,7 @@ def test_kernel_estimate_error_shrinks_with_bank_size():
     for d in (2**6, 2**8, 2**10, 2**12):
         errs = [
             abs(kernel_estimate(
-                sample_feature_bank(RffSpec(0.95, d, 2, seed=s), estimator_scale=True),
+                sample_feature_bank(RffSpec(0.95, d, 2, seed=s)),
                 x, x2) - exact)
             for s in range(100)
         ]

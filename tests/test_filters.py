@@ -398,3 +398,16 @@ def test_run_rejects_a_bad_stream_before_the_first_step(kind):
             f.run(*bad)
         assert f.n_steps == 0 and f.model_size == MAKERS[kind]().model_size
         assert not np.any(f.weights)
+
+
+@pytest.mark.parametrize("kind", sorted(MAKERS))
+def test_predict_rejects_a_bad_input_before_and_after_training(kind):
+    # untrained, CoherenceKlms has no center to kernelize x against
+    f = MAKERS[kind]()
+    inputs, targets = smooth_stream(steps=50)
+    for trained in (False, True):
+        for bad in ("garbage", None, 0.0, [np.nan, 0.0], [0.0, np.inf],
+                    np.zeros(3), np.zeros((1, 2))):
+            with pytest.raises(ValueError):
+                f.predict(bad)
+        f.run(inputs, targets)

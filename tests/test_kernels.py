@@ -118,17 +118,6 @@ def test_threshold_domain():
             coherence_admit(GaussianKernel(1.0), d, np.zeros(2), bad)
 
 
-def test_capacity_caps_admissions():
-    k = GaussianKernel(0.2)
-    d = Dictionary(1, capacity=2)
-    assert coherence_admit(k, d, np.array([0.0]), 0.5)
-    assert coherence_admit(k, d, np.array([10.0]), 0.5)
-    assert not coherence_admit(k, d, np.array([20.0]), 0.5)
-    assert len(d) == 2
-    with pytest.raises(ValueError):
-        d.append(np.array([30.0]))
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     points=st.lists(finite2, min_size=1, max_size=40),
