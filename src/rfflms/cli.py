@@ -42,12 +42,9 @@ def _parse_sweep(text: str) -> tuple[str, list[float]]:
         raise ConfigError(f"--sweep needs finite bounds and step, got {text!r}")
     if step <= 0 or stop < start:
         raise ConfigError(f"--sweep needs step > 0 and stop >= start, got {text!r}")
-    values, v, k = [], start, 0
-    while v <= stop + 1e-12:
-        values.append(round(v, 12))
-        k += 1
-        v = start + k * step
-    return name, values
+    # the count tolerates a rounding error of 1e-9 steps in (stop - start) / step
+    count = math.floor((stop - start) / step + 1e-9) + 1
+    return name, [float(f"{start + k * step:.12g}") for k in range(count)]
 
 
 def _override_filters(cfg: ExperimentConfig, name: str, value: float) -> ExperimentConfig:
@@ -102,7 +99,8 @@ def _cmd_run(args) -> int:
     out_dir = Path(cfg.out_dir) if cfg.out_dir else Path("results") / cfg.name
     if args.sweep:
         name, values = _parse_sweep(args.sweep)
-        # check the whole grid before the first run; names keep _parse_sweep's 12 digits
+        # check the whole grid before the first run; names keep _parse_sweep's 12
+        # significant digits
         grid = [_override_filters(cfg, name, value) for value in values]
         for cfg_v in grid:
             cfg_v.validate()

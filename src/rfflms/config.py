@@ -234,11 +234,13 @@ def load_config(path) -> ExperimentConfig:
     """Parse and validate a JSON experiment config."""
     path = Path(path)
     try:
-        payload = json.loads(path.read_text())
+        payload = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, unreadable, not UTF-8
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return config_from_dict(payload)
 
 

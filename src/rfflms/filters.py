@@ -40,7 +40,7 @@ import numpy as np
 # phase_angles, coherence_admit and kernelized_input stay importable from
 # this module: perfbench/tracing.py patches them under these names
 from .features import FeatureBank, phase_angles
-from .kernels import Dictionary, GaussianKernel, coherence_admit, kernelized_input  # noqa: F401
+from .kernels import Dictionary, check_bandwidth, coherence_admit, kernelized_input  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -190,13 +190,13 @@ class CoherenceKlms(_StreamFilter):
     full; ``weights`` is the view of the active ones.
     """
 
-    def __init__(self, kernel: GaussianKernel, coherence_threshold: float,
+    def __init__(self, bandwidth: float, coherence_threshold: float,
                  lr_weights: float, input_dim: int):
         if not 0.0 < coherence_threshold < 1.0:
             raise ValueError(
                 f"coherence_threshold must lie in (0, 1), got {coherence_threshold}"
             )
-        self.kernel = kernel
+        self.bandwidth = check_bandwidth(bandwidth)
         self.coherence_threshold = float(coherence_threshold)
         self.lr_weights = _check_rate("lr_weights", lr_weights)
         self.dictionary = Dictionary(input_dim)
@@ -219,13 +219,13 @@ class CoherenceKlms(_StreamFilter):
         x, _ = self._sample(x)
         if len(self.dictionary) == 0:
             return 0.0
-        return float(self.weights @ kernelized_input(self.kernel, self.dictionary, x))
+        return float(self.weights @ kernelized_input(self.bandwidth, self.dictionary, x))
 
     @np.errstate(all="ignore")
     def run(self, inputs, targets) -> tuple[np.ndarray, np.ndarray]:
         inputs, targets = _check_stream(inputs, targets, self.input_dim)
         dictionary, threshold, lr = self.dictionary, self.coherence_threshold, self.lr_weights
-        scale = 2.0 * self.kernel.bandwidth**2
+        scale = 2.0 * self.bandwidth**2
         exp, einsum, isfinite = np.exp, np.einsum, np.isfinite
         centers = dictionary.centers
         size = len(centers)

@@ -1,27 +1,25 @@
 """Exact Gaussian kernel and the coherence-sparsified center dictionary.
 
-``kernelized_input`` and ``coherence_admit`` are the reference forms of the
-kernel vector and the admission rule; ``CoherenceKlms.run`` inlines both in
-its time loop, computing the kernel vector once per step for the
-admission test and the prediction alike.
+The Gaussian kernel exp(-||x - x'||^2 / (2 * bandwidth^2)) is given by its
+bandwidth alone, a plain positive number. ``kernelized_input`` and
+``coherence_admit`` are the reference forms of the kernel vector and the
+admission rule; ``CoherenceKlms.run`` inlines both in its time loop,
+computing the kernel vector once per step for the admission test and the
+prediction alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class GaussianKernel:
-    """exp(-||x - x'||^2 / (2 * bandwidth^2))"""
-
-    bandwidth: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.bandwidth) and self.bandwidth > 0):
-            raise ValueError(f"bandwidth must be positive and finite, got {self.bandwidth}")
+def check_bandwidth(bandwidth: float) -> float:
+    """``bandwidth`` as a float; raises ValueError unless it is positive and finite."""
+    if not (math.isfinite(bandwidth) and bandwidth > 0):
+        raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
+    return float(bandwidth)
 
 
 class Dictionary:
@@ -56,26 +54,28 @@ class Dictionary:
         self._size += 1
 
 
-def kernelized_input(kernel: GaussianKernel, dictionary: Dictionary, x) -> np.ndarray:
+def kernelized_input(bandwidth: float, dictionary: Dictionary, x) -> np.ndarray:
     """Kernel value of x against every center; components in (0, 1]."""
+    bandwidth = check_bandwidth(bandwidth)
     if len(dictionary) == 0:
         raise ValueError("kernelized_input needs a nonempty dictionary")
     x = np.asarray(x, dtype=float)
     if x.shape != (dictionary.input_dim,):
         raise ValueError(f"expected input of shape ({dictionary.input_dim},), got {x.shape}")
     diff = dictionary.centers - x
-    return np.exp(-np.einsum("ij,ij->i", diff, diff) / (2.0 * kernel.bandwidth**2))
+    return np.exp(-np.einsum("ij,ij->i", diff, diff) / (2.0 * bandwidth**2))
 
 
-def coherence_admit(kernel: GaussianKernel, dictionary: Dictionary, x, threshold: float) -> bool:
+def coherence_admit(bandwidth: float, dictionary: Dictionary, x, threshold: float) -> bool:
     """Admit x as a new center iff its peak kernel similarity to the current
     centers is at most ``threshold`` (vacuously true for an empty dictionary).
     Admission appends x.
     """
+    check_bandwidth(bandwidth)
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
     if len(dictionary) > 0:
-        if float(np.max(kernelized_input(kernel, dictionary, x))) > threshold:
+        if float(np.max(kernelized_input(bandwidth, dictionary, x))) > threshold:
             return False
     dictionary.append(x)
     return True

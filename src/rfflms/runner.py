@@ -43,20 +43,11 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, FilterSpec, config_to_dict
-from .features import RffSpec, sample_feature_bank
+from .features import sample_feature_bank
 from .filters import AdaptiveRffLms, CoherenceKlms, DivergenceError
-from .kernels import GaussianKernel
 from .metrics import McAggregate, steady_state_emse, to_db
 from .seeding import derive_seed
-from .systems import (
-    Ar1Spec,
-    KernelPlantSpec,
-    NoiseSpec,
-    PiecewisePlantSpec,
-    SampleStream,
-    gen_nonstationary_stream,
-    gen_stationary_stream,
-)
+from .systems import SampleStream, gen_nonstationary_stream, gen_stationary_stream
 
 SNAPSHOT_STAGES = ("initial", "change", "final")
 
@@ -84,29 +75,19 @@ class RunArtifacts:
 
 
 def make_stream(cfg: ExperimentConfig, stream_seed: int) -> SampleStream:
-    plant = cfg.plant
-    if plant.kind == "stationary":
-        return gen_stationary_stream(
-            KernelPlantSpec(), Ar1Spec(plant.rho), NoiseSpec(plant.snr_db),
-            cfg.horizon, stream_seed,
-        )
-    return gen_nonstationary_stream(
-        PiecewisePlantSpec(change_step=plant.change_step, horizon=cfg.horizon),
-        NoiseSpec(plant.snr_db), stream_seed,
-    )
+    gen = gen_stationary_stream if cfg.plant.kind == "stationary" else gen_nonstationary_stream
+    return gen(cfg.plant, cfg.horizon, stream_seed)
 
 
 def build_filter(spec: FilterSpec, input_dim: int, bank_seed: int):
     """Instantiate one filter; RFF-family banks come from ``bank_seed`` so
     matching specs share identical initial banks within a run."""
     if spec.kind == "coherence-klms":
-        return CoherenceKlms(GaussianKernel(spec.bandwidth), spec.coherence_threshold,
+        return CoherenceKlms(spec.bandwidth, spec.coherence_threshold,
                              spec.lr_weights, input_dim)
     # an rff spec has zero feature step sizes (FilterSpec.validate), which
     # freezes the bank
-    bank = sample_feature_bank(
-        RffSpec(spec.bandwidth, spec.n_features, input_dim, bank_seed)
-    )
+    bank = sample_feature_bank(spec.bandwidth, spec.n_features, input_dim, bank_seed)
     return AdaptiveRffLms(bank, spec.lr_weights, spec.lr_freqs, spec.lr_phases)
 
 

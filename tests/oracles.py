@@ -13,8 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from rfflms.features import FeatureBank, _check_input, feature_map
-from rfflms.kernels import Dictionary, GaussianKernel, coherence_admit, kernelized_input
+from rfflms.features import FeatureBank, phase_angles
+from rfflms.kernels import Dictionary, coherence_admit, kernelized_input
 from rfflms.metrics import McAggregate
 from rfflms.seeding import derive_seed
 from rfflms.systems import SampleStream
@@ -65,6 +65,21 @@ def aggregate_runs(curves: list[LearningCurve]) -> McAggregate:
     return McAggregate(mean, len(curves))
 
 
+def _check_input(bank: FeatureBank, x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (bank.input_dim,):
+        raise ValueError(f"expected input of shape ({bank.input_dim},), got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("input vector must be finite")
+    return x
+
+
+def feature_map(bank: FeatureBank, x) -> np.ndarray:
+    """Evaluate all D features at x. Every component lies in [-1, 1]."""
+    x = _check_input(bank, x)
+    return np.cos(phase_angles(bank, x))
+
+
 def kernel_estimate(bank: FeatureBank, x, x2) -> float:
     """Monte Carlo kernel estimate (2/D) z(x).z(x2) of the unit-amplitude map."""
     return 2.0 / bank.n_features * float(feature_map(bank, x) @ feature_map(bank, x2))
@@ -84,14 +99,14 @@ def feature_partials(bank: FeatureBank, x, m: int) -> tuple[np.ndarray, float]:
     return s * x, s
 
 
-def kernel_eval(kernel: GaussianKernel, x, x2) -> float:
+def kernel_eval(bandwidth: float, x, x2) -> float:
     """Gaussian kernel of one pair of points."""
     x = np.asarray(x, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     if x.shape != x2.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {x2.shape}")
     d = x - x2
-    return float(np.exp(-np.dot(d, d) / (2.0 * kernel.bandwidth**2)))
+    return float(np.exp(-np.dot(d, d) / (2.0 * bandwidth**2)))
 
 
 def make_rng(root: int, *path: int | str) -> np.random.Generator:
@@ -113,7 +128,7 @@ def stream_to_csv(stream: SampleStream, path) -> None:
             )
 
 
-def klms_reference(kernel: GaussianKernel, threshold: float, lr_weights: float,
+def klms_reference(bandwidth: float, threshold: float, lr_weights: float,
                    inputs: np.ndarray, targets: np.ndarray):
     """Coherence KLMS one sample at a time through the public kernel helpers:
     offer x to the dictionary, kernelize x against the grown dictionary,
@@ -122,9 +137,9 @@ def klms_reference(kernel: GaussianKernel, threshold: float, lr_weights: float,
     weights = np.zeros(0)
     predictions, sizes = [], []
     for x, y in zip(inputs, targets):
-        if coherence_admit(kernel, dictionary, x, threshold):
+        if coherence_admit(bandwidth, dictionary, x, threshold):
             weights = np.append(weights, 0.0)
-        k = kernelized_input(kernel, dictionary, x)
+        k = kernelized_input(bandwidth, dictionary, x)
         prediction = float(weights @ k)
         weights = weights + lr_weights * (float(y) - prediction) * k
         predictions.append(prediction)

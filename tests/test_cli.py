@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rfflms.cli import main
+from rfflms.cli import _parse_sweep, main
 
 
 def test_list_presets(capsys):
@@ -98,6 +98,31 @@ def test_run_sweep(tmp_path):
         assert (sub / "summary.csv").exists(), sub
         manifest = json.loads((sub / "manifest.json").read_text())
         assert manifest["config"]["filters"][0]["bandwidth"] == float(v)
+
+
+def test_sweep_grid_counts_steps_with_a_relative_tolerance():
+    # steps far below 1e-12 keep their own values and stop at STOP
+    assert _parse_sweep("lr_weights=1e-13:5e-13:1e-13") == (
+        "lr_weights", [1e-13, 2e-13, 3e-13, 4e-13, 5e-13])
+    # (2.0 - 0.3) / 0.1 rounds below 17: the count still reaches STOP
+    name, values = _parse_sweep("bandwidth=0.3:2.0:0.1")
+    assert values == [round(0.3 + 0.1 * k, 12) for k in range(18)]
+    assert _parse_sweep("bandwidth=1:1:0.5") == ("bandwidth", [1.0])
+
+
+def test_sweep_over_n_features_keeps_its_grid_and_directory_names(tmp_path):
+    out = tmp_path / "res"
+    code = main(["run", "--config", str(rff_config(tmp_path)), "--out", str(out),
+                 "--sweep", "n_features=32:512:96"])
+    assert code == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        f"sweep_n_features={d}" for d in (32, 128, 224, 320, 416, 512))
+
+
+def test_validate_reports_an_unreadable_config_path(tmp_path, capsys):
+    assert main(["validate", "--config", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err
 
 
 def test_sweep_rejects_bad_grammar(capsys):

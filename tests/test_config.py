@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +88,24 @@ def test_missing_file_and_bad_json(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError):
         load_config(bad)
+
+
+def test_unreadable_config_file_is_a_config_error(tmp_path, monkeypatch):
+    with pytest.raises(ConfigError, match=re.escape(str(tmp_path))):
+        load_config(tmp_path)  # a directory
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"name": "caf\xe9"}'.encode("latin-1"))
+    with pytest.raises(ConfigError, match="latin1.json"):
+        load_config(latin1)
+    locked = tmp_path / "locked.json"
+    locked.write_text("{}")
+
+    def denied(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", denied)
+    with pytest.raises(ConfigError, match="locked.json"):
+        load_config(locked)
 
 
 def test_zero_runs_rejected():
@@ -233,6 +253,14 @@ def test_plant_fields_the_kind_does_not_read_must_keep_their_default(plant, name
     field = name.split(".")[1]
     payload["plant"][field] = {"rho": 0.5, "change_step": 5000}[field]
     assert getattr(config_from_dict(payload).plant, field) == payload["plant"][field]
+
+
+@pytest.mark.parametrize("rho", [1.0, -1.0, 1.5])
+def test_stationary_plant_rho_must_lie_inside_the_unit_interval(rho):
+    payload = good_payload()
+    payload["plant"]["rho"] = rho
+    with pytest.raises(ConfigError, match="plant.rho"):
+        config_from_dict(payload)
 
 
 @pytest.mark.parametrize("name", ["stationary-paper", "nonstationary-paper"])

@@ -5,13 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import feature_partials, kernel_estimate
-from rfflms.features import (
-    FeatureBank,
-    RffSpec,
-    feature_map,
-    sample_feature_bank,
-)
+from oracles import feature_map, feature_partials, kernel_estimate
+from rfflms.features import FeatureBank, sample_feature_bank
 
 # high-precision scalar evaluation of the Gaussian kernel at distance 1,
 # bandwidth 0.95: exp(-1 / (2 * 0.95**2))
@@ -19,26 +14,25 @@ KERNEL_AT_DIST1_BW095 = 0.5746370697554741
 
 
 def test_spec_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        RffSpec(bandwidth=0.0, n_features=4, input_dim=2, seed=0)
-    with pytest.raises(ValueError):
-        RffSpec(bandwidth=-1.0, n_features=4, input_dim=2, seed=0)
-    with pytest.raises(ValueError):
-        RffSpec(bandwidth=1.0, n_features=0, input_dim=2, seed=0)
-    with pytest.raises(ValueError):
-        RffSpec(bandwidth=1.0, n_features=4, input_dim=0, seed=0)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="bandwidth"):
+            sample_feature_bank(bandwidth=bad, n_features=4, input_dim=2, seed=0)
+    with pytest.raises(ValueError, match="n_features"):
+        sample_feature_bank(bandwidth=1.0, n_features=0, input_dim=2, seed=0)
+    with pytest.raises(ValueError, match="input_dim"):
+        sample_feature_bank(bandwidth=1.0, n_features=4, input_dim=0, seed=0)
 
 
 def test_sampling_is_deterministic_under_seed():
-    spec = RffSpec(bandwidth=1.3, n_features=16, input_dim=3, seed=42)
-    a = sample_feature_bank(spec)
-    b = sample_feature_bank(spec)
+    spec = dict(bandwidth=1.3, n_features=16, input_dim=3, seed=42)
+    a = sample_feature_bank(**spec)
+    b = sample_feature_bank(**spec)
     assert np.array_equal(a.freqs, b.freqs)
     assert np.array_equal(a.phases, b.phases)
 
 
 def test_single_feature_shape_contract():
-    bank = sample_feature_bank(RffSpec(bandwidth=1.0, n_features=1, input_dim=1, seed=3))
+    bank = sample_feature_bank(bandwidth=1.0, n_features=1, input_dim=1, seed=3)
     assert bank.freqs.shape == (1, 1)
     assert bank.phases.shape == (1,)
     assert 0.0 <= bank.phases[0] < 2.0 * math.pi
@@ -47,10 +41,9 @@ def test_single_feature_shape_contract():
 def test_sampling_moments_match_the_law():
     # frequencies i.i.d. N(0, 1/xi^2): pooled mean within 4 sigma / sqrt(N),
     # pooled variance within 2% of 1/xi^2
-    spec = RffSpec(bandwidth=0.95, n_features=10**5, input_dim=2, seed=7)
-    bank = sample_feature_bank(spec)
+    bank = sample_feature_bank(bandwidth=0.95, n_features=10**5, input_dim=2, seed=7)
     n = bank.freqs.size
-    sigma = 1.0 / spec.bandwidth
+    sigma = 1.0 / 0.95
     assert abs(bank.freqs.mean()) <= 4.0 * sigma / math.sqrt(n)
     assert abs(bank.freqs.var() - sigma**2) <= 0.02 * sigma**2
     assert np.all((bank.phases >= 0.0) & (bank.phases < 2.0 * math.pi))
@@ -74,7 +67,7 @@ def test_map_hits_cosine_zero():
 
 
 def test_map_rejects_bad_input():
-    bank = sample_feature_bank(RffSpec(1.0, 4, 2, seed=0))
+    bank = sample_feature_bank(1.0, 4, 2, seed=0)
     with pytest.raises(ValueError):
         feature_map(bank, np.zeros(3))
     with pytest.raises(ValueError):
@@ -87,13 +80,13 @@ def test_map_rejects_bad_input():
     x=st.lists(st.floats(-50, 50), min_size=2, max_size=2),
 )
 def test_map_is_bounded_by_amplitude(seed, x):
-    bank = sample_feature_bank(RffSpec(0.7, 12, 2, seed=seed))
+    bank = sample_feature_bank(0.7, 12, 2, seed=seed)
     z = feature_map(bank, np.array(x))
     assert np.max(np.abs(z)) <= 1.0 + 1e-15
 
 
 def test_kernel_estimate_self_similarity_range():
-    bank = sample_feature_bank(RffSpec(1.0, 64, 2, seed=5))
+    bank = sample_feature_bank(1.0, 64, 2, seed=5)
     x = np.array([0.4, -1.1])
     v = kernel_estimate(bank, x, x)
     assert 0.0 <= v <= 2.0
@@ -105,14 +98,14 @@ def test_kernel_estimate_mean_over_banks_matches_exact_kernel():
     x2 = x + np.array([1.0, 0.0])
     spec = dict(bandwidth=0.95, n_features=2048, input_dim=2)
     est = np.mean([
-        kernel_estimate(sample_feature_bank(RffSpec(**spec, seed=s)), x, x2)
+        kernel_estimate(sample_feature_bank(**spec, seed=s), x, x2)
         for s in range(200)
     ])
     assert abs(est - KERNEL_AT_DIST1_BW095) <= 0.02
 
 
 def test_kernel_estimate_single_large_bank_is_close():
-    bank = sample_feature_bank(RffSpec(1.0, 2**16, 2, seed=11))
+    bank = sample_feature_bank(1.0, 2**16, 2, seed=11)
     rng = np.random.default_rng(0)
     for _ in range(10):
         x = rng.uniform(-2, 2, 2)
@@ -134,7 +127,7 @@ def test_kernel_estimate_error_shrinks_with_bank_size():
     for d in (2**6, 2**8, 2**10, 2**12):
         errs = [
             abs(kernel_estimate(
-                sample_feature_bank(RffSpec(0.95, d, 2, seed=s)),
+                sample_feature_bank(0.95, d, 2, seed=s),
                 x, x2) - exact)
             for s in range(100)
         ]
@@ -151,14 +144,14 @@ def test_partials_vanish_at_zero_angle():
 
 
 def test_partials_zero_input_kills_frequency_partial():
-    bank = sample_feature_bank(RffSpec(1.0, 6, 3, seed=2))
+    bank = sample_feature_bank(1.0, 6, 3, seed=2)
     d_freq, d_phase = feature_partials(bank, np.zeros(3), 4)
     assert np.array_equal(d_freq, np.zeros(3))
     assert d_phase != 0.0 or math.isclose(math.sin(bank.phases[4]), 0.0)
 
 
 def test_partials_index_out_of_range():
-    bank = sample_feature_bank(RffSpec(1.0, 4, 2, seed=0))
+    bank = sample_feature_bank(1.0, 4, 2, seed=0)
     with pytest.raises(IndexError):
         feature_partials(bank, np.zeros(2), 4)
     with pytest.raises(IndexError):
@@ -169,7 +162,7 @@ def test_partials_match_central_finite_differences():
     rng = np.random.default_rng(99)
     h = 1e-6
     for _ in range(100):
-        bank = sample_feature_bank(RffSpec(1.0, 5, 2, seed=int(rng.integers(2**31))))
+        bank = sample_feature_bank(1.0, 5, 2, seed=int(rng.integers(2**31)))
         x = rng.normal(size=2)
         m = int(rng.integers(5))
         d_freq, d_phase = feature_partials(bank, x, m)

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import kernel_eval, klms_reference
-from rfflms.features import FeatureBank, RffSpec, sample_feature_bank
+from rfflms.features import FeatureBank, sample_feature_bank
 from rfflms.filters import AdaptiveRffLms, CoherenceKlms, DivergenceError, RffLms
-from rfflms.kernels import GaussianKernel
 
 # hand-computed single step from weights=0, D=1, L=1, freq=1, phase=0,
 # x=1, y=1, lr_weights=0.1: z=cos(1), e=1, weights -> 0.1*cos(1);
@@ -22,16 +21,14 @@ def scalar_bank(freq=1.0, phase=0.0):
 
 def random_state(seed, n_features=8, input_dim=2):
     rng = np.random.default_rng(seed)
-    bank = sample_feature_bank(
-        RffSpec(1.0, n_features, input_dim, seed=int(rng.integers(2**31)))
-    )
+    bank = sample_feature_bank(1.0, n_features, input_dim, seed=int(rng.integers(2**31)))
     f = AdaptiveRffLms(bank, 0.1, 0.2, 0.3)
     f.weights = rng.normal(size=n_features)
     return f, rng
 
 
 def test_zero_weights_predict_zero():
-    bank = sample_feature_bank(RffSpec(1.0, 6, 2, seed=1))
+    bank = sample_feature_bank(1.0, 6, 2, seed=1)
     f = AdaptiveRffLms(bank, 0.01, 0.01, 0.01)
     assert f.predict(np.array([0.7, -2.0])) == 0.0
 
@@ -75,7 +72,7 @@ def test_zero_error_is_a_fixed_point(seed):
 
 
 def test_frozen_feature_updates_match_rff_bit_for_bit():
-    bank = sample_feature_bank(RffSpec(0.95, 48, 2, seed=77))
+    bank = sample_feature_bank(0.95, 48, 2, seed=77)
     arff = AdaptiveRffLms(bank, 0.01, 0.0, 0.0)
     rff = RffLms(bank, 0.01)
     rng = np.random.default_rng(3)
@@ -91,7 +88,7 @@ def test_frozen_feature_updates_match_rff_bit_for_bit():
 
 
 def test_rff_first_step_from_zero_weights():
-    bank = sample_feature_bank(RffSpec(1.0, 4, 2, seed=9))
+    bank = sample_feature_bank(1.0, 4, 2, seed=9)
     f = RffLms(bank, 0.05)
     x = np.array([0.2, -0.7])
     z = np.cos(bank.freqs @ x + bank.phases)
@@ -102,7 +99,7 @@ def test_rff_first_step_from_zero_weights():
 
 
 def test_rff_zero_targets_keep_zero_state():
-    bank = sample_feature_bank(RffSpec(1.0, 4, 2, seed=10))
+    bank = sample_feature_bank(1.0, 4, 2, seed=10)
     f = RffLms(bank, 0.5)
     rng = np.random.default_rng(1)
     for _ in range(100):
@@ -205,7 +202,7 @@ def test_non_finite_input_is_a_stream_error():
 
 
 def test_divergence_raises_with_step_index():
-    bank = sample_feature_bank(RffSpec(1.0, 4, 2, seed=0))
+    bank = sample_feature_bank(1.0, 4, 2, seed=0)
     f = AdaptiveRffLms(bank, 1e150, 1e150, 1e150)
     rng = np.random.default_rng(0)
     with pytest.raises(DivergenceError) as err:
@@ -215,26 +212,26 @@ def test_divergence_raises_with_step_index():
 
 
 def test_negative_rates_rejected():
-    bank = sample_feature_bank(RffSpec(1.0, 4, 2, seed=0))
+    bank = sample_feature_bank(1.0, 4, 2, seed=0)
     with pytest.raises(ValueError):
         AdaptiveRffLms(bank, -0.1, 0.0, 0.0)
     with pytest.raises(ValueError):
         RffLms(bank, -0.1)
     with pytest.raises(ValueError):
-        CoherenceKlms(GaussianKernel(1.0), 0.5, -0.1, 2)
+        CoherenceKlms(1.0, 0.5, -0.1, 2)
 
 
 def test_filters_do_not_alias_the_given_bank():
-    bank = sample_feature_bank(RffSpec(1.0, 4, 2, seed=0))
+    bank = sample_feature_bank(1.0, 4, 2, seed=0)
     f = AdaptiveRffLms(bank, 0.1, 0.5, 0.5)
     f.weights[:] = 1.0
     f.step(np.ones(2), 5.0)
-    fresh = sample_feature_bank(RffSpec(1.0, 4, 2, seed=0))
+    fresh = sample_feature_bank(1.0, 4, 2, seed=0)
     assert np.array_equal(bank.freqs, fresh.freqs)
 
 
 def test_klms_first_sample_is_admitted():
-    f = CoherenceKlms(GaussianKernel(0.95), 0.7, 0.2, input_dim=2)
+    f = CoherenceKlms(0.95, 0.7, 0.2, input_dim=2)
     out = f.step(np.array([0.3, 0.4]), 1.5)
     assert out.prediction == 0.0
     assert out.model_size == 1
@@ -242,7 +239,7 @@ def test_klms_first_sample_is_admitted():
 
 
 def test_klms_repeated_input_never_grows_the_dictionary():
-    f = CoherenceKlms(GaussianKernel(1.0), 0.9, 0.1, input_dim=2)
+    f = CoherenceKlms(1.0, 0.9, 0.1, input_dim=2)
     x = np.array([1.0, -1.0])
     for k in range(200):
         out = f.step(x, 0.5)
@@ -250,7 +247,7 @@ def test_klms_repeated_input_never_grows_the_dictionary():
 
 
 def test_klms_weights_track_dictionary_size():
-    f = CoherenceKlms(GaussianKernel(0.5), 0.5, 0.05, input_dim=2)
+    f = CoherenceKlms(0.5, 0.5, 0.05, input_dim=2)
     rng = np.random.default_rng(12)
     for _ in range(300):
         out = f.step(rng.normal(size=2) * 2, float(rng.normal()))
@@ -258,11 +255,11 @@ def test_klms_weights_track_dictionary_size():
     c = f.dictionary.centers
     for i in range(len(f.dictionary)):
         for j in range(i + 1, len(f.dictionary)):
-            assert kernel_eval(f.kernel, c[i], c[j]) <= 0.5 + 1e-12
+            assert kernel_eval(f.bandwidth, c[i], c[j]) <= 0.5 + 1e-12
 
 
 def test_klms_zero_error_fixed_point():
-    f = CoherenceKlms(GaussianKernel(1.0), 0.6, 0.1, input_dim=2)
+    f = CoherenceKlms(1.0, 0.6, 0.1, input_dim=2)
     rng = np.random.default_rng(7)
     for _ in range(50):
         f.step(rng.normal(size=2), float(rng.normal()))
@@ -286,20 +283,20 @@ def smooth_stream(steps=2000, seed=4):
     return inputs, targets
 
 
-STREAM_BANK = sample_feature_bank(RffSpec(0.95, 48, 2, seed=77))
+STREAM_BANK = sample_feature_bank(0.95, 48, 2, seed=77)
 
 # per kind: a stable filter, and ones whose state overflows mid-stream
 # (the adaptive ones through the weights and through the bank)
 MAKERS = {
     "rff": lambda: RffLms(STREAM_BANK, 0.05),
     "adaptive-rff": lambda: AdaptiveRffLms(STREAM_BANK, 0.05, 0.5, 0.5),
-    "coherence-klms": lambda: CoherenceKlms(GaussianKernel(0.5), 0.5, 0.2, input_dim=2),
+    "coherence-klms": lambda: CoherenceKlms(0.5, 0.5, 0.2, input_dim=2),
 }
 DIVERGENT = {
     "rff": lambda: RffLms(STREAM_BANK, 1.0),
     "adaptive-rff": lambda: AdaptiveRffLms(STREAM_BANK, 1.0, 0.5, 0.5),
     "adaptive-rff-bank": lambda: AdaptiveRffLms(STREAM_BANK, 0.3, 1e250, 1e250),
-    "coherence-klms": lambda: CoherenceKlms(GaussianKernel(0.5), 0.5, 1e3, input_dim=2),
+    "coherence-klms": lambda: CoherenceKlms(0.5, 0.5, 1e3, input_dim=2),
 }
 
 
@@ -354,7 +351,7 @@ def test_coherence_klms_run_matches_the_admit_then_kernelize_reference():
     f = MAKERS["coherence-klms"]()
     preds, sizes = f.run(inputs, targets)
     ref_preds, ref_sizes, ref_weights, ref_centers = klms_reference(
-        GaussianKernel(0.5), 0.5, 0.2, inputs, targets)
+        0.5, 0.5, 0.2, inputs, targets)
     assert sizes[-1] > 32  # the center and weight buffers grew twice
     assert np.array_equal(preds, ref_preds)
     assert np.array_equal(sizes, ref_sizes)

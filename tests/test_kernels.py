@@ -6,12 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import kernel_eval
-from rfflms.kernels import (
-    Dictionary,
-    GaussianKernel,
-    coherence_admit,
-    kernelized_input,
-)
+from rfflms.filters import CoherenceKlms
+from rfflms.kernels import Dictionary, coherence_admit, kernelized_input
 
 # exp(-1 / (2 * 0.95**2)), scalar exponential oracle
 KERNEL_AT_DIST1_BW095 = 0.5746370697554741
@@ -28,52 +24,59 @@ finite2 = st.lists(st.floats(-100, 100), min_size=2, max_size=2).map(np.array)
 
 
 def test_kernel_rejects_bad_bandwidth():
+    d = Dictionary(2)
+    d.append(np.zeros(2))
     for bad in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            GaussianKernel(bad)
+        with pytest.raises(ValueError, match="bandwidth"):
+            CoherenceKlms(bad, 0.5, 0.1, input_dim=2)
+        with pytest.raises(ValueError, match="bandwidth"):
+            kernelized_input(bad, d, np.zeros(2))
+        with pytest.raises(ValueError, match="bandwidth"):
+            coherence_admit(bad, d, np.ones(2), 0.5)
+    assert len(d) == 1
 
 
 def test_self_similarity_is_one():
-    k = GaussianKernel(0.4)
+    bandwidth = 0.4
     for x in (np.zeros(2), np.array([3.0, -7.0]), np.array([1e3, 1e3])):
-        assert kernel_eval(k, x, x) == 1.0
+        assert kernel_eval(bandwidth, x, x) == 1.0
 
 
 @settings(max_examples=50, deadline=None)
 @given(x=finite2, x2=finite2)
 def test_symmetry(x, x2):
-    k = GaussianKernel(1.2)
-    assert kernel_eval(k, x, x2) == kernel_eval(k, x2, x)
+    bandwidth = 1.2
+    assert kernel_eval(bandwidth, x, x2) == kernel_eval(bandwidth, x2, x)
 
 
 @settings(max_examples=50, deadline=None)
 @given(x=finite2, x2=finite2, shift=finite2)
 def test_shift_invariance(x, x2, shift):
-    k = GaussianKernel(0.8)
+    bandwidth = 0.8
     assert math.isclose(
-        kernel_eval(k, x, x2), kernel_eval(k, x + shift, x2 + shift),
+        kernel_eval(bandwidth, x, x2), kernel_eval(bandwidth, x + shift, x2 + shift),
         rel_tol=1e-9, abs_tol=1e-12,
     )
 
 
 def test_known_value_at_unit_distance():
-    k = GaussianKernel(0.95)
-    v = kernel_eval(k, np.array([0.0, 0.0]), np.array([1.0, 0.0]))
+    bandwidth = 0.95
+    v = kernel_eval(bandwidth, np.array([0.0, 0.0]), np.array([1.0, 0.0]))
     assert math.isclose(v, KERNEL_AT_DIST1_BW095, rel_tol=1e-12)
 
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
-        kernel_eval(GaussianKernel(1.0), np.zeros(2), np.zeros(3))
+        kernel_eval(1.0, np.zeros(2), np.zeros(3))
 
 
 def test_kernelized_input_against_scalar_oracle():
-    k = GaussianKernel(0.95)
+    bandwidth = 0.95
     d = Dictionary(2)
     for c in SIX_CENTERS:
         d.append(c)
     x = np.array([0.17, -1.92])
-    vec = kernelized_input(k, d, x)
+    vec = kernelized_input(bandwidth, d, x)
     assert vec.shape == (6,)
     assert vec[0] == 1.0
     for j, c in enumerate(SIX_CENTERS):
@@ -84,38 +87,38 @@ def test_kernelized_input_against_scalar_oracle():
 
 def test_kernelized_input_empty_dictionary():
     with pytest.raises(ValueError):
-        kernelized_input(GaussianKernel(1.0), Dictionary(2), np.zeros(2))
+        kernelized_input(1.0, Dictionary(2), np.zeros(2))
 
 
 def test_admit_into_empty_dictionary():
     d = Dictionary(2)
-    assert coherence_admit(GaussianKernel(1.0), d, np.array([1.0, 2.0]), 0.5)
+    assert coherence_admit(1.0, d, np.array([1.0, 2.0]), 0.5)
     assert len(d) == 1
 
 
 def test_reject_duplicate_center():
     d = Dictionary(2)
     x = np.array([0.3, -0.4])
-    k = GaussianKernel(1.0)
-    assert coherence_admit(k, d, x, 0.99)
-    assert not coherence_admit(k, d, x, 0.99)
+    bandwidth = 1.0
+    assert coherence_admit(bandwidth, d, x, 0.99)
+    assert not coherence_admit(bandwidth, d, x, 0.99)
     assert len(d) == 1
 
 
 def test_admission_distance_threshold():
-    k = GaussianKernel(0.95)
+    bandwidth = 0.95
     for offset, admitted in ((1e-6, True), (-1e-6, False)):
         d = Dictionary(2)
         d.append(np.zeros(2))
         x = np.array([ADMIT_DISTANCE + offset, 0.0])
-        assert coherence_admit(k, d, x, 0.7) is admitted
+        assert coherence_admit(bandwidth, d, x, 0.7) is admitted
 
 
 def test_threshold_domain():
     d = Dictionary(2)
     for bad in (0.0, 1.0, -0.2, 1.5):
         with pytest.raises(ValueError):
-            coherence_admit(GaussianKernel(1.0), d, np.zeros(2), bad)
+            coherence_admit(1.0, d, np.zeros(2), bad)
 
 
 @settings(max_examples=40, deadline=None)
@@ -125,14 +128,14 @@ def test_threshold_domain():
 )
 def test_pairwise_coherence_bound(points, threshold):
     # after any admission sequence, distinct centers stay mutually dissimilar
-    k = GaussianKernel(1.0)
+    bandwidth = 1.0
     d = Dictionary(2)
     sizes = []
     for p in points:
-        coherence_admit(k, d, p, threshold)
+        coherence_admit(bandwidth, d, p, threshold)
         sizes.append(len(d))
     assert sizes == sorted(sizes)  # growth is monotone
     c = d.centers
     for i in range(len(d)):
         for j in range(i + 1, len(d)):
-            assert kernel_eval(k, c[i], c[j]) <= threshold + 1e-12
+            assert kernel_eval(bandwidth, c[i], c[j]) <= threshold + 1e-12
