@@ -25,6 +25,7 @@ from .config import (
 )
 from .runner import ExperimentError, export_artifacts, run_experiment
 
+MAX_SWEEP_POINTS = 10_000
 SWEEPABLE = tuple(sorted({name for fields in FILTER_FIELDS.values() for name in fields}))
 
 
@@ -43,8 +44,12 @@ def _parse_sweep(text: str) -> tuple[str, list[float]]:
     if step <= 0 or stop < start:
         raise ConfigError(f"--sweep needs step > 0 and stop >= start, got {text!r}")
     # the count tolerates a rounding error of 1e-9 steps in (stop - start) / step
-    count = math.floor((stop - start) / step + 1e-9) + 1
-    return name, [float(f"{start + k * step:.12g}") for k in range(count)]
+    steps = (stop - start) / step + 1e-9
+    if not steps < MAX_SWEEP_POINTS:  # also catches an overflow to inf
+        raise ConfigError(
+            f"--sweep grid {text!r} has more than {MAX_SWEEP_POINTS} points"
+        )
+    return name, [float(f"{start + k * step:.12g}") for k in range(math.floor(steps) + 1)]
 
 
 def _override_filters(cfg: ExperimentConfig, name: str, value: float) -> ExperimentConfig:
@@ -149,7 +154,10 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--runs", type=int, help="override Monte Carlo run count")
     run_p.add_argument("--seed", type=int, help="override the root seed")
     run_p.add_argument("--out", type=Path, help="output directory")
-    run_p.add_argument("--workers", type=int, default=1, help="parallel run workers")
+    run_p.add_argument("--workers", type=int, default=1,
+                       help="split the runs into this many contiguous batches, each "
+                            "advanced by one process (default 1: all runs in one "
+                            "batch); results do not depend on it")
     run_p.add_argument("--sweep", help="grid over one filter field, NAME=START:STOP:STEP")
     run_p.set_defaults(func=_cmd_run)
 

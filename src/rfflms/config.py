@@ -133,6 +133,13 @@ class PlantConfig:
             raise ConfigError(f"plant.kind must be one of {PLANT_KINDS}, got {self.kind!r}")
         _check_types(self, "plant.", infinite_ok=("snr_db",))
         _check_unread(self, "plant.", PLANT_FIELDS[self.kind])
+        try:  # the noise variance factor of systems.calibrate_noise
+            10.0 ** (-self.snr_db / 10.0)
+        except OverflowError:
+            raise ConfigError(
+                f"plant.snr_db must be large enough that 10**(-snr_db/10) fits in a "
+                f"float, got {self.snr_db}"
+            ) from None
         if self.kind == "stationary" and not abs(self.rho) < 1:
             raise ConfigError(f"plant.rho must satisfy |rho| < 1, got {self.rho}")
         if self.kind == "nonstationary" and not 0 < self.change_step < horizon:

@@ -13,6 +13,10 @@ bandwidth, the bank size D and the input dimension as plain numbers. The
 filters never form the kernel estimate: they evaluate the map inline in
 their time loop, and their learned weights absorb the scale of the
 features.
+
+A bank may also stack the banks of R independent runs, with frequencies
+of shape (R, D, L) and phases of shape (R, D); a filter built from such a
+bank advances all R runs at once (see ``rfflms.filters``).
 """
 
 from __future__ import annotations
@@ -29,29 +33,32 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass
 class FeatureBank:
-    """D cosine features: frequency matrix (D, L) and phase vector (D,)."""
+    """D cosine features: frequency matrix (D, L) and phase vector (D,), or
+    R such banks stacked as (R, D, L) and (R, D)."""
 
     freqs: np.ndarray
     phases: np.ndarray
 
     def __post_init__(self):
         self.freqs = np.atleast_2d(np.asarray(self.freqs, dtype=float))
-        self.phases = np.asarray(self.phases, dtype=float).ravel()
-        if self.freqs.shape[0] != self.phases.shape[0]:
+        self.phases = np.asarray(self.phases, dtype=float)
+        if self.freqs.ndim == 2:
+            self.phases = self.phases.ravel()
+        if self.freqs.ndim > 3 or self.freqs.shape[:-1] != self.phases.shape:
             raise ValueError(
-                f"freqs has {self.freqs.shape[0]} rows but phases has "
-                f"{self.phases.shape[0]} entries"
+                f"freqs of shape {self.freqs.shape} need phases of shape "
+                f"{self.freqs.shape[:-1]}, got {self.phases.shape}"
             )
         if not (np.all(np.isfinite(self.freqs)) and np.all(np.isfinite(self.phases))):
             raise ValueError("feature bank entries must be finite")
 
     @property
     def n_features(self) -> int:
-        return self.freqs.shape[0]
+        return self.freqs.shape[-2]
 
     @property
     def input_dim(self) -> int:
-        return self.freqs.shape[1]
+        return self.freqs.shape[-1]
 
     def copy(self) -> "FeatureBank":
         return FeatureBank(self.freqs.copy(), self.phases.copy())

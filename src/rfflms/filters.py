@@ -1,4 +1,4 @@
-"""Streaming kernel LMS filters.
+"""Streaming kernel LMS filters, batched over independent runs.
 
 Two classes implement the three filter kinds. ``AdaptiveRffLms`` runs
 both RFF kinds: ``rff`` is ``AdaptiveRffLms`` with zero frequency and
@@ -9,21 +9,44 @@ stochastic gradient step on the squared error. A step with zero error
 leaves the state untouched, and any learning rate may be zero to freeze
 the corresponding update.
 
-Each class has exactly one time loop, ``run(inputs, targets)``, which
-consumes a whole stream (inputs of shape (T, L), targets of shape (T,))
-and returns ``(predictions, model_sizes)``, both of length T: the
-pre-update prediction of every step and the model size after it. The
-stream is checked for shape and finiteness once per call, not once per
-step. The state carries over between calls, so running a stream in
-pieces gives bit-for-bit what one call over the whole stream gives.
-``step(x, y)`` is ``run`` over a stream of length 1 that returns a
-``StepOutcome``; ``predict`` and ``loss`` check their sample with the same
-stream check. Every step still verifies the state it updated; if that
-state stopped being finite, ``run`` raises ``DivergenceError`` carrying
-the global 1-based step index, counted over every step the filter has
-taken (``n_steps`` before the call plus the position in the stream), and
-the filter is not usable afterwards. Overflow on the way there raises no
-numpy warning: ``DivergenceError`` is how it is reported.
+Runs. A filter holds the state of R independent runs that share their
+step sizes and advance in lockstep. ``AdaptiveRffLms`` built from a bank
+of shape (D, L) is a single-run filter; built from a stacked bank (R, D, L)
+it is batched, with weights (R, D). ``CoherenceKlms`` is batched when
+given ``n_runs``. Every computation is per run, so a run's results are
+bit-for-bit the same whichever runs share its batch, and a single-run
+filter is the R=1 batch.
+
+Both classes step through streams with one method, ``run(inputs,
+targets)``, which consumes a whole stream and returns ``(predictions,
+model_sizes)``: the pre-update prediction of every step and the model
+size after it. A
+single-run filter takes inputs (T, L) and targets (T,) and returns arrays
+of length T; a batched one takes (R, T, L) and (R, T), one stream per run,
+and returns (R, T) arrays. The stream is checked for shape and finiteness
+once per call, not once per step. The state carries over between calls,
+so running a stream in pieces gives bit-for-bit what one call over the
+whole stream gives. ``step(x, y)`` is a single-run filter's ``run`` over a
+stream of length 1 that returns a ``StepOutcome``; ``predict`` and
+``loss`` check their sample with the same stream check.
+
+Divergence. A run diverges at the step whose update left its state
+non-finite; steps are global and 1-based, counted over every step the
+filter has taken (``n_steps`` before the call plus the position in the
+stream). The check is lazy. A non-finite state always gives a non-finite
+prediction on a finite input, so the steps of a time chunk test nothing,
+and the chunk's predictions are tested at once afterwards. At the first
+step with a non-finite prediction the chunk is redone from a copy of its
+starting state, up to that step, and the run's state is tested exactly:
+if it is not finite the previous step diverged, otherwise the prediction
+overflowed from a finite state, and this step diverges (its update would
+spread the overflow). The state is also tested once at the end of each
+call. A diverged run leaves its batch: its state freezes, its step goes to
+``diverged_at`` (0 for a live run), and from that step on its predictions
+are NaN and its model sizes 0, while the other runs carry on unchanged. A
+single-run filter raises ``DivergenceError`` with the step instead, and is
+not usable afterwards. Overflow on the way there raises no numpy warning:
+``diverged_at`` and ``DivergenceError`` are how it is reported.
 
 ``AdaptiveRffLms`` additionally descends on the feature frequencies and
 phases. Within one step every right-hand side uses the pre-update state
@@ -40,7 +63,13 @@ import numpy as np
 # phase_angles, coherence_admit and kernelized_input stay importable from
 # this module: perfbench/tracing.py patches them under these names
 from .features import FeatureBank, phase_angles
-from .kernels import Dictionary, check_bandwidth, coherence_admit, kernelized_input  # noqa: F401
+from .kernels import check_bandwidth, coherence_admit, kernelized_input  # noqa: F401
+
+# the steps between two tests of the predictions form a time chunk of
+# _CHUNK // (state entries of the batch) steps, and at least _MIN_CHUNK;
+# frozen features compute a chunk's cosines at once
+_CHUNK = 1 << 16
+_MIN_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -60,20 +89,6 @@ class DivergenceError(RuntimeError):
         self.step = step
 
 
-def _check_stream(inputs, targets, input_dim: int) -> tuple[np.ndarray, np.ndarray]:
-    inputs = np.asarray(inputs, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    if (inputs.ndim != 2 or inputs.shape[1] != input_dim
-            or targets.shape != inputs.shape[:1]):
-        raise ValueError(
-            f"expected inputs of shape (T, {input_dim}) and targets of shape (T,), "
-            f"got {inputs.shape} and {targets.shape}"
-        )
-    if not (np.isfinite(inputs).all() and np.isfinite(targets).all()):
-        raise ValueError("stream (inputs, targets) must be finite")
-    return inputs, targets
-
-
 def _check_rate(name: str, value: float) -> float:
     value = float(value)
     if not (np.isfinite(value) and value >= 0.0):
@@ -82,16 +97,115 @@ def _check_rate(name: str, value: float) -> float:
 
 
 class _StreamFilter:
-    """``step`` and the sample check for a filter whose one time loop is ``run``."""
+    """``run``, ``step`` and the stream check around a filter's time loop.
+
+    A subclass provides ``batched``, ``n_runs``, ``input_dim``, the working
+    state of some runs (``_state``/``_store``), its exact finiteness test
+    (``_finite``) and the time loop itself (``_steps``).
+    """
+
+    def _check_stream(self, inputs, targets) -> tuple[np.ndarray, np.ndarray]:
+        """The stream as time-major contiguous (T, R, L) inputs and (T, R) targets."""
+        inputs = np.asarray(inputs, dtype=float)
+        targets = np.asarray(targets, dtype=float)
+        lead = (self.n_runs,) if self.batched else ()
+        if (inputs.ndim != len(lead) + 2 or inputs.shape[:len(lead)] != lead
+                or inputs.shape[-1] != self.input_dim or targets.shape != inputs.shape[:-1]):
+            want = f"{self.n_runs}, " if self.batched else ""
+            raise ValueError(
+                f"expected inputs of shape ({want}T, {self.input_dim}) and targets of "
+                f"shape ({want}T), got {inputs.shape} and {targets.shape}"
+            )
+        if not (np.isfinite(inputs).all() and np.isfinite(targets).all()):
+            raise ValueError("stream (inputs, targets) must be finite")
+        if not self.batched:
+            inputs, targets = inputs[None], targets[None]
+        return np.ascontiguousarray(inputs.transpose(1, 0, 2)), np.ascontiguousarray(targets.T)
 
     def _sample(self, x, y=0.0) -> tuple[np.ndarray, float]:
-        inputs, targets = _check_stream(np.asarray(x)[None], [y], self.input_dim)
-        return inputs[0], float(targets[0])
+        if self.batched:
+            raise ValueError("a batched filter takes whole streams through run()")
+        inputs, targets = self._check_stream(np.asarray(x)[None], [y])
+        return inputs[0, 0], float(targets[0, 0])
 
     def step(self, x, y) -> StepOutcome:
         predictions, sizes = self.run(np.asarray(x)[None], [y])
         prediction = float(predictions[0])
         return StepOutcome(prediction, float(y) - prediction, int(sizes[0]))
+
+    @np.errstate(all="ignore")
+    def run(self, inputs, targets) -> tuple[np.ndarray, np.ndarray]:
+        xs, ys = self._check_stream(inputs, targets)
+        horizon, n_runs = ys.shape
+        base = self.n_steps
+        predictions = np.full((horizon, n_runs), np.nan)
+        sizes = np.zeros((horizon, n_runs), dtype=int)
+        live = np.flatnonzero(self.diverged_at == 0)
+        # views of the state while every run is live, copies after a removal
+        rows = slice(None) if live.size == n_runs else live
+        state = self._state(rows)
+        t = 0
+        while live.size and t < horizon:
+            if live.size == n_runs:
+                seg_p, seg_s = predictions[t:], sizes[t:]
+                done = self._advance(state, xs[t:], ys[t:], seg_p, seg_s)
+            else:
+                seg_p = np.empty((horizon - t, live.size))
+                seg_s = np.empty(seg_p.shape, dtype=int)
+                done = self._advance(state, xs[t:, live], ys[t:, live], seg_p, seg_s)
+                predictions[t:t + done, live] = seg_p[:done]
+                sizes[t:t + done, live] = seg_s[:done]
+            t += done
+            if t == horizon:
+                break
+            # step t predicted a non-finite value for some runs
+            bad = ~np.isfinite(seg_p[done])
+            held = self._finite(state)
+            for i in np.flatnonzero(bad):
+                self._remove(live[i], max(base + t + int(held[i]), base + 1), base,
+                             predictions, sizes)
+            self._store(rows, state)
+            live = rows = live[~bad]
+            state = self._state(rows)
+        if live.size:
+            for i in np.flatnonzero(~self._finite(state)):
+                self._remove(live[i], base + horizon, base, predictions, sizes)
+            self._store(rows, state)
+        self.n_steps = base + horizon
+        if not self.batched:
+            if self.diverged_at[0]:
+                raise DivergenceError(int(self.diverged_at[0]))
+            return predictions[:, 0], sizes[:, 0]
+        return predictions.T, sizes.T
+
+    def _advance(self, state, xs, ys, predictions, sizes) -> int:
+        """Step the runs of ``state`` through ``xs`` (T, R, L) and ``ys`` (T, R)
+        one time chunk at a time, writing each step's predictions and model
+        sizes, and return the number of steps whose predictions are all
+        finite. The steps test nothing; a chunk's predictions are tested at
+        once afterwards, and if one is not finite the chunk is redone from a
+        copy of its starting state up to that step, leaving the state the one
+        before it."""
+        start, horizon = 0, len(ys)
+        while start < horizon:
+            stop = min(horizon, start + max(_MIN_CHUNK, _CHUNK // state[0].size))
+            saved = [a.copy() for a in state]
+            self._steps(state, xs[start:stop], ys[start:stop],
+                        predictions[start:stop], sizes[start:stop])
+            finite = np.isfinite(predictions[start:stop]).all(axis=1)
+            if not finite.all():
+                stop = start + int(np.argmin(finite))
+                state[:] = saved
+                self._steps(state, xs[start:stop], ys[start:stop],
+                            predictions[start:stop], sizes[start:stop])
+                return stop
+            start = stop
+        return horizon
+
+    def _remove(self, run: int, step: int, base: int, predictions, sizes) -> None:
+        self.diverged_at[run] = step
+        predictions[max(step - base - 1, 0):, run] = np.nan
+        sizes[max(step - base - 1, 0):, run] = 0
 
 
 class AdaptiveRffLms(_StreamFilter):
@@ -104,20 +218,29 @@ class AdaptiveRffLms(_StreamFilter):
         phases[m]-=  lr_phases * e * weights[m] * sin(theta_m)
 
     The joint objective is not convex in the frequencies and phases, so a
-    bad step size can blow the state up; every step verifies that the state
-    it updated is finite and raises DivergenceError with the offending step
-    index instead of continuing silently. With both feature step sizes zero
-    the bank never changes, so only the weights are checked.
+    bad step size can blow the state up; see the module docstring for how
+    that is caught and reported. With both feature step sizes zero the bank
+    never changes, and the features of a whole time chunk are computed at
+    once.
     """
 
     def __init__(self, bank: FeatureBank, lr_weights: float,
                  lr_freqs: float, lr_phases: float):
         self.bank = bank.copy()
-        self.weights = np.zeros(self.bank.n_features)
+        self.weights = np.zeros(self.bank.phases.shape)
         self.lr_weights = _check_rate("lr_weights", lr_weights)
         self.lr_freqs = _check_rate("lr_freqs", lr_freqs)
         self.lr_phases = _check_rate("lr_phases", lr_phases)
         self.n_steps = 0
+        self.diverged_at = np.zeros(self.n_runs, dtype=int)
+
+    @property
+    def batched(self) -> bool:
+        return self.bank.freqs.ndim == 3
+
+    @property
+    def n_runs(self) -> int:
+        return self.bank.freqs.shape[0] if self.batched else 1
 
     @property
     def input_dim(self) -> int:
@@ -137,38 +260,44 @@ class AdaptiveRffLms(_StreamFilter):
         e = y - self.predict(x)
         return e * e
 
-    @np.errstate(all="ignore")
-    def run(self, inputs, targets) -> tuple[np.ndarray, np.ndarray]:
-        inputs, targets = _check_stream(inputs, targets, self.input_dim)
-        freqs, phases = self.bank.freqs, self.bank.phases
+    def _state(self, rows) -> list[np.ndarray]:
+        shape = (self.n_runs, self.model_size)
+        self.weights = np.asarray(self.weights, dtype=float)
+        return [self.weights.reshape(shape)[rows],
+                self.bank.freqs.reshape(shape + (self.input_dim,))[rows],
+                self.bank.phases.reshape(shape)[rows]]
+
+    def _store(self, rows, state) -> None:
+        for full, part in zip(self._state(slice(None)), state):
+            full[rows] = part
+
+    def _finite(self, state) -> np.ndarray:
+        w, freqs, phases = state
+        finite = np.isfinite
+        return finite(w).all(axis=1) & finite(freqs).all(axis=(1, 2)) & finite(phases).all(axis=1)
+
+    def _steps(self, state, xs, ys, predictions, sizes) -> None:
+        w, freqs, phases = state
         lr_weights, lr_freqs, lr_phases = self.lr_weights, self.lr_freqs, self.lr_phases
-        adaptive = lr_freqs != 0.0 or lr_phases != 0.0
-        cos, sin, isfinite = np.cos, np.sin, np.isfinite
-        w = self.weights
-        predictions = []
-        base, n = self.n_steps, -1
-        try:
-            for n, y in enumerate(targets.tolist()):
-                x = inputs[n]
-                theta = freqs @ x + phases
-                z = cos(theta)
-                prediction = float(w @ z)
-                e = y - prediction
-                if adaptive:
-                    # pre-update weights drive the feature gradients
-                    g = e * w * sin(theta)
-                    freqs -= lr_freqs * g[:, None] * x[None, :]
-                    phases -= lr_phases * g
-                    if not (isfinite(freqs).all() and isfinite(phases).all()):
-                        raise DivergenceError(base + n + 1)
-                w = w + lr_weights * e * z
-                if not isfinite(w).all():
-                    raise DivergenceError(base + n + 1)
-                predictions.append(prediction)
-        finally:
-            self.weights = w
-            self.n_steps = base + n + 1
-        return np.array(predictions, dtype=float), np.full(len(targets), self.model_size)
+        cos, sin, matmul, vecdot = np.cos, np.sin, np.matmul, np.vecdot
+        sizes[:] = self.model_size
+        if lr_freqs == 0.0 and lr_phases == 0.0:
+            # the stacked matvec gives each (step, run) the bits of freqs @ x
+            zs = cos(matmul(freqs, xs[..., None])[..., 0] + phases)
+            for t, z in enumerate(zs):
+                p = predictions[t] = vecdot(w, z)
+                w += (lr_weights * (ys[t] - p))[:, None] * z
+            return
+        for t, x in enumerate(xs):
+            theta = matmul(freqs, x[:, :, None])[..., 0] + phases
+            z = cos(theta)
+            p = predictions[t] = vecdot(w, z)
+            e = ys[t] - p
+            # pre-update weights drive the feature gradients
+            g = e[:, None] * w * sin(theta)
+            freqs -= lr_freqs * g[:, :, None] * x[:, None, :]
+            phases -= lr_phases * g
+            w += (lr_weights * e)[:, None] * z
 
 
 class RffLms(AdaptiveRffLms):
@@ -178,6 +307,16 @@ class RffLms(AdaptiveRffLms):
         super().__init__(bank, lr_weights, 0.0, 0.0)
 
 
+def _kernel_rows(centers: np.ndarray, x: np.ndarray, scale: float) -> np.ndarray:
+    """Gaussian kernel of each run's x (R, L) against its centers, stored
+    coordinate-major as (R, L, C); the +inf padding gives exactly 0."""
+    diff = centers - x[:, :, None]
+    diff *= diff
+    k = np.add.reduce(diff, axis=1)
+    k /= -scale
+    return np.exp(k, out=k)
+
+
 class CoherenceKlms(_StreamFilter):
     """Gaussian kernel LMS over a dictionary grown online by the coherence rule.
 
@@ -185,78 +324,100 @@ class CoherenceKlms(_StreamFilter):
     weight zero, so the prediction is continuous across admissions), then
     predicts from the kernelized input and LMS-updates all active weights.
     The admission test's kernel vector is the one the step predicts with:
-    an admitted center's own entry is exp(-0.0) == 1.0. Like the centers
-    (see ``Dictionary``), the weights live in a buffer that doubles when
-    full; ``weights`` is the view of the active ones.
+    an admitted center's own entry is exactly 1.0.
+
+    Each run's centers fill the leading columns of an (L, capacity) buffer
+    padded with +inf, whose kernel value is exactly 0, and its weights the
+    leading entries of a zero-padded (capacity,) buffer. The capacity is a
+    power of two, at least 16, shared by the batch, and doubles when a run
+    fills it. The prediction sums ``weights * kernel`` over the whole
+    buffer; numpy's pairwise sum over a power-of-two length adds the padding
+    in whole blocks of zeros, so a run's prediction is the same bits
+    whatever capacity its batch needs. ``sizes`` holds each run's
+    dictionary size; ``weights`` and ``centers`` are the active parts, one
+    array for a single-run filter and a list of per-run arrays for a
+    batched one.
     """
 
     def __init__(self, bandwidth: float, coherence_threshold: float,
-                 lr_weights: float, input_dim: int):
+                 lr_weights: float, input_dim: int, n_runs: int | None = None):
         if not 0.0 < coherence_threshold < 1.0:
             raise ValueError(
                 f"coherence_threshold must lie in (0, 1), got {coherence_threshold}"
             )
+        if input_dim < 1:
+            raise ValueError(f"input_dim must be >= 1, got {input_dim}")
+        if n_runs is not None and n_runs < 1:
+            raise ValueError(f"n_runs must be >= 1, got {n_runs}")
         self.bandwidth = check_bandwidth(bandwidth)
         self.coherence_threshold = float(coherence_threshold)
         self.lr_weights = _check_rate("lr_weights", lr_weights)
-        self.dictionary = Dictionary(input_dim)
-        self._weights = np.zeros(16)
+        self.input_dim = input_dim
+        self.batched = n_runs is not None
+        self.n_runs = n_runs or 1
+        self._centers = np.full((self.n_runs, input_dim, 16), np.inf)
+        self._weights = np.zeros((self.n_runs, 16))
+        self.sizes = np.zeros(self.n_runs, dtype=int)
         self.n_steps = 0
+        self.diverged_at = np.zeros(self.n_runs, dtype=int)
+
+    def _active(self, buffer: np.ndarray):
+        parts = [buffer[r, :size] for r, size in enumerate(self.sizes.tolist())]
+        return parts if self.batched else parts[0]
 
     @property
-    def input_dim(self) -> int:
-        return self.dictionary.input_dim
+    def model_size(self):
+        return self.sizes.copy() if self.batched else int(self.sizes[0])
 
     @property
-    def model_size(self) -> int:
-        return len(self.dictionary)
+    def weights(self):
+        return self._active(self._weights)
 
     @property
-    def weights(self) -> np.ndarray:
-        return self._weights[:len(self.dictionary)]
+    def centers(self):
+        return self._active(self._centers.transpose(0, 2, 1))
 
     def predict(self, x) -> float:
         x, _ = self._sample(x)
-        if len(self.dictionary) == 0:
-            return 0.0
-        return float(self.weights @ kernelized_input(self.bandwidth, self.dictionary, x))
+        k = _kernel_rows(self._centers, x[None], 2.0 * self.bandwidth**2)
+        return float(np.add.reduce(self._weights * k, axis=1)[0])
 
-    @np.errstate(all="ignore")
-    def run(self, inputs, targets) -> tuple[np.ndarray, np.ndarray]:
-        inputs, targets = _check_stream(inputs, targets, self.input_dim)
-        dictionary, threshold, lr = self.dictionary, self.coherence_threshold, self.lr_weights
+    def _state(self, rows) -> list[np.ndarray]:
+        return [self._weights[rows], self._centers[rows], self.sizes[rows]]
+
+    def _store(self, rows, state) -> None:
+        weights, centers, sizes = state
+        grow = weights.shape[1] - self._weights.shape[1]
+        if grow:
+            self._weights = np.pad(self._weights, ((0, 0), (0, grow)))
+            self._centers = np.pad(self._centers, ((0, 0), (0, 0), (0, grow)),
+                                   constant_values=np.inf)
+        self._weights[rows], self._centers[rows], self.sizes[rows] = weights, centers, sizes
+
+    def _finite(self, state) -> np.ndarray:
+        return np.isfinite(state[0]).all(axis=1)
+
+    def _steps(self, state, xs, ys, predictions, sizes) -> None:
+        w, centers, size = state
+        threshold, lr = self.coherence_threshold, self.lr_weights
         scale = 2.0 * self.bandwidth**2
-        exp, einsum, isfinite = np.exp, np.einsum, np.isfinite
-        centers = dictionary.centers
-        size = len(centers)
-        w = self.weights
-        predictions, sizes = [], []
-        base, n = self.n_steps, -1
-        try:
-            for n, y in enumerate(targets.tolist()):
-                x = inputs[n]
-                if size:
-                    diff = centers - x
-                    k = exp(-einsum("ij,ij->i", diff, diff) / scale)
-                    admit = not float(k.max()) > threshold
-                else:
-                    k, admit = np.empty(0), True
-                if admit:
-                    dictionary.append(x)
-                    centers = dictionary.centers
-                    size += 1
-                    k = np.append(k, 1.0)
-                    if size > len(self._weights):
-                        self._weights = np.concatenate(
-                            [self._weights, np.zeros_like(self._weights)])
-                    w = self._weights[:size]
-                prediction = float(w @ k)
-                e = y - prediction
-                w += lr * e * k
-                if not isfinite(w).all():
-                    raise DivergenceError(base + n + 1)
-                predictions.append(prediction)
-                sizes.append(size)
-        finally:
-            self.n_steps = base + n + 1
-        return np.array(predictions, dtype=float), np.array(sizes, dtype=int)
+        peak_of, add = np.maximum.reduce, np.add.reduce
+        for t, x in enumerate(xs):
+            k = _kernel_rows(centers, x, scale)
+            peak = peak_of(k, axis=1)
+            if not min(peak.tolist()) > threshold:
+                admit = np.flatnonzero(~(peak > threshold))
+                if size[admit].max() == w.shape[1]:
+                    # double the buffers; written back by _store
+                    cap = w.shape[1]
+                    w = state[0] = np.pad(w, ((0, 0), (0, cap)))
+                    centers = state[1] = np.pad(centers, ((0, 0), (0, 0), (0, cap)),
+                                                constant_values=np.inf)
+                    k = np.pad(k, ((0, 0), (0, cap)))
+                slot = size[admit]
+                centers[admit, :, slot] = x[admit]
+                k[admit, slot] = 1.0
+                size[admit] += 1
+            p = predictions[t] = add(w * k, axis=1)
+            sizes[t] = size
+            w += (lr * (ys[t] - p))[:, None] * k

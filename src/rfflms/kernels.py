@@ -3,7 +3,8 @@
 The Gaussian kernel exp(-||x - x'||^2 / (2 * bandwidth^2)) is given by its
 bandwidth alone, a plain positive number. ``kernelized_input`` and
 ``coherence_admit`` are the reference forms of the kernel vector and the
-admission rule; ``CoherenceKlms.run`` inlines both in its time loop,
+admission rule, over the centers of a ``Dictionary``; ``CoherenceKlms``
+inlines both in its time loop over its own padded per-run center buffers,
 computing the kernel vector once per step for the admission test and the
 prediction alike.
 """

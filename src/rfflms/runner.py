@@ -2,22 +2,26 @@
 
 Each run derives its own stream and feature-bank seeds from the root seed
 and the run index, so results are reproducible bit-for-bit regardless of
-how many workers execute the runs. When both RFF-family filters appear in
-one config with the same bank settings they start from identical banks,
-giving a paired comparison.
+how the runs are batched or how many workers execute them. When both
+RFF-family filters appear in one config with the same bank settings they
+start from identical banks, giving a paired comparison.
 
-Each filter consumes its run's stream in one ``run`` call (see
-``rfflms.filters``), except that run 0 of a nonstationary experiment
-splits an RFF-family filter's call at the change step to record its
-frequency bank there. The EMSE curve is then computed over the whole run
-at once from the clean targets and the returned predictions.
+Runs are split into ``min(workers, runs)`` contiguous batches, one per
+worker process (none with one worker). Within a batch each filter is built
+once for all of its runs and consumes their stacked streams, (R, T, L)
+inputs and (R, T) targets, in one ``run`` call (see ``rfflms.filters``):
+time is the only sequential axis. The batch that holds run 0 of a
+nonstationary experiment splits an RFF-family filter's call at the change
+step to record run 0's frequency bank there. The EMSE curves are then
+computed at once from the clean targets and the returned predictions.
 
-Divergence policy. A filter diverges in a run when it raises
-``DivergenceError`` or its squared error stops being finite; that run's
-curve of that filter is listed in ``RunArtifacts.diverged`` and left out
-of the filter's aggregates, while the other filters' curves of the same
-run still count. The experiment raises ``ExperimentError`` in exactly two
-cases:
+Divergence policy. A filter diverges in a run when its state stops being
+finite (the filter removes the run from its batch and records the step)
+or its squared error stops being finite; that run's curve of that filter
+is listed in ``RunArtifacts.diverged`` and left out of the filter's
+aggregates, while the other filters' curves of the same run, and the
+other runs of the batch, still count. The experiment raises
+``ExperimentError`` in exactly two cases:
 
 - more than ``max_divergence_fraction * runs`` runs are bad, where a run
   is bad if any of its filters diverged;
@@ -43,8 +47,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, FilterSpec, config_to_dict
-from .features import sample_feature_bank
-from .filters import AdaptiveRffLms, CoherenceKlms, DivergenceError
+from .features import FeatureBank, sample_feature_bank
+from .filters import AdaptiveRffLms, CoherenceKlms
 from .metrics import McAggregate, steady_state_emse, to_db
 from .seeding import derive_seed
 from .systems import SampleStream, gen_nonstationary_stream, gen_stationary_stream
@@ -79,71 +83,85 @@ def make_stream(cfg: ExperimentConfig, stream_seed: int) -> SampleStream:
     return gen(cfg.plant, cfg.horizon, stream_seed)
 
 
-def build_filter(spec: FilterSpec, input_dim: int, bank_seed: int):
-    """Instantiate one filter; RFF-family banks come from ``bank_seed`` so
-    matching specs share identical initial banks within a run."""
+def build_filter(spec: FilterSpec, input_dim: int, bank_seeds):
+    """Instantiate one filter over a batch of runs, one per bank seed;
+    RFF-family banks come from the seeds, so matching specs share identical
+    initial banks within a run."""
     if spec.kind == "coherence-klms":
         return CoherenceKlms(spec.bandwidth, spec.coherence_threshold,
-                             spec.lr_weights, input_dim)
+                             spec.lr_weights, input_dim, n_runs=len(bank_seeds))
     # an rff spec has zero feature step sizes (FilterSpec.validate), which
     # freezes the bank
-    bank = sample_feature_bank(spec.bandwidth, spec.n_features, input_dim, bank_seed)
+    banks = [sample_feature_bank(spec.bandwidth, spec.n_features, input_dim, seed)
+             for seed in bank_seeds]
+    bank = FeatureBank(np.stack([b.freqs for b in banks]), np.stack([b.phases for b in banks]))
     return AdaptiveRffLms(bank, spec.lr_weights, spec.lr_freqs, spec.lr_phases)
 
 
-def _run_single(cfg: ExperimentConfig, run_index: int) -> dict:
-    """One Monte Carlo run: every configured filter over one fresh stream."""
-    stream = make_stream(cfg, derive_seed(cfg.seed, run_index, "stream"))
-    bank_seed = derive_seed(cfg.seed, run_index, "bank")
-    input_dim = stream.inputs.shape[1]
-    take_snapshots = run_index == 0
+def _run_batch(cfg: ExperimentConfig, runs: range):
+    """Monte Carlo runs ``runs``: every configured filter over each run's
+    fresh stream, all runs of the batch in one ``run`` call per filter.
+
+    Yields, filter by filter: its label, its (R, T) EMSE and model-size
+    curves, each run's divergence step (None for a usable run) and run 0's
+    bank snapshots (None unless the batch holds run 0 and the filter has a
+    bank).
+    """
+    streams = [make_stream(cfg, derive_seed(cfg.seed, r, "stream")) for r in runs]
+    # (R, T, ...) views of time-major arrays, which run() steps through
+    # without copying
+    inputs = np.stack([s.inputs for s in streams], axis=1).transpose(1, 0, 2)
+    targets = np.stack([s.targets for s in streams], axis=1).T
+    clean = np.stack([s.clean for s in streams], axis=1).T
+    del streams
+    bank_seeds = [derive_seed(cfg.seed, r, "bank") for r in runs]
+    take_snapshots = runs[0] == 0
     change_step = cfg.plant.change_step if cfg.plant.kind == "nonstationary" else None
 
-    out = {}
     for spec in cfg.filters:
-        filt = build_filter(spec, input_dim, bank_seed)
+        filt = build_filter(spec, inputs.shape[2], bank_seeds)
         snapshots = None
         if take_snapshots and isinstance(filt, AdaptiveRffLms):
-            snapshots = {"initial": filt.bank.freqs.copy()}
-        # run 0 stops at the regime change to record the bank there
+            snapshots = {"initial": filt.bank.freqs[0].copy()}
+        # the batch of run 0 stops at the regime change to record its bank there
         split = change_step if snapshots is not None else None
-        diverged_step = emse = sizes = None
-        try:
-            if split is None:
-                preds, sizes = filt.run(stream.inputs, stream.targets)
-            else:
-                preds, sizes = filt.run(stream.inputs[:split], stream.targets[:split])
-                snapshots["change"] = filt.bank.freqs.copy()
-                tail_preds, tail_sizes = filt.run(stream.inputs[split:],
-                                                  stream.targets[split:])
-                preds = np.concatenate([preds, tail_preds])
-                sizes = np.concatenate([sizes, tail_sizes])
-            with np.errstate(all="ignore"):  # d * d can overflow for a finite prediction
-                d = stream.clean - preds
-                emse = d * d
-        except DivergenceError as exc:
-            diverged_step = exc.step
-        if diverged_step is None and not np.all(np.isfinite(emse)):
-            # state still finite but the squared error overflowed: the run
-            # is just as unusable, flag it at the first bad step
-            diverged_step = int(np.argmin(np.isfinite(emse))) + 1
-        if snapshots is not None and diverged_step is None:
-            snapshots["final"] = filt.bank.freqs.copy()
-        bad = diverged_step is not None
-        out[spec.column] = {
-            "emse": None if bad else emse,
-            "sizes": None if bad else sizes,
-            "diverged_step": diverged_step,
-            "snapshots": snapshots,
-        }
-    return out
+        if split is None:
+            preds, sizes = filt.run(inputs, targets)
+        else:
+            preds, sizes = filt.run(inputs[:, :split], targets[:, :split])
+            if not filt.diverged_at[0]:
+                snapshots["change"] = filt.bank.freqs[0].copy()
+            tail_preds, tail_sizes = filt.run(inputs[:, split:], targets[:, split:])
+            preds = np.concatenate([preds, tail_preds], axis=1)
+            sizes = np.concatenate([sizes, tail_sizes], axis=1)
+        with np.errstate(all="ignore"):  # d * d can overflow for a finite prediction
+            emse = clean - preds
+            emse *= emse
+        del preds
+        steps = []
+        for i, step in enumerate(filt.diverged_at.tolist()):
+            if not step and not np.all(np.isfinite(emse[i])):
+                # state still finite but the squared error overflowed: the run
+                # is just as unusable, flag it at the first bad step
+                step = int(np.argmin(np.isfinite(emse[i]))) + 1
+            steps.append(step or None)
+        if snapshots is not None and steps[0] is None:
+            snapshots["final"] = filt.bank.freqs[0].copy()
+        yield spec.column, emse, sizes, steps, snapshots
+
+
+def _batch_results(cfg: ExperimentConfig, runs: range) -> list[tuple]:
+    """``_run_batch`` as a list, for a pool worker to return."""
+    return list(_run_batch(cfg, runs))
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunArtifacts:
     """Run all Monte Carlo runs and aggregate.
 
-    Aggregation is a sequential reduction in run-index order whatever the
-    worker count, so the artifacts are byte-reproducible under the root seed.
+    The runs are split into ``min(workers, runs)`` contiguous batches, run
+    in a process pool when there is more than one. Aggregation is a
+    sequential reduction in run-index order whatever the batching, so the
+    artifacts are byte-reproducible under the root seed.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -155,27 +173,29 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunArtifacts:
     diverged = {lab: [] for lab in labels}
     snapshots = {}
 
-    worker = partial(_run_single, cfg)
-    if workers > 1:
-        chunk = max(1, cfg.runs // (workers * 4))
-        pool = ProcessPoolExecutor(max_workers=workers)
-        results = pool.map(worker, range(cfg.runs), chunksize=chunk)
+    n_batches = min(workers, cfg.runs)
+    bounds = [cfg.runs * b // n_batches for b in range(n_batches + 1)]
+    batches = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    if n_batches > 1:
+        pool = ProcessPoolExecutor(max_workers=n_batches)
+        results = pool.map(partial(_batch_results, cfg), batches)
     else:
+        # one batch: a filter's curves are summed before the next filter runs
         pool = None
-        results = map(worker, range(cfg.runs))
+        results = [_run_batch(cfg, batches[0])]
 
     try:
-        for run_index, result in enumerate(results):
-            for lab in labels:
-                r = result[lab]
-                if r["diverged_step"] is not None:
-                    diverged[lab].append(run_index)
-                else:
-                    emse_sum[lab] += r["emse"]
-                    size_sum[lab] += r["sizes"]
-                    n_ok[lab] += 1
-                if r["snapshots"] is not None:
-                    snapshots[lab] = r["snapshots"]
+        for runs, per_filter in zip(batches, results):
+            for lab, emse, sizes, steps, snaps in per_filter:
+                for i, run_index in enumerate(runs):
+                    if steps[i] is not None:
+                        diverged[lab].append(run_index)
+                    else:
+                        emse_sum[lab] += emse[i]
+                        size_sum[lab] += sizes[i]
+                        n_ok[lab] += 1
+                if snaps is not None:
+                    snapshots[lab] = snaps
     finally:
         if pool is not None:
             pool.shutdown()

@@ -132,7 +132,9 @@ def klms_reference(bandwidth: float, threshold: float, lr_weights: float,
                    inputs: np.ndarray, targets: np.ndarray):
     """Coherence KLMS one sample at a time through the public kernel helpers:
     offer x to the dictionary, kernelize x against the grown dictionary,
-    predict and update. Returns (predictions, sizes, weights, centers)."""
+    predict and update. The prediction sums weights * kernel as the filter
+    does: zero-padded to a power-of-two length of at least 16, with numpy's
+    pairwise sum. Returns (predictions, sizes, weights, centers)."""
     dictionary = Dictionary(inputs.shape[1])
     weights = np.zeros(0)
     predictions, sizes = [], []
@@ -140,7 +142,9 @@ def klms_reference(bandwidth: float, threshold: float, lr_weights: float,
         if coherence_admit(bandwidth, dictionary, x, threshold):
             weights = np.append(weights, 0.0)
         k = kernelized_input(bandwidth, dictionary, x)
-        prediction = float(weights @ k)
+        terms = weights * k
+        length = max(16, 1 << (len(terms) - 1).bit_length())
+        prediction = float(np.pad(terms, (0, length - len(terms))).sum())
         weights = weights + lr_weights * (float(y) - prediction) * k
         predictions.append(prediction)
         sizes.append(len(dictionary))

@@ -186,6 +186,23 @@ def test_sweep_rejects_non_finite_grid(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("grid", ["0:1:1e-320", "0:1:1e-300", "0:1e300:1e-10", "0:1:1e-4"])
+def test_sweep_rejects_a_grid_above_the_point_ceiling(tmp_path, capsys, grid):
+    # 1e-320 overflows the step count to inf; the others are finite but huge
+    out = tmp_path / "res"
+    code = main(["run", "--config", str(rff_config(tmp_path)), "--out", str(out),
+                 "--sweep", f"bandwidth={grid}"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--sweep" in err and "10000 points" in err
+    assert not out.exists()
+
+
+def test_sweep_accepts_a_grid_at_the_point_ceiling():
+    name, values = _parse_sweep("bandwidth=1:10000:1")
+    assert len(values) == 10_000 and values[-1] == 10000.0
+
+
 def test_sweep_checks_every_grid_point_before_the_first_run(tmp_path, capsys):
     path = tmp_path / "exp.json"
     path.write_text(json.dumps({

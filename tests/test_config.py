@@ -218,6 +218,17 @@ def test_mistyped_and_nonfinite_values_rejected(tmp_path, where, key, value):
         load_config(path)
 
 
+@pytest.mark.parametrize("snr_db", [-4000.0, -3083.0])
+def test_snr_whose_noise_factor_overflows_is_rejected(snr_db):
+    payload = good_payload()
+    payload["plant"]["snr_db"] = snr_db
+    with pytest.raises(ConfigError, match="plant.snr_db"):
+        config_from_dict(payload)
+    # an SNR this low whose factor still fits is accepted
+    payload["plant"]["snr_db"] = -3080.0
+    assert config_from_dict(payload).plant.snr_db == -3080.0
+
+
 def test_noiseless_plant_is_allowed():
     payload = good_payload()
     payload["plant"]["snr_db"] = math.inf

@@ -52,6 +52,12 @@ def test_sampling_moments_match_the_law():
 def test_bank_validates_shapes_and_amplitude():
     with pytest.raises(ValueError):
         FeatureBank(np.zeros((3, 2)), np.zeros(2))
+    # R stacked banks need (R, D) phases
+    for freqs, phases in [((2, 3, 2), (3,)), ((2, 3, 2), (2, 2)), ((1, 2, 3, 2), (1, 2, 3))]:
+        with pytest.raises(ValueError):
+            FeatureBank(np.zeros(freqs), np.zeros(phases))
+    stacked = FeatureBank(np.zeros((2, 3, 4)), np.zeros((2, 3)))
+    assert (stacked.n_features, stacked.input_dim) == (3, 4)
     with pytest.raises(ValueError):
         FeatureBank(np.array([[np.inf, 0.0]]), np.zeros(1))
 

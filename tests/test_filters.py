@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import kernel_eval, klms_reference
+from rfflms import filters
 from rfflms.features import FeatureBank, sample_feature_bank
 from rfflms.filters import AdaptiveRffLms, CoherenceKlms, DivergenceError, RffLms
 
@@ -251,10 +252,10 @@ def test_klms_weights_track_dictionary_size():
     rng = np.random.default_rng(12)
     for _ in range(300):
         out = f.step(rng.normal(size=2) * 2, float(rng.normal()))
-        assert len(f.weights) == out.model_size == len(f.dictionary)
-    c = f.dictionary.centers
-    for i in range(len(f.dictionary)):
-        for j in range(i + 1, len(f.dictionary)):
+        assert len(f.weights) == out.model_size == len(f.centers)
+    c = f.centers
+    for i in range(len(c)):
+        for j in range(i + 1, len(c)):
             assert kernel_eval(f.bandwidth, c[i], c[j]) <= 0.5 + 1e-12
 
 
@@ -302,7 +303,7 @@ DIVERGENT = {
 
 def filter_state(f):
     if isinstance(f, CoherenceKlms):
-        return [f.weights, f.dictionary.centers]
+        return [f.weights, f.centers]
     return [f.weights, f.bank.freqs, f.bank.phases]
 
 
@@ -356,7 +357,7 @@ def test_coherence_klms_run_matches_the_admit_then_kernelize_reference():
     assert np.array_equal(preds, ref_preds)
     assert np.array_equal(sizes, ref_sizes)
     assert np.array_equal(f.weights, ref_weights)
-    assert np.array_equal(f.dictionary.centers, ref_centers)
+    assert np.array_equal(f.centers, ref_centers)
 
 
 @pytest.mark.parametrize("kind", sorted(DIVERGENT))
@@ -408,3 +409,142 @@ def test_predict_rejects_a_bad_input_before_and_after_training(kind):
             with pytest.raises(ValueError):
                 f.predict(bad)
         f.run(inputs, targets)
+
+
+# ---- the run-batched core -------------------------------------------------
+
+BIG = 1.7e308
+ZERO_BANK = FeatureBank(np.zeros((48, 2)), np.zeros(48))  # every feature is 1
+ROWS = 4
+
+
+def batch_rows(kind):
+    """Four runs of one kind, as (inputs, targets, bank) each: two stable
+    ones, one whose update overflows its state at step 2, and one whose
+    prediction overflows at step 61 from a still finite state (the rare
+    path of the lazy divergence check)."""
+    x0, y0 = smooth_stream(200, seed=4)
+    x3, y3 = smooth_stream(200, seed=5)
+    y1, y2 = np.zeros(200), np.zeros(200)
+    if kind == "coherence-klms":
+        # fit two centers at the edge of the coherence test to BIG, then
+        # query their midpoint: the two kernel values sum past the float range
+        x1 = np.zeros((200, 2))
+        y1[:2] = BIG, -BIG
+        x2 = np.array([[0.0, 0.0], [0.6, 0.0]] * 30 + [[0.3, 0.0]] * 140)
+        y2[:60] = BIG
+        banks = [None] * ROWS
+    else:
+        # with every feature 1 the prediction is the sum of the 48 weights
+        x1, x2 = x0, x0
+        y1[:2] = 3e307, -BIG
+        y2[59] = 1.5e308
+        banks = [STREAM_BANK, ZERO_BANK, ZERO_BANK, STREAM_BANK]
+    return [(x0, y0, banks[0]), (x1, y1, banks[1]), (x2, y2, banks[2]), (x3, y3, banks[3])]
+
+
+def make_filter(kind, banks, batched=True):
+    if kind == "coherence-klms":
+        return CoherenceKlms(0.5, 0.5, 0.2, input_dim=2, n_runs=len(banks) if batched else None)
+    bank = (FeatureBank(np.stack([b.freqs for b in banks]), np.stack([b.phases for b in banks]))
+            if batched else banks[0])
+    if kind == "rff":
+        return RffLms(bank, 0.05)
+    return AdaptiveRffLms(bank, 0.05, 0.5, 0.5)
+
+
+def run_rows(kind, subset, cuts=()):
+    rows = [batch_rows(kind)[r] for r in subset]
+    f = make_filter(kind, [bank for _, _, bank in rows])
+    inputs = np.stack([x for x, _, _ in rows])
+    targets = np.stack([y for _, y, _ in rows])
+    bounds = [0, *cuts, targets.shape[1]]
+    parts = [f.run(inputs[:, a:b], targets[:, a:b]) for a, b in zip(bounds, bounds[1:])]
+    return (f, np.concatenate([p for p, _ in parts], axis=1),
+            np.concatenate([s for _, s in parts], axis=1))
+
+
+def row_state(f, i):
+    if isinstance(f, CoherenceKlms):
+        return [f.weights[i], f.centers[i]]
+    return [f.weights[i], f.bank.freqs[i], f.bank.phases[i]]
+
+
+@pytest.mark.parametrize("kind", sorted(MAKERS))
+def test_batched_run_flags_each_row_at_the_step_its_step_loop_raises(kind):
+    f, preds, sizes = run_rows(kind, range(ROWS))
+    assert preds.shape == sizes.shape == (ROWS, 200)
+    assert list(f.diverged_at) == [0, 2, 61, 0]
+    for r, (x, y, bank) in enumerate(batch_rows(kind)):
+        step = int(f.diverged_at[r])
+        if step == 0:
+            alone = make_filter(kind, [bank], batched=False)
+            step_preds, step_sizes = step_loop(alone, x, y)
+            assert np.array_equal(preds[r], step_preds)
+            assert np.array_equal(sizes[r], step_sizes)
+            for a, b in zip(row_state(f, r), filter_state(alone), strict=True):
+                assert np.array_equal(a, b)
+            continue
+        with pytest.raises(DivergenceError) as looped:
+            step_loop(make_filter(kind, [bank], batched=False), x, y)
+        assert looped.value.step == step
+        before = make_filter(kind, [bank], batched=False)
+        assert np.array_equal(preds[r, :step - 1], before.run(x[:step - 1], y[:step - 1])[0])
+        assert np.all(np.isnan(preds[r, step - 1:])) and not np.any(sizes[r, step - 1:])
+        if step == 61:
+            # the rare path: the state before the step is finite, its
+            # prediction is not
+            assert all(np.isfinite(a).all() for a in filter_state(before))
+            with np.errstate(all="ignore"):
+                assert not np.isfinite(before.predict(x[step - 1]))
+
+
+@pytest.mark.parametrize("subset", [(0,), (2,), (3, 1), (1, 2, 3), (0, 3), (2, 0, 1)])
+@pytest.mark.parametrize("kind", sorted(MAKERS))
+def test_a_runs_bytes_do_not_depend_on_which_runs_share_its_batch(kind, subset):
+    full, preds, sizes = run_rows(kind, range(ROWS))
+    f, sub_preds, sub_sizes = run_rows(kind, subset)
+    assert np.array_equal(sub_preds, preds[list(subset)], equal_nan=True)
+    assert np.array_equal(sub_sizes, sizes[list(subset)])
+    assert np.array_equal(f.diverged_at, full.diverged_at[list(subset)])
+    for i, r in enumerate(subset):
+        for a, b in zip(row_state(f, i), row_state(full, r), strict=True):
+            assert np.array_equal(a, b, equal_nan=True)
+
+
+@pytest.mark.parametrize("cuts", [(1,), (2,), (60,), (61,), (5, 61, 150)])
+@pytest.mark.parametrize("kind", sorted(MAKERS))
+def test_batched_run_split_anywhere_matches_one_call(kind, cuts):
+    whole, preds, sizes = run_rows(kind, range(ROWS))
+    pieces, piece_preds, piece_sizes = run_rows(kind, range(ROWS), cuts)
+    assert np.array_equal(piece_preds, preds, equal_nan=True)
+    assert np.array_equal(piece_sizes, sizes)
+    assert np.array_equal(pieces.diverged_at, whole.diverged_at)
+    assert pieces.n_steps == whole.n_steps == 200
+
+
+def test_batched_filters_take_streams_only():
+    f = make_filter("rff", [STREAM_BANK, STREAM_BANK])
+    inputs, targets = smooth_stream(steps=10)
+    with pytest.raises(ValueError):
+        f.run(inputs, targets)  # a single run's stream
+    with pytest.raises(ValueError):
+        f.step(inputs[0], targets[0])
+    with pytest.raises(ValueError):
+        f.predict(inputs[0])
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 60])
+@pytest.mark.parametrize("kind", sorted(MAKERS))
+def test_time_chunk_length_changes_no_bit(kind, chunk, monkeypatch):
+    # divergences then fall in later chunks, and in the first step of one
+    whole, preds, sizes = run_rows(kind, range(ROWS))
+    monkeypatch.setattr(filters, "_CHUNK", 0)
+    monkeypatch.setattr(filters, "_MIN_CHUNK", chunk)
+    f, chunked_preds, chunked_sizes = run_rows(kind, range(ROWS))
+    assert np.array_equal(chunked_preds, preds, equal_nan=True)
+    assert np.array_equal(chunked_sizes, sizes)
+    assert np.array_equal(f.diverged_at, whole.diverged_at)
+    for r in range(ROWS):
+        for a, b in zip(row_state(f, r), row_state(whole, r), strict=True):
+            assert np.array_equal(a, b, equal_nan=True)

@@ -10,7 +10,7 @@ import pytest
 from rfflms.cli import _summary_lines
 from rfflms.config import ExperimentConfig, FilterSpec, PlantConfig, preset
 from oracles import LearningCurve, aggregate_runs
-from rfflms.runner import ExperimentError, _run_single, export_artifacts, run_experiment
+from rfflms.runner import ExperimentError, _run_batch, export_artifacts, run_experiment
 
 FILES = ["emse.csv", "model_size.csv", "summary.csv", "omega_snapshots.csv", "manifest.json"]
 
@@ -213,11 +213,14 @@ def test_fully_diverged_filter_is_exported_without_nan(tmp_path):
 def test_runner_sum_matches_aggregate_oracle(make_cfg):
     cfg = make_cfg(runs=5)
     art = run_experiment(cfg)
-    per_run = [_run_single(cfg, r) for r in range(cfg.runs)]
+    # each run alone in its batch, against the five in one batch
+    per_run = [{lab: (emse[0], sizes[0])
+                for lab, emse, sizes, _, _ in _run_batch(cfg, range(r, r + 1))}
+               for r in range(cfg.runs)]
     assert set(art.emse) == {f.column for f in cfg.filters}
     for lab in art.emse:
-        emse = aggregate_runs([LearningCurve(run[lab]["emse"]) for run in per_run])
-        sizes = aggregate_runs([LearningCurve(run[lab]["sizes"]) for run in per_run])
+        emse = aggregate_runs([LearningCurve(run[lab][0]) for run in per_run])
+        sizes = aggregate_runs([LearningCurve(run[lab][1]) for run in per_run])
         assert art.emse[lab].n_runs == emse.n_runs == 5
         assert np.array_equal(art.emse[lab].mean, emse.mean)
         assert np.array_equal(art.model_size[lab], sizes.mean)
