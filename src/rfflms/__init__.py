@@ -18,7 +18,6 @@ from .filters import (
     RffLms,
     StepOutcome,
 )
-from .kernels import Dictionary, kernelized_input
 from .metrics import McAggregate, steady_state_emse, to_db
 from .runner import ExperimentError, RunArtifacts, export_artifacts, run_experiment
 from .seeding import derive_seed
@@ -30,7 +29,6 @@ __all__ = [
     "AdaptiveRffLms",
     "CoherenceKlms",
     "ConfigError",
-    "Dictionary",
     "DivergenceError",
     "ExperimentConfig",
     "ExperimentError",
@@ -46,7 +44,6 @@ __all__ = [
     "export_artifacts",
     "gen_nonstationary_stream",
     "gen_stationary_stream",
-    "kernelized_input",
     "list_presets",
     "load_config",
     "preset",

@@ -155,9 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, help="override the root seed")
     run_p.add_argument("--out", type=Path, help="output directory")
     run_p.add_argument("--workers", type=int, default=1,
-                       help="split the runs into this many contiguous batches, each "
-                            "advanced by one process (default 1: all runs in one "
-                            "batch); results do not depend on it")
+                       help="processes that advance the batches of runs (default 1: "
+                            "no pool); results do not depend on it")
     run_p.add_argument("--sweep", help="grid over one filter field, NAME=START:STOP:STEP")
     run_p.set_defaults(func=_cmd_run)
 

@@ -36,17 +36,19 @@ filter has taken (``n_steps`` before the call plus the position in the
 stream). The check is lazy. A non-finite state always gives a non-finite
 prediction on a finite input, so the steps of a time chunk test nothing,
 and the chunk's predictions are tested at once afterwards. At the first
-step with a non-finite prediction the chunk is redone from a copy of its
-starting state, up to that step, and the run's state is tested exactly:
-if it is not finite the previous step diverged, otherwise the prediction
-overflowed from a finite state, and this step diverges (its update would
-spread the overflow). The state is also tested once at the end of each
-call. A diverged run leaves its batch: its state freezes, its step goes to
-``diverged_at`` (0 for a live run), and from that step on its predictions
-are NaN and its model sizes 0, while the other runs carry on unchanged. A
-single-run filter raises ``DivergenceError`` with the step instead, and is
-not usable afterwards. Overflow on the way there raises no numpy warning:
-``diverged_at`` and ``DivergenceError`` are how it is reported.
+step where a run not yet diverged predicts a non-finite value, the chunk
+is redone from a copy of its starting state, up to that step, and the
+run's state is tested exactly: if it is not finite the previous step
+diverged, otherwise the prediction overflowed from a finite state, and
+this step diverges (its update would spread the overflow). The state is
+also tested once at the end of each call. A diverged run keeps its slot:
+its step goes to ``diverged_at`` (0 for a live run) and it is stepped on
+with the other runs, whose bits it cannot touch. Its state after that
+step is not defined. At the end of the call its predictions from that
+step on are set to NaN and its model sizes to 0. A single-run filter
+raises ``DivergenceError`` with the step at the end of the call instead,
+and is not usable afterwards. Overflow on the way there raises no numpy
+warning: ``diverged_at`` and ``DivergenceError`` are how it is reported.
 
 ``AdaptiveRffLms`` additionally descends on the feature frequencies and
 phases. Within one step every right-hand side uses the pre-update state
@@ -100,8 +102,9 @@ class _StreamFilter:
     """``run``, ``step`` and the stream check around a filter's time loop.
 
     A subclass provides ``batched``, ``n_runs``, ``input_dim``, the working
-    state of some runs (``_state``/``_store``), its exact finiteness test
-    (``_finite``) and the time loop itself (``_steps``).
+    state of all its runs (``_state``, written back by ``_store``), its
+    exact finiteness test per run (``_finite``) and the time loop itself
+    (``_steps``), which steps every run, diverged or not.
     """
 
     def _check_stream(self, inputs, targets) -> tuple[np.ndarray, np.ndarray]:
@@ -138,74 +141,38 @@ class _StreamFilter:
         xs, ys = self._check_stream(inputs, targets)
         horizon, n_runs = ys.shape
         base = self.n_steps
-        predictions = np.full((horizon, n_runs), np.nan)
-        sizes = np.zeros((horizon, n_runs), dtype=int)
-        live = np.flatnonzero(self.diverged_at == 0)
-        # views of the state while every run is live, copies after a removal
-        rows = slice(None) if live.size == n_runs else live
-        state = self._state(rows)
-        t = 0
-        while live.size and t < horizon:
-            if live.size == n_runs:
-                seg_p, seg_s = predictions[t:], sizes[t:]
-                done = self._advance(state, xs[t:], ys[t:], seg_p, seg_s)
-            else:
-                seg_p = np.empty((horizon - t, live.size))
-                seg_s = np.empty(seg_p.shape, dtype=int)
-                done = self._advance(state, xs[t:, live], ys[t:, live], seg_p, seg_s)
-                predictions[t:t + done, live] = seg_p[:done]
-                sizes[t:t + done, live] = seg_s[:done]
-            t += done
-            if t == horizon:
-                break
-            # step t predicted a non-finite value for some runs
-            bad = ~np.isfinite(seg_p[done])
-            held = self._finite(state)
-            for i in np.flatnonzero(bad):
-                self._remove(live[i], max(base + t + int(held[i]), base + 1), base,
-                             predictions, sizes)
-            self._store(rows, state)
-            live = rows = live[~bad]
-            state = self._state(rows)
-        if live.size:
-            for i in np.flatnonzero(~self._finite(state)):
-                self._remove(live[i], base + horizon, base, predictions, sizes)
-            self._store(rows, state)
-        self.n_steps = base + horizon
-        if not self.batched:
-            if self.diverged_at[0]:
-                raise DivergenceError(int(self.diverged_at[0]))
-            return predictions[:, 0], sizes[:, 0]
-        return predictions.T, sizes.T
-
-    def _advance(self, state, xs, ys, predictions, sizes) -> int:
-        """Step the runs of ``state`` through ``xs`` (T, R, L) and ``ys`` (T, R)
-        one time chunk at a time, writing each step's predictions and model
-        sizes, and return the number of steps whose predictions are all
-        finite. The steps test nothing; a chunk's predictions are tested at
-        once afterwards, and if one is not finite the chunk is redone from a
-        copy of its starting state up to that step, leaving the state the one
-        before it."""
-        start, horizon = 0, len(ys)
+        predictions = np.empty((horizon, n_runs))
+        sizes = np.empty((horizon, n_runs), dtype=int)
+        state = self._state()
+        start = 0
         while start < horizon:
             stop = min(horizon, start + max(_MIN_CHUNK, _CHUNK // state[0].size))
             saved = [a.copy() for a in state]
             self._steps(state, xs[start:stop], ys[start:stop],
                         predictions[start:stop], sizes[start:stop])
-            finite = np.isfinite(predictions[start:stop]).all(axis=1)
-            if not finite.all():
-                stop = start + int(np.argmin(finite))
+            bad = ~np.isfinite(predictions[start:stop]) & (self.diverged_at == 0)
+            if bad.any():
+                # redo the chunk up to its first new non-finite prediction,
+                # and test the state there exactly
+                stop = start + int(np.argmax(bad.any(axis=1)))
                 state[:] = saved
                 self._steps(state, xs[start:stop], ys[start:stop],
                             predictions[start:stop], sizes[start:stop])
-                return stop
+                new = bad[stop - start]
+                self.diverged_at[new] = np.maximum(base + stop + self._finite(state)[new], base + 1)
             start = stop
-        return horizon
-
-    def _remove(self, run: int, step: int, base: int, predictions, sizes) -> None:
-        self.diverged_at[run] = step
-        predictions[max(step - base - 1, 0):, run] = np.nan
-        sizes[max(step - base - 1, 0):, run] = 0
+        self.diverged_at[(self.diverged_at == 0) & ~self._finite(state)] = base + horizon
+        self._store(state)
+        self.n_steps = base + horizon
+        gone = (self.diverged_at > 0) & (np.arange(base + 1, base + horizon + 1)[:, None]
+                                         >= self.diverged_at)
+        predictions[gone] = np.nan
+        sizes[gone] = 0
+        if not self.batched:
+            if self.diverged_at[0]:
+                raise DivergenceError(int(self.diverged_at[0]))
+            return predictions[:, 0], sizes[:, 0]
+        return predictions.T, sizes.T
 
 
 class AdaptiveRffLms(_StreamFilter):
@@ -260,16 +227,16 @@ class AdaptiveRffLms(_StreamFilter):
         e = y - self.predict(x)
         return e * e
 
-    def _state(self, rows) -> list[np.ndarray]:
+    def _state(self) -> list[np.ndarray]:
         shape = (self.n_runs, self.model_size)
         self.weights = np.asarray(self.weights, dtype=float)
-        return [self.weights.reshape(shape)[rows],
-                self.bank.freqs.reshape(shape + (self.input_dim,))[rows],
-                self.bank.phases.reshape(shape)[rows]]
+        return [self.weights.reshape(shape),
+                self.bank.freqs.reshape(shape + (self.input_dim,)),
+                self.bank.phases.reshape(shape)]
 
-    def _store(self, rows, state) -> None:
-        for full, part in zip(self._state(slice(None)), state):
-            full[rows] = part
+    def _store(self, state) -> None:
+        for full, part in zip(self._state(), state):
+            full[...] = part
 
     def _finite(self, state) -> np.ndarray:
         w, freqs, phases = state
@@ -288,14 +255,20 @@ class AdaptiveRffLms(_StreamFilter):
                 p = predictions[t] = vecdot(w, z)
                 w += (lr_weights * (ys[t] - p))[:, None] * z
             return
-        for t, x in enumerate(xs):
-            theta = matmul(freqs, x[:, :, None])[..., 0] + phases
+        step, coords = np.empty(freqs.shape), range(freqs.shape[2])
+        for t, x in enumerate(xs[..., None]):
+            theta = matmul(freqs, x)[..., 0] + phases
             z = cos(theta)
             p = predictions[t] = vecdot(w, z)
             e = ys[t] - p
             # pre-update weights drive the feature gradients
             g = e[:, None] * w * sin(theta)
-            freqs -= lr_freqs * g[:, :, None] * x[:, None, :]
+            # freqs[:, :, i] -= (lr_freqs * g) * x_i for each coordinate i,
+            # built in one buffer so that numpy loops over D, not L
+            lg = lr_freqs * g
+            for i in coords:
+                np.multiply(lg, x[:, i], out=step[:, :, i])
+            freqs -= step
             phases -= lr_phases * g
             w += (lr_weights * e)[:, None] * z
 
@@ -382,17 +355,11 @@ class CoherenceKlms(_StreamFilter):
         k = _kernel_rows(self._centers, x[None], 2.0 * self.bandwidth**2)
         return float(np.add.reduce(self._weights * k, axis=1)[0])
 
-    def _state(self, rows) -> list[np.ndarray]:
-        return [self._weights[rows], self._centers[rows], self.sizes[rows]]
+    def _state(self) -> list[np.ndarray]:
+        return [self._weights, self._centers, self.sizes]
 
-    def _store(self, rows, state) -> None:
-        weights, centers, sizes = state
-        grow = weights.shape[1] - self._weights.shape[1]
-        if grow:
-            self._weights = np.pad(self._weights, ((0, 0), (0, grow)))
-            self._centers = np.pad(self._centers, ((0, 0), (0, 0), (0, grow)),
-                                   constant_values=np.inf)
-        self._weights[rows], self._centers[rows], self.sizes[rows] = weights, centers, sizes
+    def _store(self, state) -> None:
+        self._weights, self._centers, self.sizes = state
 
     def _finite(self, state) -> np.ndarray:
         return np.isfinite(state[0]).all(axis=1)

@@ -6,18 +6,23 @@ how the runs are batched or how many workers execute them. When both
 RFF-family filters appear in one config with the same bank settings they
 start from identical banks, giving a paired comparison.
 
-Runs are split into ``min(workers, runs)`` contiguous batches, one per
-worker process (none with one worker). Within a batch each filter is built
-once for all of its runs and consumes their stacked streams, (R, T, L)
-inputs and (R, T) targets, in one ``run`` call (see ``rfflms.filters``):
-time is the only sequential axis. The batch that holds run 0 of a
-nonstationary experiment splits an RFF-family filter's call at the change
-step to record run 0's frequency bank there. The EMSE curves are then
-computed at once from the clean targets and the returned predictions.
+Runs are split evenly into contiguous batches of at most
+``MAX_BATCH_RUNS`` runs; the batch count is the smallest multiple of
+``min(workers, runs)`` that allows this. With one worker the batches run
+one after the other in this process, otherwise in a pool of
+``min(workers, runs)`` processes, so memory is bounded by the batch size,
+not the run count. Within a batch each filter is built once for all of
+its runs and consumes their stacked streams, (R, T, L) inputs and (R, T)
+targets, in one ``run`` call (see ``rfflms.filters``): time is the only
+sequential axis. The batch that holds run 0 of a nonstationary experiment
+splits an RFF-family filter's call at the change step to record run 0's
+frequency bank there. The EMSE curves are then computed at once from the
+clean targets and the returned predictions.
 
 Divergence policy. A filter diverges in a run when its state stops being
-finite (the filter removes the run from its batch and records the step)
-or its squared error stops being finite; that run's curve of that filter
+finite (the filter records the step, keeps stepping the run with its
+batch and returns NaN predictions for it from that step on) or its
+squared error stops being finite; that run's curve of that filter
 is listed in ``RunArtifacts.diverged`` and left out of the filter's
 aggregates, while the other filters' curves of the same run, and the
 other runs of the batch, still count. The experiment raises
@@ -54,6 +59,8 @@ from .seeding import derive_seed
 from .systems import SampleStream, gen_nonstationary_stream, gen_stationary_stream
 
 SNAPSHOT_STAGES = ("initial", "change", "final")
+# runs per batch at most: a batch holds its runs' streams and curves at once
+MAX_BATCH_RUNS = 32
 
 
 class ExperimentError(RuntimeError):
@@ -158,8 +165,7 @@ def _batch_results(cfg: ExperimentConfig, runs: range) -> list[tuple]:
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunArtifacts:
     """Run all Monte Carlo runs and aggregate.
 
-    The runs are split into ``min(workers, runs)`` contiguous batches, run
-    in a process pool when there is more than one. Aggregation is a
+    The runs are batched as the module docstring says. Aggregation is a
     sequential reduction in run-index order whatever the batching, so the
     artifacts are byte-reproducible under the root seed.
     """
@@ -173,16 +179,18 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunArtifacts:
     diverged = {lab: [] for lab in labels}
     snapshots = {}
 
-    n_batches = min(workers, cfg.runs)
+    workers = min(workers, cfg.runs)
+    n_batches = workers * -(-cfg.runs // (workers * MAX_BATCH_RUNS))
     bounds = [cfg.runs * b // n_batches for b in range(n_batches + 1)]
     batches = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    if n_batches > 1:
-        pool = ProcessPoolExecutor(max_workers=n_batches)
+    if workers > 1:
+        pool = ProcessPoolExecutor(max_workers=workers)
         results = pool.map(partial(_batch_results, cfg), batches)
     else:
-        # one batch: a filter's curves are summed before the next filter runs
+        # batch by batch, and a filter's curves are summed before the next
+        # filter runs
         pool = None
-        results = [_run_batch(cfg, batches[0])]
+        results = (_run_batch(cfg, runs) for runs in batches)
 
     try:
         for runs, per_filter in zip(batches, results):

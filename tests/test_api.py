@@ -9,7 +9,6 @@ PUBLIC = [
     "AdaptiveRffLms",
     "CoherenceKlms",
     "ConfigError",
-    "Dictionary",
     "DivergenceError",
     "ExperimentConfig",
     "ExperimentError",
@@ -25,7 +24,6 @@ PUBLIC = [
     "export_artifacts",
     "gen_nonstationary_stream",
     "gen_stationary_stream",
-    "kernelized_input",
     "list_presets",
     "load_config",
     "preset",

@@ -422,7 +422,9 @@ def batch_rows(kind):
     """Four runs of one kind, as (inputs, targets, bank) each: two stable
     ones, one whose update overflows its state at step 2, and one whose
     prediction overflows at step 61 from a still finite state (the rare
-    path of the lazy divergence check)."""
+    path of the lazy divergence check). The ``coherence-klms`` run that
+    diverges at step 2 goes on to admit every later input, so its batch
+    doubles buffers that the live runs do not need."""
     x0, y0 = smooth_stream(200, seed=4)
     x3, y3 = smooth_stream(200, seed=5)
     y1, y2 = np.zeros(200), np.zeros(200)
@@ -431,6 +433,7 @@ def batch_rows(kind):
         # query their midpoint: the two kernel values sum past the float range
         x1 = np.zeros((200, 2))
         y1[:2] = BIG, -BIG
+        x1[2:, 0] = 3.0 * np.arange(198)  # far apart: each one is admitted
         x2 = np.array([[0.0, 0.0], [0.6, 0.0]] * 30 + [[0.3, 0.0]] * 140)
         y2[:60] = BIG
         banks = [None] * ROWS
@@ -475,6 +478,10 @@ def test_batched_run_flags_each_row_at_the_step_its_step_loop_raises(kind):
     f, preds, sizes = run_rows(kind, range(ROWS))
     assert preds.shape == sizes.shape == (ROWS, 200)
     assert list(f.diverged_at) == [0, 2, 61, 0]
+    if kind == "coherence-klms":
+        # the diverged run kept admitting centers, past the 64 slots the
+        # live runs need
+        assert len(f.centers[1]) > 64 >= max(len(f.centers[0]), len(f.centers[3]))
     for r, (x, y, bank) in enumerate(batch_rows(kind)):
         step = int(f.diverged_at[r])
         if step == 0:

@@ -10,6 +10,7 @@ import pytest
 from rfflms.cli import _summary_lines
 from rfflms.config import ExperimentConfig, FilterSpec, PlantConfig, preset
 from oracles import LearningCurve, aggregate_runs
+import rfflms.runner as runner
 from rfflms.runner import ExperimentError, _run_batch, export_artifacts, run_experiment
 
 FILES = ["emse.csv", "model_size.csv", "summary.csv", "omega_snapshots.csv", "manifest.json"]
@@ -60,6 +61,23 @@ def test_worker_count_does_not_change_results(tmp_path):
     export_artifacts(art2, tmp_path / "w2")
     for name in FILES:
         assert filecmp.cmp(tmp_path / "w1" / name, tmp_path / "w2" / name, shallow=False), name
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_batch_cap_does_not_change_the_bytes(workers, tmp_path, monkeypatch):
+    export_artifacts(run_experiment(tiny_config(runs=5)), tmp_path / "uncapped")
+    # 3 batches of at most 2 runs serially, 4 on two workers
+    monkeypatch.setattr(runner, "MAX_BATCH_RUNS", 2)
+    batches = []
+    run_batch = runner._run_batch
+    monkeypatch.setattr(runner, "_run_batch",
+                        lambda cfg, runs: batches.append(runs) or run_batch(cfg, runs))
+    export_artifacts(run_experiment(tiny_config(runs=5), workers=workers), tmp_path / "capped")
+    if workers == 1:  # a pool's workers batch in their own processes
+        assert batches == [range(0, 1), range(1, 3), range(3, 5)]
+    for name in FILES:
+        assert filecmp.cmp(tmp_path / "uncapped" / name, tmp_path / "capped" / name,
+                           shallow=False), name
 
 
 @pytest.mark.parametrize("workers", [0, -4])
