@@ -18,7 +18,7 @@ from .filters import (
     RffLms,
     StepOutcome,
 )
-from .metrics import McAggregate, steady_state_emse, to_db
+from .metrics import steady_state_emse, to_db
 from .runner import ExperimentError, RunArtifacts, export_artifacts, run_experiment
 from .seeding import derive_seed
 from .systems import SampleStream, gen_nonstationary_stream, gen_stationary_stream
@@ -34,7 +34,6 @@ __all__ = [
     "ExperimentError",
     "FeatureBank",
     "FilterSpec",
-    "McAggregate",
     "PlantConfig",
     "RffLms",
     "RunArtifacts",

@@ -85,14 +85,13 @@ def _resolve_config(args) -> ExperimentConfig:
 
 def _summary_lines(art) -> list[str]:
     lines = [f"{'filter':<18} {'steady EMSE (dB)':>18} {'final model size':>18}"]
-    for f in art.config.filters:
-        lab = f.column
-        if lab not in art.steady_state_db:  # no usable run
+    for lab, row in art.summary().items():
+        if not row["runs_used"]:
             lines.append(f"{lab:<18} {'diverged':>18} {'-':>18}")
             continue
         lines.append(
-            f"{lab:<18} {art.steady_state_db[lab]:>18.3f} "
-            f"{art.final_model_size[lab]:>18.1f}"
+            f"{lab:<18} {row['steady_state_emse_db']:>18.3f} "
+            f"{row['final_model_size']:>18.1f}"
         )
     return lines
 

@@ -1,12 +1,12 @@
-"""Exact Gaussian kernel and the coherence-sparsified center dictionary.
+"""Exact Gaussian kernel and the coherence admission rule.
 
 The Gaussian kernel exp(-||x - x'||^2 / (2 * bandwidth^2)) is given by its
 bandwidth alone, a plain positive number. ``kernelized_input`` and
 ``coherence_admit`` are the reference forms of the kernel vector and the
-admission rule, over the centers of a ``Dictionary``; ``CoherenceKlms``
-inlines both in its time loop over its own padded per-run center buffers,
-computing the kernel vector once per step for the admission test and the
-prediction alike.
+admission rule, over plain centers: a (C, L) array-like, which
+``coherence_admit`` grows as a list. ``CoherenceKlms`` inlines both in its
+time loop over its own padded per-run center buffers, computing the kernel
+vector once per step for the admission test and the prediction alike.
 """
 
 from __future__ import annotations
@@ -23,60 +23,29 @@ def check_bandwidth(bandwidth: float) -> float:
     return float(bandwidth)
 
 
-class Dictionary:
-    """Append-only set of kernel expansion centers, all of one input dimension.
-
-    The centers fill the leading rows of a buffer that doubles when full, so
-    an admission copies the existing centers only when the buffer grows;
-    ``centers`` is a view of the rows in use.
-    """
-
-    def __init__(self, input_dim: int):
-        if input_dim < 1:
-            raise ValueError(f"input_dim must be >= 1, got {input_dim}")
-        self.input_dim = input_dim
-        self._buffer = np.empty((16, input_dim), dtype=float)
-        self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    @property
-    def centers(self) -> np.ndarray:
-        return self._buffer[:self._size]
-
-    def append(self, x) -> None:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.input_dim,):
-            raise ValueError(f"expected center of shape ({self.input_dim},), got {x.shape}")
-        if self._size == len(self._buffer):
-            self._buffer = np.concatenate([self._buffer, np.empty_like(self._buffer)])
-        self._buffer[self._size] = x
-        self._size += 1
-
-
-def kernelized_input(bandwidth: float, dictionary: Dictionary, x) -> np.ndarray:
-    """Kernel value of x against every center; components in (0, 1]."""
+def kernelized_input(bandwidth: float, centers, x) -> np.ndarray:
+    """Kernel value of x against every row of the (C, L) ``centers``;
+    components in (0, 1]."""
     bandwidth = check_bandwidth(bandwidth)
-    if len(dictionary) == 0:
-        raise ValueError("kernelized_input needs a nonempty dictionary")
+    centers = np.asarray(centers, dtype=float)
+    if centers.ndim != 2 or len(centers) == 0:
+        raise ValueError(f"kernelized_input needs nonempty (C, L) centers, got {centers.shape}")
     x = np.asarray(x, dtype=float)
-    if x.shape != (dictionary.input_dim,):
-        raise ValueError(f"expected input of shape ({dictionary.input_dim},), got {x.shape}")
-    diff = dictionary.centers - x
+    if x.shape != centers.shape[1:]:
+        raise ValueError(f"expected input of shape {centers.shape[1:]}, got {x.shape}")
+    diff = centers - x
     return np.exp(-np.einsum("ij,ij->i", diff, diff) / (2.0 * bandwidth**2))
 
 
-def coherence_admit(bandwidth: float, dictionary: Dictionary, x, threshold: float) -> bool:
+def coherence_admit(bandwidth: float, centers: list, x, threshold: float) -> bool:
     """Admit x as a new center iff its peak kernel similarity to the current
-    centers is at most ``threshold`` (vacuously true for an empty dictionary).
-    Admission appends x.
+    centers is at most ``threshold`` (vacuously true for no centers).
+    Admission appends a copy of x to the list ``centers``.
     """
     check_bandwidth(bandwidth)
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
-    if len(dictionary) > 0:
-        if float(np.max(kernelized_input(bandwidth, dictionary, x))) > threshold:
-            return False
-    dictionary.append(x)
+    if centers and float(np.max(kernelized_input(bandwidth, centers, x))) > threshold:
+        return False
+    centers.append(np.array(x, dtype=float))
     return True

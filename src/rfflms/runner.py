@@ -19,14 +19,15 @@ splits an RFF-family filter's call at the change step to record run 0's
 frequency bank there. The EMSE curves are then computed at once from the
 clean targets and the returned predictions.
 
-Divergence policy. A filter diverges in a run when its state stops being
-finite (the filter records the step, keeps stepping the run with its
-batch and returns NaN predictions for it from that step on) or its
-squared error stops being finite; that run's curve of that filter
-is listed in ``RunArtifacts.diverged`` and left out of the filter's
-aggregates, while the other filters' curves of the same run, and the
-other runs of the batch, still count. The experiment raises
-``ExperimentError`` in exactly two cases:
+Divergence policy. A filter's run is usable iff its EMSE curve is finite
+at every step. A run whose filter state stops being finite is covered by
+this rule (the filter records the step, keeps stepping the run with its
+batch and returns NaN predictions for it from that step on), and so is a
+run whose prediction stays finite while its squared error overflows. An
+unusable run of a filter is listed in ``RunArtifacts.diverged`` and left
+out of that filter's mean curves, while the other filters' curves of the
+same run, and the other runs of the batch, still count. The experiment
+raises ``ExperimentError`` in exactly two cases:
 
 - more than ``max_divergence_fraction * runs`` runs are bad, where a run
   is bad if any of its filters diverged;
@@ -34,10 +35,10 @@ other runs of the batch, still count. The experiment raises
 
 A filter that diverged on every run (allowed only when the fraction
 permits it) keeps its run indices in ``diverged`` and its initial-bank
-snapshot, but has no entry in ``emse``, ``model_size``, ``steady_state``,
-``steady_state_db`` or ``final_model_size``. On export it has no column in
-the curve CSVs, and its ``summary.csv`` row has empty steady-state and
-model-size cells and ``runs_used`` 0.
+snapshot, but has no mean curve in ``emse`` or ``model_size``. Its
+``RunArtifacts.summary`` row has only ``runs_used`` 0: on export it has no
+column in the curve CSVs, its ``summary.csv`` row has empty steady-state
+and model-size cells, and the CLI table reads "diverged".
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -54,11 +55,13 @@ import numpy as np
 from .config import ExperimentConfig, FilterSpec, config_to_dict
 from .features import FeatureBank, sample_feature_bank
 from .filters import AdaptiveRffLms, CoherenceKlms
-from .metrics import McAggregate, steady_state_emse, to_db
+from .metrics import steady_state_emse, to_db
 from .seeding import derive_seed
 from .systems import SampleStream, gen_nonstationary_stream, gen_stationary_stream
 
 SNAPSHOT_STAGES = ("initial", "change", "final")
+# the summary values of a filter with a usable run, as summary.csv names them
+SUMMARY_VALUES = ("steady_state_emse", "steady_state_emse_db", "final_model_size")
 # runs per batch at most: a batch holds its runs' streams and curves at once
 MAX_BATCH_RUNS = 32
 
@@ -71,18 +74,35 @@ class ExperimentError(RuntimeError):
 class RunArtifacts:
     """Everything one experiment produces, before any file is written.
 
-    ``diverged`` has every filter label; the aggregate fields have only the
-    labels with at least one usable run.
+    ``emse`` and ``model_size`` hold each filter's mean curves over its
+    usable runs, as plain arrays, for the labels with at least one usable
+    run; ``diverged`` lists every label's unusable runs and ``snapshots``
+    run 0's frequency banks. Everything else is derived by ``summary``.
     """
 
     config: ExperimentConfig
-    emse: dict[str, McAggregate]
+    emse: dict[str, np.ndarray]
     model_size: dict[str, np.ndarray]
-    steady_state: dict[str, float]
-    steady_state_db: dict[str, float]
-    final_model_size: dict[str, float]
+    diverged: dict[str, list[int]]
     snapshots: dict[str, dict[str, np.ndarray]]
-    diverged: dict[str, list[int]] = field(default_factory=dict)
+
+    def summary(self) -> dict[str, dict]:
+        """Each filter's summary row, by label in config order.
+
+        A row has ``runs_used`` and, for a filter with a usable run, the
+        ``SUMMARY_VALUES``: the steady-state EMSE (the mean curve's last
+        ``steady_window`` steps), the same in dB and the final mean model
+        size. A filter with no usable run has ``runs_used`` 0 and no value.
+        """
+        rows = {}
+        for f in self.config.filters:
+            lab = f.column
+            rows[lab] = {"runs_used": self.config.runs - len(self.diverged[lab])}
+            if lab in self.emse:
+                steady = steady_state_emse(self.emse[lab], self.config.steady_window)
+                rows[lab].update(steady_state_emse=steady, steady_state_emse_db=to_db(steady),
+                                 final_model_size=float(self.model_size[lab][-1]))
+        return rows
 
 
 def make_stream(cfg: ExperimentConfig, stream_seed: int) -> SampleStream:
@@ -110,9 +130,9 @@ def _run_batch(cfg: ExperimentConfig, runs: range):
     fresh stream, all runs of the batch in one ``run`` call per filter.
 
     Yields, filter by filter: its label, its (R, T) EMSE and model-size
-    curves, each run's divergence step (None for a usable run) and run 0's
-    bank snapshots (None unless the batch holds run 0 and the filter has a
-    bank).
+    curves, the (R,) mask of its usable runs (see the divergence policy in
+    the module docstring) and run 0's bank snapshots (None unless the
+    batch holds run 0 and the filter has a bank).
     """
     streams = [make_stream(cfg, derive_seed(cfg.seed, r, "stream")) for r in runs]
     # (R, T, ...) views of time-major arrays, which run() steps through
@@ -145,16 +165,10 @@ def _run_batch(cfg: ExperimentConfig, runs: range):
             emse = clean - preds
             emse *= emse
         del preds
-        steps = []
-        for i, step in enumerate(filt.diverged_at.tolist()):
-            if not step and not np.all(np.isfinite(emse[i])):
-                # state still finite but the squared error overflowed: the run
-                # is just as unusable, flag it at the first bad step
-                step = int(np.argmin(np.isfinite(emse[i]))) + 1
-            steps.append(step or None)
-        if snapshots is not None and steps[0] is None:
+        usable = np.isfinite(emse).all(axis=1)
+        if snapshots is not None and usable[0]:
             snapshots["final"] = filt.bank.freqs[0].copy()
-        yield spec.column, emse, sizes, steps, snapshots
+        yield spec.column, emse, sizes, usable, snapshots
 
 
 def _batch_results(cfg: ExperimentConfig, runs: range) -> list[tuple]:
@@ -175,7 +189,6 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunArtifacts:
     labels = [f.column for f in cfg.filters]
     emse_sum = {lab: np.zeros(cfg.horizon) for lab in labels}
     size_sum = {lab: np.zeros(cfg.horizon) for lab in labels}
-    n_ok = {lab: 0 for lab in labels}
     diverged = {lab: [] for lab in labels}
     snapshots = {}
 
@@ -194,14 +207,13 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunArtifacts:
 
     try:
         for runs, per_filter in zip(batches, results):
-            for lab, emse, sizes, steps, snaps in per_filter:
+            for lab, emse, sizes, usable, snaps in per_filter:
                 for i, run_index in enumerate(runs):
-                    if steps[i] is not None:
-                        diverged[lab].append(run_index)
-                    else:
+                    if usable[i]:
                         emse_sum[lab] += emse[i]
                         size_sum[lab] += sizes[i]
-                        n_ok[lab] += 1
+                    else:
+                        diverged[lab].append(run_index)
                 if snaps is not None:
                     snapshots[lab] = snaps
     finally:
@@ -214,22 +226,16 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunArtifacts:
             f"{len(bad_runs)} of {cfg.runs} runs diverged "
             f"(allowed fraction {cfg.max_divergence_fraction}): runs {bad_runs[:20]}"
         )
-    usable = [lab for lab in labels if n_ok[lab] > 0]
-    if not usable:
+    # runs used, by usable label in config order
+    used = {lab: cfg.runs - len(runs) for lab, runs in diverged.items() if len(runs) < cfg.runs}
+    if not used:
         raise ExperimentError(f"every run of every filter diverged: {labels}")
-
-    emse = {lab: McAggregate(emse_sum[lab] / n_ok[lab], n_ok[lab]) for lab in usable}
-    model_size = {lab: size_sum[lab] / n_ok[lab] for lab in usable}
-    steady = {lab: steady_state_emse(emse[lab], cfg.steady_window) for lab in usable}
     return RunArtifacts(
         config=cfg,
-        emse=emse,
-        model_size=model_size,
-        steady_state=steady,
-        steady_state_db={lab: to_db(v) for lab, v in steady.items()},
-        final_model_size={lab: float(model_size[lab][-1]) for lab in usable},
-        snapshots=snapshots,
+        emse={lab: emse_sum[lab] / n for lab, n in used.items()},
+        model_size={lab: size_sum[lab] / n for lab, n in used.items()},
         diverged=diverged,
+        snapshots=snapshots,
     )
 
 
@@ -251,43 +257,35 @@ def export_artifacts(art: RunArtifacts, out_dir) -> dict:
     """Write plot-ready CSVs plus a JSON manifest; returns the manifest.
 
     Files: emse.csv (per-filter ensemble EMSE in dB), model_size.csv
-    (per-filter mean model size), summary.csv (steady state in linear and
-    dB, final model size), omega_snapshots.csv (frequency vectors per
-    stage), manifest.json (config echo, seed, divergence flags). A filter
-    with no usable run has no curve column and empty summary cells.
+    (per-filter mean model size), summary.csv (``RunArtifacts.summary``
+    plus the diverged run count), omega_snapshots.csv (frequency vectors
+    per stage), manifest.json (config echo, seed, runs used, diverged
+    runs). A filter with no usable run has no curve column and empty
+    summary cells.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    labels = [f.column for f in art.config.filters]
-    usable = [lab for lab in labels if lab in art.emse]
-    runs_used = {lab: art.emse[lab].n_runs if lab in art.emse else 0 for lab in labels}
+    summary = art.summary()
 
-    _write_curve_csv(out / "emse.csv", ["n"] + usable,
-                     [to_db(art.emse[lab].mean) for lab in usable])
-    _write_curve_csv(out / "model_size.csv", ["n"] + usable,
-                     [art.model_size[lab] for lab in usable])
+    _write_curve_csv(out / "emse.csv", ["n", *art.emse],
+                     [to_db(curve) for curve in art.emse.values()])
+    _write_curve_csv(out / "model_size.csv", ["n", *art.model_size],
+                     list(art.model_size.values()))
 
     with (out / "summary.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["filter", "steady_state_emse", "steady_state_emse_db",
-                         "final_model_size", "runs_used", "runs_diverged"])
-        for lab in labels:
-            if lab in art.emse:
-                cells = [_fmt(art.steady_state[lab]), _fmt(art.steady_state_db[lab]),
-                         _fmt(art.final_model_size[lab])]
-            else:
-                cells = ["", "", ""]
-            writer.writerow([lab, *cells, runs_used[lab], len(art.diverged[lab])])
+        writer.writerow(["filter", *SUMMARY_VALUES, "runs_used", "runs_diverged"])
+        for lab, row in summary.items():
+            cells = [_fmt(row[key]) if key in row else "" for key in SUMMARY_VALUES]
+            writer.writerow([lab, *cells, row["runs_used"], len(art.diverged[lab])])
 
     with (out / "omega_snapshots.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         dim = max((s["initial"].shape[1] for s in art.snapshots.values()), default=0)
         writer.writerow(["filter", "stage", "feature"] + [f"coord{i}" for i in range(dim)])
-        for lab in labels:
-            if lab not in art.snapshots:
-                continue
+        for lab, snaps in art.snapshots.items():
             for stage in SNAPSHOT_STAGES:
-                freqs = art.snapshots[lab].get(stage)
+                freqs = snaps.get(stage)
                 if freqs is None:
                     continue
                 for m in range(freqs.shape[0]):
@@ -297,8 +295,8 @@ def export_artifacts(art: RunArtifacts, out_dir) -> dict:
         "config": config_to_dict(art.config),
         "seed": art.config.seed,
         "files": ["emse.csv", "model_size.csv", "summary.csv", "omega_snapshots.csv"],
-        "runs_used": runs_used,
-        "diverged_runs": {lab: art.diverged[lab] for lab in labels},
+        "runs_used": {lab: row["runs_used"] for lab, row in summary.items()},
+        "diverged_runs": art.diverged,
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest

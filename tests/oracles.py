@@ -14,8 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from rfflms.features import FeatureBank, phase_angles
-from rfflms.kernels import Dictionary, coherence_admit, kernelized_input
-from rfflms.metrics import McAggregate
+from rfflms.kernels import coherence_admit, kernelized_input
 from rfflms.seeding import derive_seed
 from rfflms.systems import SampleStream
 
@@ -54,15 +53,14 @@ def emse_curve(clean: np.ndarray, predictions: np.ndarray, label: str = "") -> L
     return LearningCurve((clean - predictions) ** 2, label)
 
 
-def aggregate_runs(curves: list[LearningCurve]) -> McAggregate:
+def aggregate_runs(curves: list[LearningCurve]) -> np.ndarray:
     """Pointwise arithmetic mean of equal-length curves."""
     if len(curves) == 0:
         raise ValueError("need at least one curve")
     lengths = {c.n_steps for c in curves}
     if len(lengths) != 1:
         raise ValueError(f"curves have ragged lengths: {sorted(lengths)}")
-    mean = np.mean(np.stack([c.values for c in curves]), axis=0)
-    return McAggregate(mean, len(curves))
+    return np.mean(np.stack([c.values for c in curves]), axis=0)
 
 
 def _check_input(bank: FeatureBank, x) -> np.ndarray:
@@ -131,21 +129,21 @@ def stream_to_csv(stream: SampleStream, path) -> None:
 def klms_reference(bandwidth: float, threshold: float, lr_weights: float,
                    inputs: np.ndarray, targets: np.ndarray):
     """Coherence KLMS one sample at a time through the public kernel helpers:
-    offer x to the dictionary, kernelize x against the grown dictionary,
-    predict and update. The prediction sums weights * kernel as the filter
+    offer x to the centers, kernelize x against the grown centers, predict
+    and update. The prediction sums weights * kernel as the filter
     does: zero-padded to a power-of-two length of at least 16, with numpy's
     pairwise sum. Returns (predictions, sizes, weights, centers)."""
-    dictionary = Dictionary(inputs.shape[1])
+    centers = []
     weights = np.zeros(0)
     predictions, sizes = [], []
     for x, y in zip(inputs, targets):
-        if coherence_admit(bandwidth, dictionary, x, threshold):
+        if coherence_admit(bandwidth, centers, x, threshold):
             weights = np.append(weights, 0.0)
-        k = kernelized_input(bandwidth, dictionary, x)
+        k = kernelized_input(bandwidth, centers, x)
         terms = weights * k
         length = max(16, 1 << (len(terms) - 1).bit_length())
         prediction = float(np.pad(terms, (0, length - len(terms))).sum())
         weights = weights + lr_weights * (float(y) - prediction) * k
         predictions.append(prediction)
-        sizes.append(len(dictionary))
-    return np.array(predictions), np.array(sizes), weights, dictionary.centers
+        sizes.append(len(centers))
+    return np.array(predictions), np.array(sizes), weights, np.array(centers)

@@ -14,7 +14,6 @@ PUBLIC = [
     "ExperimentError",
     "FeatureBank",
     "FilterSpec",
-    "McAggregate",
     "PlantConfig",
     "RffLms",
     "RunArtifacts",

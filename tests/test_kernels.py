@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import kernel_eval
 from rfflms.filters import CoherenceKlms
-from rfflms.kernels import Dictionary, coherence_admit, kernelized_input
+from rfflms.kernels import coherence_admit, kernelized_input
 
 # exp(-1 / (2 * 0.95**2)), scalar exponential oracle
 KERNEL_AT_DIST1_BW095 = 0.5746370697554741
@@ -24,7 +24,7 @@ finite2 = st.lists(st.floats(-100, 100), min_size=2, max_size=2).map(np.array)
 
 
 def test_kernel_rejects_bad_bandwidth():
-    d = Dictionary(2)
+    d = []
     d.append(np.zeros(2))
     for bad in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="bandwidth"):
@@ -72,7 +72,7 @@ def test_dimension_mismatch_rejected():
 
 def test_kernelized_input_against_scalar_oracle():
     bandwidth = 0.95
-    d = Dictionary(2)
+    d = []
     for c in SIX_CENTERS:
         d.append(c)
     x = np.array([0.17, -1.92])
@@ -87,17 +87,17 @@ def test_kernelized_input_against_scalar_oracle():
 
 def test_kernelized_input_empty_dictionary():
     with pytest.raises(ValueError):
-        kernelized_input(1.0, Dictionary(2), np.zeros(2))
+        kernelized_input(1.0, [], np.zeros(2))
 
 
 def test_admit_into_empty_dictionary():
-    d = Dictionary(2)
+    d = []
     assert coherence_admit(1.0, d, np.array([1.0, 2.0]), 0.5)
     assert len(d) == 1
 
 
 def test_reject_duplicate_center():
-    d = Dictionary(2)
+    d = []
     x = np.array([0.3, -0.4])
     bandwidth = 1.0
     assert coherence_admit(bandwidth, d, x, 0.99)
@@ -108,14 +108,14 @@ def test_reject_duplicate_center():
 def test_admission_distance_threshold():
     bandwidth = 0.95
     for offset, admitted in ((1e-6, True), (-1e-6, False)):
-        d = Dictionary(2)
+        d = []
         d.append(np.zeros(2))
         x = np.array([ADMIT_DISTANCE + offset, 0.0])
         assert coherence_admit(bandwidth, d, x, 0.7) is admitted
 
 
 def test_threshold_domain():
-    d = Dictionary(2)
+    d = []
     for bad in (0.0, 1.0, -0.2, 1.5):
         with pytest.raises(ValueError):
             coherence_admit(1.0, d, np.zeros(2), bad)
@@ -129,13 +129,12 @@ def test_threshold_domain():
 def test_pairwise_coherence_bound(points, threshold):
     # after any admission sequence, distinct centers stay mutually dissimilar
     bandwidth = 1.0
-    d = Dictionary(2)
+    d = []
     sizes = []
     for p in points:
         coherence_admit(bandwidth, d, p, threshold)
         sizes.append(len(d))
     assert sizes == sorted(sizes)  # growth is monotone
-    c = d.centers
     for i in range(len(d)):
         for j in range(i + 1, len(d)):
-            assert kernel_eval(bandwidth, c[i], c[j]) <= threshold + 1e-12
+            assert kernel_eval(bandwidth, d[i], d[j]) <= threshold + 1e-12

@@ -35,8 +35,8 @@ def test_curve_validation():
 def test_aggregate_single_curve_is_identity():
     c = LearningCurve(np.array([1.0, 2.0, 3.0]))
     agg = aggregate_runs([c])
-    assert np.array_equal(agg.mean, c.values)
-    assert agg.n_runs == 1
+    assert np.array_equal(agg, c.values)
+    assert agg.shape == (3,)
 
 
 def test_aggregate_two_constant_curves():
@@ -44,8 +44,8 @@ def test_aggregate_two_constant_curves():
         LearningCurve(np.zeros(5)),
         LearningCurve(np.full(5, 2.0)),
     ])
-    assert np.array_equal(agg.mean, np.ones(5))
-    assert agg.n_runs == 2
+    assert np.array_equal(agg, np.ones(5))
+    assert agg.shape == (5,)
 
 
 @settings(max_examples=40, deadline=None)
@@ -54,7 +54,7 @@ def test_aggregate_is_permutation_invariant(curves, seed):
     lcs = [LearningCurve(np.array(v)) for v in curves]
     shuffled = list(lcs)
     np.random.default_rng(seed).shuffle(shuffled)
-    assert np.allclose(aggregate_runs(lcs).mean, aggregate_runs(shuffled).mean,
+    assert np.allclose(aggregate_runs(lcs), aggregate_runs(shuffled),
                        rtol=1e-12, atol=1e-12)
 
 
@@ -63,7 +63,7 @@ def test_aggregate_is_permutation_invariant(curves, seed):
 def test_aggregate_is_linear_in_scaling(curves, scale):
     lcs = [LearningCurve(np.array(v)) for v in curves]
     scaled = [LearningCurve(np.array(v) * scale) for v in curves]
-    assert np.allclose(aggregate_runs(scaled).mean, scale * aggregate_runs(lcs).mean,
+    assert np.allclose(aggregate_runs(scaled), scale * aggregate_runs(lcs),
                        rtol=1e-9, atol=1e-9)
 
 

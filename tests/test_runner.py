@@ -49,9 +49,9 @@ def test_artifacts_are_reproducible():
     a = run_experiment(tiny_config())
     b = run_experiment(tiny_config())
     for lab in a.emse:
-        assert np.array_equal(a.emse[lab].mean, b.emse[lab].mean)
+        assert np.array_equal(a.emse[lab], b.emse[lab])
         assert np.array_equal(a.model_size[lab], b.model_size[lab])
-        assert a.steady_state[lab] == b.steady_state[lab]
+    assert a.summary() == b.summary()
 
 
 def test_worker_count_does_not_change_results(tmp_path):
@@ -107,7 +107,7 @@ def test_frozen_adaptive_filter_matches_rff_curves():
                    lr_freqs=0.0, lr_phases=0.0, n_features=8, bandwidth=0.95),
     ))
     art = run_experiment(cfg)
-    assert np.array_equal(art.emse["rff"].mean, art.emse["frozen"].mean)
+    assert np.array_equal(art.emse["rff"], art.emse["frozen"])
 
 
 def test_snapshot_shapes_and_stages():
@@ -131,7 +131,7 @@ def test_model_size_curves():
     assert np.all(art.model_size["rff"] == 8)
     sizes = art.model_size["coherence-klms"]
     assert np.all(np.diff(sizes) >= 0)
-    assert art.final_model_size["coherence-klms"] == sizes[-1]
+    assert art.summary()["coherence-klms"]["final_model_size"] == sizes[-1]
 
 
 def test_divergent_runs_abort_when_over_budget():
@@ -155,8 +155,38 @@ def test_divergent_runs_are_flagged_and_excluded():
     art = run_experiment(cfg)
     assert art.diverged["explodes"] == [0, 1, 2]
     assert art.diverged["ok"] == []
-    assert art.emse["ok"].n_runs == 3
-    assert np.all(np.isfinite(art.emse["ok"].mean))
+    assert art.summary()["ok"]["runs_used"] == 3
+    assert np.all(np.isfinite(art.emse["ok"]))
+
+
+def test_overflowing_squared_error_is_a_diverged_run(monkeypatch):
+    # run 1 predicts a finite 1e200 from a finite state, so only its squared
+    # error overflows
+    cfg = tiny_config(
+        filters=(FilterSpec(kind="rff", lr_weights=0.01, n_features=8, bandwidth=0.95),),
+        max_divergence_fraction=1.0,
+    )
+    [(_, emse, _, _, _)] = _run_batch(cfg, range(cfg.runs))
+    build = runner.build_filter
+
+    def build_overflowing(spec, input_dim, bank_seeds):
+        filt = build(spec, input_dim, bank_seeds)
+        run = filt.run
+
+        def run_overflowing(inputs, targets):
+            preds, sizes = run(inputs, targets)
+            assert not filt.diverged_at.any()
+            preds[1] = 1e200
+            return preds, sizes
+
+        filt.run = run_overflowing
+        return filt
+
+    monkeypatch.setattr(runner, "build_filter", build_overflowing)
+    art = run_experiment(cfg)
+    assert art.diverged["rff"] == [1]
+    assert art.summary()["rff"]["runs_used"] == 2
+    assert np.array_equal(art.emse["rff"], (emse[0] + emse[2]) / 2)
 
 
 def test_all_runs_diverging_is_an_error():
@@ -202,7 +232,8 @@ def test_fully_diverged_filter_is_exported_without_nan(tmp_path):
         warnings.simplefilter("error", RuntimeWarning)
         art = run_experiment(cfg)
         manifest = export_artifacts(art, tmp_path)
-    assert set(art.emse) == set(art.steady_state_db) == {"ok"}
+    assert set(art.emse) == {"ok"}
+    assert art.summary()["explodes"] == {"runs_used": 0}
     assert "initial" in art.snapshots["explodes"]
 
     for name in ("emse.csv", "model_size.csv", "summary.csv"):
@@ -225,6 +256,10 @@ def test_fully_diverged_filter_is_exported_without_nan(tmp_path):
 
     explodes_line = [line for line in _summary_lines(art) if line.startswith("explodes")]
     assert len(explodes_line) == 1 and "diverged" in explodes_line[0]
+    # the CLI table prints summary.csv's value
+    ok_line = [line for line in _summary_lines(art) if line.startswith("ok ")]
+    assert len(ok_line) == 1
+    assert ok_line[0].split()[1] == f"{float(rows['ok']['steady_state_emse_db']):.3f}"
 
 
 @pytest.mark.parametrize("make_cfg", [tiny_config, tiny_nonstationary])
@@ -239,6 +274,6 @@ def test_runner_sum_matches_aggregate_oracle(make_cfg):
     for lab in art.emse:
         emse = aggregate_runs([LearningCurve(run[lab][0]) for run in per_run])
         sizes = aggregate_runs([LearningCurve(run[lab][1]) for run in per_run])
-        assert art.emse[lab].n_runs == emse.n_runs == 5
-        assert np.array_equal(art.emse[lab].mean, emse.mean)
-        assert np.array_equal(art.model_size[lab], sizes.mean)
+        assert art.summary()[lab]["runs_used"] == 5
+        assert np.array_equal(art.emse[lab], emse)
+        assert np.array_equal(art.model_size[lab], sizes)
