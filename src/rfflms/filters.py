@@ -43,9 +43,10 @@ diverged, otherwise the prediction overflowed from a finite state, and
 this step diverges (its update would spread the overflow). The state is
 also tested once at the end of each call. A diverged run keeps its slot:
 its step goes to ``diverged_at`` (0 for a live run) and it is stepped on
-with the other runs, whose bits it cannot touch. Its state after that
-step is not defined. At the end of the call its predictions from that
-step on are set to NaN and its model sizes to 0. A single-run filter
+with the other runs, whose bits it cannot touch, until every run of the
+batch has diverged; the call then takes no further step. Its state after
+that step is not defined. At the end of the call its predictions from
+that step on are set to NaN and its model sizes to 0. A single-run filter
 raises ``DivergenceError`` with the step at the end of the call instead,
 and is not usable afterwards. Overflow on the way there raises no numpy
 warning: ``diverged_at`` and ``DivergenceError`` are how it is reported.
@@ -69,9 +70,13 @@ from .kernels import check_bandwidth, coherence_admit, kernelized_input  # noqa:
 
 # the steps between two tests of the predictions form a time chunk of
 # _CHUNK // (state entries of the batch) steps, and at least _MIN_CHUNK;
-# frozen features compute a chunk's cosines at once
+# frozen features compute a chunk's cosines at once. CoherenceKlms computes
+# its kernel rows per time block of at most _BLOCK steps, fewer if the
+# block's (steps, runs, L, capacity) differences would exceed _CHUNK
+# entries, and at least one
 _CHUNK = 1 << 16
 _MIN_CHUNK = 64
+_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -104,7 +109,8 @@ class _StreamFilter:
     A subclass provides ``batched``, ``n_runs``, ``input_dim``, the working
     state of all its runs (``_state``, written back by ``_store``), its
     exact finiteness test per run (``_finite``) and the time loop itself
-    (``_steps``), which steps every run, diverged or not.
+    (``_steps``), which steps every run, diverged or not. ``run`` stops
+    calling it once every run has diverged.
     """
 
     def _check_stream(self, inputs, targets) -> tuple[np.ndarray, np.ndarray]:
@@ -145,7 +151,7 @@ class _StreamFilter:
         sizes = np.empty((horizon, n_runs), dtype=int)
         state = self._state()
         start = 0
-        while start < horizon:
+        while start < horizon and not self.diverged_at.all():
             stop = min(horizon, start + max(_MIN_CHUNK, _CHUNK // state[0].size))
             saved = [a.copy() for a in state]
             self._steps(state, xs[start:stop], ys[start:stop],
@@ -280,12 +286,17 @@ class RffLms(AdaptiveRffLms):
         super().__init__(bank, lr_weights, 0.0, 0.0)
 
 
-def _kernel_rows(centers: np.ndarray, x: np.ndarray, scale: float) -> np.ndarray:
-    """Gaussian kernel of each run's x (R, L) against its centers, stored
-    coordinate-major as (R, L, C); the +inf padding gives exactly 0."""
-    diff = centers - x[:, :, None]
+def _kernel_rows(centers: np.ndarray, xs: np.ndarray, scale: float) -> np.ndarray:
+    """Gaussian kernel of each input in ``xs`` (..., R, L) against its run's
+    centers, stored coordinate-major as (R, L, C): rows (..., R, C). The
+    +inf padding gives exactly 0. The squares are added over L one
+    coordinate at a time, so an entry's bits do not depend on C or on the
+    leading shape."""
+    diff = centers - xs[..., None]
     diff *= diff
-    k = np.add.reduce(diff, axis=1)
+    k = diff[..., 0, :].copy()
+    for i in range(1, diff.shape[-2]):
+        k += diff[..., i, :]
     k /= -scale
     return np.exp(k, out=k)
 
@@ -298,6 +309,14 @@ class CoherenceKlms(_StreamFilter):
     predicts from the kernelized input and LMS-updates all active weights.
     The admission test's kernel vector is the one the step predicts with:
     an admitted center's own entry is exactly 1.0.
+
+    The kernel vectors do not depend on the weights, and the dictionary
+    changes only on admission, so they are computed for a whole time block
+    at once, with their peaks. An admission writes the new center's
+    column into the block's later rows and raises their peaks to it; the
+    step loop itself only checks for admission, predicts and updates. Each
+    kernel entry takes the same operations whatever the block, so the
+    block length changes no bit.
 
     Each run's centers fill the leading columns of an (L, capacity) buffer
     padded with +inf, whose kernel value is exactly 0, and its weights the
@@ -368,23 +387,41 @@ class CoherenceKlms(_StreamFilter):
         w, centers, size = state
         threshold, lr = self.coherence_threshold, self.lr_weights
         scale = 2.0 * self.bandwidth**2
-        peak_of, add = np.maximum.reduce, np.add.reduce
-        for t, x in enumerate(xs):
-            k = _kernel_rows(centers, x, scale)
-            peak = peak_of(k, axis=1)
-            if not min(peak.tolist()) > threshold:
-                admit = np.flatnonzero(~(peak > threshold))
-                if size[admit].max() == w.shape[1]:
-                    # double the buffers; written back by _store
-                    cap = w.shape[1]
-                    w = state[0] = np.pad(w, ((0, 0), (0, cap)))
-                    centers = state[1] = np.pad(centers, ((0, 0), (0, 0), (0, cap)),
-                                                constant_values=np.inf)
-                    k = np.pad(k, ((0, 0), (0, cap)))
-                slot = size[admit]
-                centers[admit, :, slot] = x[admit]
-                k[admit, slot] = 1.0
-                size[admit] += 1
-            p = predictions[t] = add(w * k, axis=1)
-            sizes[t] = size
-            w += (lr * (ys[t] - p))[:, None] * k
+        add = np.add.reduce
+        horizon, n_runs, dim = xs.shape
+        start = 0
+        while start < horizon:
+            stop = min(horizon, start + max(1, min(_BLOCK, _CHUNK // (n_runs * dim * w.shape[1]))))
+            block = xs[start:stop]
+            ks = _kernel_rows(centers, block, scale)
+            peaks = np.maximum.reduce(ks, axis=2)
+            # a step flagged here may admit: a later admission can only raise
+            # its peaks, and then it need not
+            flagged = (~(peaks > threshold)).any(axis=1).tolist()
+            sizes[start:stop] = size
+            for j in range(stop - start):
+                t = start + j
+                if flagged[j] and (admit := np.flatnonzero(~(peaks[j] > threshold))).size:
+                    if size[admit].max() == w.shape[1]:
+                        # double the buffers; written back by _store
+                        cap = w.shape[1]
+                        w = state[0] = np.pad(w, ((0, 0), (0, cap)))
+                        centers = state[1] = np.pad(centers, ((0, 0), (0, 0), (0, cap)),
+                                                    constant_values=np.inf)
+                        ks = np.pad(ks, ((0, 0), (0, 0), (0, cap)))
+                    slot = size[admit]
+                    x = block[j, admit]
+                    centers[admit, :, slot] = x
+                    ks[j, admit, slot] = 1.0
+                    size[admit] += 1
+                    sizes[t:stop] = size
+                    if j + 1 < stop - start:
+                        # the new center's column for the block's later steps
+                        column = _kernel_rows(x[:, :, None], block[j + 1:, admit], scale)[..., 0]
+                        ks[j + 1:, admit, slot] = column
+                        later = peaks[j + 1:]
+                        later[:, admit] = np.maximum(later[:, admit], column)
+                k = ks[j]
+                p = predictions[t] = add(w * k, axis=1)
+                w += (lr * (ys[t] - p))[:, None] * k
+            start = stop

@@ -4,9 +4,11 @@ The Gaussian kernel exp(-||x - x'||^2 / (2 * bandwidth^2)) is given by its
 bandwidth alone, a plain positive number. ``kernelized_input`` and
 ``coherence_admit`` are the reference forms of the kernel vector and the
 admission rule, over plain centers: a (C, L) array-like, which
-``coherence_admit`` grows as a list. ``CoherenceKlms`` inlines both in its
-time loop over its own padded per-run center buffers, computing the kernel
-vector once per step for the admission test and the prediction alike.
+``coherence_admit`` grows as a list. ``CoherenceKlms`` inlines both over
+its own padded per-run center buffers: it computes the kernel vectors of a
+whole time block at once, for the admission test and the prediction alike,
+and on an admission only the new center's column for the block's later
+steps.
 """
 
 from __future__ import annotations

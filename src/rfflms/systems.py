@@ -13,6 +13,7 @@ noise to a target SNR from the realized clean signal power of each run.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -65,11 +66,13 @@ def kernel_plant_response(inputs: np.ndarray) -> np.ndarray:
     return np.exp(-d2 / (2.0 * PLANT_BANDWIDTH**2)) @ PLANT_WEIGHTS
 
 
+@functools.lru_cache(maxsize=4)
 def piecewise_trajectory(change_step: int, horizon: int) -> np.ndarray:
-    """Noiseless recurrent-plant output d_0..d_{horizon-1}.
+    """Noiseless recurrent-plant output d_0..d_{horizon-1}, read-only.
 
     The first recursion drives d_n for steps n <= change_step, the second
-    one after, starting from d_{-1} = d_{-2} = D_INIT.
+    one after, starting from d_{-1} = d_{-2} = D_INIT. It depends on no
+    seed, so each process computes it once per (change_step, horizon).
     """
     d = np.empty(horizon)
     dm1, dm2 = D_INIT
@@ -83,6 +86,7 @@ def piecewise_trajectory(change_step: int, horizon: int) -> np.ndarray:
                 - (0.8 + 0.8 * w) * dm2
         d[n] = dn
         dm2, dm1 = dm1, dn
+    d.flags.writeable = False
     return d
 
 

@@ -514,9 +514,12 @@ def test_a_runs_bytes_do_not_depend_on_which_runs_share_its_batch(kind, subset):
     assert np.array_equal(sub_preds, preds[list(subset)], equal_nan=True)
     assert np.array_equal(sub_sizes, sizes[list(subset)])
     assert np.array_equal(f.diverged_at, full.diverged_at[list(subset)])
+    # a diverged run's state is not defined: alone, run 2 stops stepping at
+    # its divergence; beside live runs it is stepped on
     for i, r in enumerate(subset):
-        for a, b in zip(row_state(f, i), row_state(full, r), strict=True):
-            assert np.array_equal(a, b, equal_nan=True)
+        if full.diverged_at[r] == 0:
+            for a, b in zip(row_state(f, i), row_state(full, r), strict=True):
+                assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("cuts", [(1,), (2,), (60,), (61,), (5, 61, 150)])
@@ -528,6 +531,70 @@ def test_batched_run_split_anywhere_matches_one_call(kind, cuts):
     assert np.array_equal(piece_sizes, sizes)
     assert np.array_equal(pieces.diverged_at, whole.diverged_at)
     assert pieces.n_steps == whole.n_steps == 200
+
+
+@pytest.mark.parametrize("kind", sorted(MAKERS))
+def test_a_batch_stops_stepping_once_every_run_has_diverged(kind, monkeypatch):
+    full, full_preds, full_sizes = run_rows(kind, range(ROWS))
+    # one-step chunks: steps 1 to 61, then no further, and step 3 twice, since
+    # the chunk where run 1's divergence is found is redone
+    monkeypatch.setattr(filters, "_CHUNK", 0)
+    monkeypatch.setattr(filters, "_MIN_CHUNK", 1)
+    cls = CoherenceKlms if kind == "coherence-klms" else AdaptiveRffLms
+    steps, given = cls._steps, []
+
+    def counted(self, state, xs, *rest):
+        given.append(len(xs))
+        steps(self, state, xs, *rest)
+
+    monkeypatch.setattr(cls, "_steps", counted)
+    f, preds, sizes = run_rows(kind, (1, 2))
+    assert list(f.diverged_at) == [2, 61] and sum(given) == 62
+    assert np.array_equal(preds, full_preds[1:3], equal_nan=True)
+    assert np.array_equal(sizes, full_sizes[1:3])
+    # a later call takes no step at all
+    given.clear()
+    x, y, _ = batch_rows(kind)[0]
+    more_preds, more_sizes = f.run(np.stack([x, x]), np.stack([y, y]))
+    assert given == [] and f.n_steps == 400 and list(f.diverged_at) == [2, 61]
+    assert np.isnan(more_preds).all() and not more_sizes.any()
+
+
+@pytest.mark.parametrize("block", [2, 5, 32])
+def test_coherence_klms_block_length_changes_no_bit(block, monkeypatch):
+    # one run admits every input from step 3 on, so buffers double mid-block
+    monkeypatch.setattr(filters, "_BLOCK", 1)
+    single, preds, sizes = run_rows("coherence-klms", range(ROWS))
+    monkeypatch.setattr(filters, "_BLOCK", block)
+    f, block_preds, block_sizes = run_rows("coherence-klms", range(ROWS))
+    assert np.array_equal(block_preds, preds, equal_nan=True)
+    assert np.array_equal(block_sizes, sizes)
+    assert np.array_equal(f.diverged_at, single.diverged_at)
+    for r in np.flatnonzero(single.diverged_at == 0):
+        for a, b in zip(row_state(f, r), row_state(single, r), strict=True):
+            assert np.array_equal(a, b)
+
+
+def test_coherence_klms_admissions_on_a_blocks_first_and_last_step(monkeypatch):
+    # blocks of 5 steps; an input far from the others is admitted, a repeat
+    # of the last admitted one is not
+    monkeypatch.setattr(filters, "_BLOCK", 5)
+    admitted = [{0, 4, 5, 9, 14, 19}, {0, 2, 10, 12, 15}]
+    inputs = np.zeros((2, 20, 2))
+    for r, steps in enumerate(admitted):
+        for t in range(20):
+            inputs[r, t, 0] = 3.0 * t if t in steps else inputs[r, t - 1, 0]
+    targets = np.sin(np.arange(40.0)).reshape(2, 20)
+    f = CoherenceKlms(0.5, 0.5, 0.2, input_dim=2, n_runs=2)
+    preds, sizes = f.run(inputs, targets)
+    for r, steps in enumerate(admitted):
+        assert np.flatnonzero(np.diff(sizes[r], prepend=0)).tolist() == sorted(steps)
+        ref_preds, ref_sizes, ref_weights, ref_centers = klms_reference(
+            0.5, 0.5, 0.2, inputs[r], targets[r])
+        assert np.array_equal(preds[r], ref_preds)
+        assert np.array_equal(sizes[r], ref_sizes)
+        assert np.array_equal(f.weights[r], ref_weights)
+        assert np.array_equal(f.centers[r], ref_centers)
 
 
 def test_batched_filters_take_streams_only():

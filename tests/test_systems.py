@@ -170,6 +170,16 @@ def test_nonstationary_stream_structure():
     assert np.array_equal(s.targets, s.clean + s.noise)
 
 
+def test_piecewise_trajectory_is_shared_and_read_only():
+    a = gen_nonstationary_stream(nonstationary(50), 120, seed=13)
+    b = gen_nonstationary_stream(nonstationary(50), 120, seed=14)
+    assert a.clean.tobytes() == b.clean.tobytes()
+    assert not np.array_equal(a.noise, b.noise)
+    d = piecewise_trajectory(change_step=50, horizon=120)
+    with pytest.raises(ValueError):
+        d[0] = 0.0
+
+
 def test_nonstationary_noise_off():
     s = gen_nonstationary_stream(nonstationary(10, snr_db=math.inf), 30, seed=1)
     assert np.array_equal(s.targets, s.clean)
