@@ -15,7 +15,6 @@ from .filters import (
     AdaptiveRffLms,
     CoherenceKlms,
     DivergenceError,
-    RffLms,
     StepOutcome,
 )
 from .metrics import steady_state_emse, to_db
@@ -35,7 +34,6 @@ __all__ = [
     "FeatureBank",
     "FilterSpec",
     "PlantConfig",
-    "RffLms",
     "RunArtifacts",
     "SampleStream",
     "StepOutcome",

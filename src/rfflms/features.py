@@ -1,7 +1,7 @@
 """Random Fourier feature banks.
 
-A bank holds D frequency vectors and D phase factors defining the unit
-amplitude cosine feature map
+A bank holds one run's D frequency vectors and D phase factors, defining
+the unit amplitude cosine feature map
 
     z_m(x) = cos(freqs[m] @ x + phases[m]),   m = 0..D-1.
 
@@ -12,11 +12,8 @@ exp(-||x-x'||^2 / (2*bandwidth^2)). ``sample_feature_bank`` takes that
 bandwidth, the bank size D and the input dimension as plain numbers. The
 filters never form the kernel estimate: they evaluate the map inline in
 their time loop, and their learned weights absorb the scale of the
-features.
-
-A bank may also stack the banks of R independent runs, with frequencies
-of shape (R, D, L) and phases of shape (R, D); a filter built from such a
-bank advances all R runs at once (see ``rfflms.filters``).
+features. A filter over R runs takes one bank per run and stacks them
+itself (see ``rfflms.filters``).
 """
 
 from __future__ import annotations
@@ -33,35 +30,29 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass
 class FeatureBank:
-    """D cosine features: frequency matrix (D, L) and phase vector (D,), or
-    R such banks stacked as (R, D, L) and (R, D)."""
+    """D cosine features: frequency matrix (D, L) and phase vector (D,)."""
 
     freqs: np.ndarray
     phases: np.ndarray
 
     def __post_init__(self):
-        self.freqs = np.atleast_2d(np.asarray(self.freqs, dtype=float))
+        self.freqs = np.asarray(self.freqs, dtype=float)
         self.phases = np.asarray(self.phases, dtype=float)
-        if self.freqs.ndim == 2:
-            self.phases = self.phases.ravel()
-        if self.freqs.ndim > 3 or self.freqs.shape[:-1] != self.phases.shape:
+        if self.freqs.ndim != 2 or self.freqs.shape[:1] != self.phases.shape:
             raise ValueError(
-                f"freqs of shape {self.freqs.shape} need phases of shape "
-                f"{self.freqs.shape[:-1]}, got {self.phases.shape}"
+                f"a bank needs freqs of shape (D, L) and phases of shape (D,), "
+                f"got {self.freqs.shape} and {self.phases.shape}"
             )
         if not (np.all(np.isfinite(self.freqs)) and np.all(np.isfinite(self.phases))):
             raise ValueError("feature bank entries must be finite")
 
     @property
     def n_features(self) -> int:
-        return self.freqs.shape[-2]
+        return self.freqs.shape[0]
 
     @property
     def input_dim(self) -> int:
-        return self.freqs.shape[-1]
-
-    def copy(self) -> "FeatureBank":
-        return FeatureBank(self.freqs.copy(), self.phases.copy())
+        return self.freqs.shape[1]
 
 
 def sample_feature_bank(bandwidth: float, n_features: int, input_dim: int,

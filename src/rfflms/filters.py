@@ -1,34 +1,29 @@
-"""Streaming kernel LMS filters, batched over independent runs.
+"""Streaming kernel LMS filters, each a batch of independent runs.
 
 Two classes implement the three filter kinds. ``AdaptiveRffLms`` runs
 both RFF kinds: ``rff`` is ``AdaptiveRffLms`` with zero frequency and
-phase step sizes, also available as ``RffLms``. ``CoherenceKlms`` runs
-``coherence-klms``. Both share one step contract: consume a sample (x, y),
-return the pre-update prediction and error, then update their state by one
-stochastic gradient step on the squared error. A step with zero error
-leaves the state untouched, and any learning rate may be zero to freeze
-the corresponding update.
+phase step sizes. ``CoherenceKlms`` runs ``coherence-klms``. Both share
+one step contract: consume a sample (x, y), return the pre-update
+prediction and error, then update their state by one stochastic gradient
+step on the squared error. A step with zero error leaves the state
+untouched, and any learning rate may be zero to freeze the corresponding
+update.
 
-Runs. A filter holds the state of R independent runs that share their
-step sizes and advance in lockstep. ``AdaptiveRffLms`` built from a bank
-of shape (D, L) is a single-run filter; built from a stacked bank (R, D, L)
-it is batched, with weights (R, D). ``CoherenceKlms`` is batched when
-given ``n_runs``. Every computation is per run, so a run's results are
-bit-for-bit the same whichever runs share its batch, and a single-run
-filter is the R=1 batch.
+Runs. A filter holds the state of R >= 1 independent runs that share
+their step sizes and advance in lockstep: ``AdaptiveRffLms`` is built
+from one feature bank per run, ``CoherenceKlms`` from ``n_runs``. Every
+computation is per run, so a run's results are bit-for-bit the same
+whichever runs share its batch.
 
 Both classes step through streams with one method, ``run(inputs,
-targets)``, which consumes a whole stream and returns ``(predictions,
-model_sizes)``: the pre-update prediction of every step and the model
-size after it. A
-single-run filter takes inputs (T, L) and targets (T,) and returns arrays
-of length T; a batched one takes (R, T, L) and (R, T), one stream per run,
-and returns (R, T) arrays. The stream is checked for shape and finiteness
-once per call, not once per step. The state carries over between calls,
-so running a stream in pieces gives bit-for-bit what one call over the
-whole stream gives. ``step(x, y)`` is a single-run filter's ``run`` over a
-stream of length 1 that returns a ``StepOutcome``; ``predict`` and
-``loss`` check their sample with the same stream check.
+targets)``. It takes one stream per run, inputs (R, T, L) and targets
+(R, T), and returns ``(predictions, model_sizes)`` as (R, T) arrays: the
+pre-update prediction of every step and the model size after it. The
+stream is checked for shape and finiteness once per call, not once per
+step. The state carries over between calls, so running a stream in
+pieces gives bit-for-bit what one call over the whole stream gives.
+``step(x, y)`` is the online form for a filter of one run: ``run`` over a
+stream of length 1, returning a ``StepOutcome``.
 
 Divergence. A run diverges at the step whose update left its state
 non-finite; steps are global and 1-based, counted over every step the
@@ -46,10 +41,10 @@ its step goes to ``diverged_at`` (0 for a live run) and it is stepped on
 with the other runs, whose bits it cannot touch, until every run of the
 batch has diverged; the call then takes no further step. Its state after
 that step is not defined. At the end of the call its predictions from
-that step on are set to NaN and its model sizes to 0. A single-run filter
-raises ``DivergenceError`` with the step at the end of the call instead,
-and is not usable afterwards. Overflow on the way there raises no numpy
-warning: ``diverged_at`` and ``DivergenceError`` are how it is reported.
+that step on are set to NaN and its model sizes to 0. ``run`` reports
+divergence only through ``diverged_at``; ``step`` raises
+``DivergenceError`` with the step instead. Overflow on the way there
+raises no numpy warning.
 
 ``AdaptiveRffLms`` additionally descends on the feature frequencies and
 phases. Within one step every right-hand side uses the pre-update state
@@ -65,7 +60,7 @@ import numpy as np
 
 # phase_angles, coherence_admit and kernelized_input stay importable from
 # this module: perfbench/tracing.py patches them under these names
-from .features import FeatureBank, phase_angles
+from .features import FeatureBank, phase_angles  # noqa: F401
 from .kernels import check_bandwidth, coherence_admit, kernelized_input  # noqa: F401
 
 # the steps between two tests of the predictions form a time chunk of
@@ -106,41 +101,38 @@ def _check_rate(name: str, value: float) -> float:
 class _StreamFilter:
     """``run``, ``step`` and the stream check around a filter's time loop.
 
-    A subclass provides ``batched``, ``n_runs``, ``input_dim``, the working
-    state of all its runs (``_state``, written back by ``_store``), its
-    exact finiteness test per run (``_finite``) and the time loop itself
-    (``_steps``), which steps every run, diverged or not. ``run`` stops
-    calling it once every run has diverged.
+    A subclass provides ``n_runs``, ``input_dim``, the working state of all
+    its runs (``_state``, written back by ``_store``), its exact finiteness
+    test per run (``_finite``) and the time loop itself (``_steps``), which
+    steps every run, diverged or not. ``run`` stops calling it once every
+    run has diverged.
     """
 
     def _check_stream(self, inputs, targets) -> tuple[np.ndarray, np.ndarray]:
         """The stream as time-major contiguous (T, R, L) inputs and (T, R) targets."""
         inputs = np.asarray(inputs, dtype=float)
         targets = np.asarray(targets, dtype=float)
-        lead = (self.n_runs,) if self.batched else ()
-        if (inputs.ndim != len(lead) + 2 or inputs.shape[:len(lead)] != lead
-                or inputs.shape[-1] != self.input_dim or targets.shape != inputs.shape[:-1]):
-            want = f"{self.n_runs}, " if self.batched else ""
+        if (inputs.ndim != 3 or inputs.shape[0] != self.n_runs
+                or inputs.shape[2] != self.input_dim or targets.shape != inputs.shape[:2]):
             raise ValueError(
-                f"expected inputs of shape ({want}T, {self.input_dim}) and targets of "
-                f"shape ({want}T), got {inputs.shape} and {targets.shape}"
+                f"expected inputs of shape ({self.n_runs}, T, {self.input_dim}) and targets "
+                f"of shape ({self.n_runs}, T), got {inputs.shape} and {targets.shape}"
             )
         if not (np.isfinite(inputs).all() and np.isfinite(targets).all()):
             raise ValueError("stream (inputs, targets) must be finite")
-        if not self.batched:
-            inputs, targets = inputs[None], targets[None]
         return np.ascontiguousarray(inputs.transpose(1, 0, 2)), np.ascontiguousarray(targets.T)
 
-    def _sample(self, x, y=0.0) -> tuple[np.ndarray, float]:
-        if self.batched:
-            raise ValueError("a batched filter takes whole streams through run()")
-        inputs, targets = self._check_stream(np.asarray(x)[None], [y])
-        return inputs[0, 0], float(targets[0, 0])
-
     def step(self, x, y) -> StepOutcome:
-        predictions, sizes = self.run(np.asarray(x)[None], [y])
-        prediction = float(predictions[0])
-        return StepOutcome(prediction, float(y) - prediction, int(sizes[0]))
+        """``run`` over the one-step stream (x, y) of a single-run filter;
+        raises ``DivergenceError`` once the run has diverged."""
+        if self.n_runs != 1:
+            raise ValueError(f"step takes a sample of a single-run filter, not of "
+                             f"{self.n_runs} runs; run() takes their streams")
+        predictions, sizes = self.run(np.asarray(x)[None, None], [[y]])
+        if self.diverged_at[0]:
+            raise DivergenceError(int(self.diverged_at[0]))
+        prediction = float(predictions[0, 0])
+        return StepOutcome(prediction, float(y) - prediction, int(sizes[0, 0]))
 
     @np.errstate(all="ignore")
     def run(self, inputs, targets) -> tuple[np.ndarray, np.ndarray]:
@@ -174,75 +166,46 @@ class _StreamFilter:
                                          >= self.diverged_at)
         predictions[gone] = np.nan
         sizes[gone] = 0
-        if not self.batched:
-            if self.diverged_at[0]:
-                raise DivergenceError(int(self.diverged_at[0]))
-            return predictions[:, 0], sizes[:, 0]
         return predictions.T, sizes.T
 
 
 class AdaptiveRffLms(_StreamFilter):
     """LMS on a cosine feature expansion that also learns the features.
 
-    Per step, with e the pre-update error and theta_m the m-th feature angle:
+    Per step and run, with e the pre-update error and theta_m the m-th
+    feature angle:
 
         weights  +=  lr_weights * e * z(x)
         freqs[m] -=  lr_freqs  * e * weights[m] * sin(theta_m) * x
         phases[m]-=  lr_phases * e * weights[m] * sin(theta_m)
 
-    The joint objective is not convex in the frequencies and phases, so a
-    bad step size can blow the state up; see the module docstring for how
-    that is caught and reported. With both feature step sizes zero the bank
-    never changes, and the features of a whole time chunk are computed at
-    once.
+    Run r starts from a copy of ``banks[r]`` and zero weights; the banks
+    share D and L. The filter keeps ``freqs`` (R, D, L), ``phases`` (R, D)
+    and ``weights`` (R, D) as plain arrays. The joint objective is not
+    convex in the frequencies and phases, so a bad step size can blow the
+    state up; see the module docstring for how that is caught and
+    reported. With both feature step sizes zero the banks never change,
+    and the features of a whole time chunk are computed at once.
     """
 
-    def __init__(self, bank: FeatureBank, lr_weights: float,
+    def __init__(self, banks: list[FeatureBank], lr_weights: float,
                  lr_freqs: float, lr_phases: float):
-        self.bank = bank.copy()
-        self.weights = np.zeros(self.bank.phases.shape)
+        self.freqs = np.stack([b.freqs for b in banks])
+        self.phases = np.stack([b.phases for b in banks])
+        self.weights = np.zeros(self.phases.shape)
         self.lr_weights = _check_rate("lr_weights", lr_weights)
         self.lr_freqs = _check_rate("lr_freqs", lr_freqs)
         self.lr_phases = _check_rate("lr_phases", lr_phases)
+        self.n_runs, n_features, self.input_dim = self.freqs.shape
+        self.model_size = np.full(self.n_runs, n_features)
         self.n_steps = 0
         self.diverged_at = np.zeros(self.n_runs, dtype=int)
 
-    @property
-    def batched(self) -> bool:
-        return self.bank.freqs.ndim == 3
-
-    @property
-    def n_runs(self) -> int:
-        return self.bank.freqs.shape[0] if self.batched else 1
-
-    @property
-    def input_dim(self) -> int:
-        return self.bank.input_dim
-
-    @property
-    def model_size(self) -> int:
-        return self.bank.n_features
-
-    def predict(self, x) -> float:
-        x, _ = self._sample(x)
-        return float(self.weights @ np.cos(phase_angles(self.bank, x)))
-
-    def loss(self, x, y) -> float:
-        """Instantaneous squared prediction error; pure, supports gradient checks."""
-        x, y = self._sample(x, y)
-        e = y - self.predict(x)
-        return e * e
-
     def _state(self) -> list[np.ndarray]:
-        shape = (self.n_runs, self.model_size)
-        self.weights = np.asarray(self.weights, dtype=float)
-        return [self.weights.reshape(shape),
-                self.bank.freqs.reshape(shape + (self.input_dim,)),
-                self.bank.phases.reshape(shape)]
+        return [self.weights, self.freqs, self.phases]
 
     def _store(self, state) -> None:
-        for full, part in zip(self._state(), state):
-            full[...] = part
+        self.weights, self.freqs, self.phases = state
 
     def _finite(self, state) -> np.ndarray:
         w, freqs, phases = state
@@ -277,13 +240,6 @@ class AdaptiveRffLms(_StreamFilter):
             freqs -= step
             phases -= lr_phases * g
             w += (lr_weights * e)[:, None] * z
-
-
-class RffLms(AdaptiveRffLms):
-    """LMS on a frozen cosine feature expansion; only the weights adapt."""
-
-    def __init__(self, bank: FeatureBank, lr_weights: float):
-        super().__init__(bank, lr_weights, 0.0, 0.0)
 
 
 def _kernel_rows(centers: np.ndarray, xs: np.ndarray, scale: float) -> np.ndarray:
@@ -326,53 +282,45 @@ class CoherenceKlms(_StreamFilter):
     buffer; numpy's pairwise sum over a power-of-two length adds the padding
     in whole blocks of zeros, so a run's prediction is the same bits
     whatever capacity its batch needs. ``sizes`` holds each run's
-    dictionary size; ``weights`` and ``centers`` are the active parts, one
-    array for a single-run filter and a list of per-run arrays for a
-    batched one.
+    dictionary size, and ``weights`` and ``centers`` the active parts as
+    lists of per-run arrays.
     """
 
     def __init__(self, bandwidth: float, coherence_threshold: float,
-                 lr_weights: float, input_dim: int, n_runs: int | None = None):
+                 lr_weights: float, input_dim: int, n_runs: int = 1):
         if not 0.0 < coherence_threshold < 1.0:
             raise ValueError(
                 f"coherence_threshold must lie in (0, 1), got {coherence_threshold}"
             )
         if input_dim < 1:
             raise ValueError(f"input_dim must be >= 1, got {input_dim}")
-        if n_runs is not None and n_runs < 1:
+        if n_runs < 1:
             raise ValueError(f"n_runs must be >= 1, got {n_runs}")
         self.bandwidth = check_bandwidth(bandwidth)
         self.coherence_threshold = float(coherence_threshold)
         self.lr_weights = _check_rate("lr_weights", lr_weights)
         self.input_dim = input_dim
-        self.batched = n_runs is not None
-        self.n_runs = n_runs or 1
-        self._centers = np.full((self.n_runs, input_dim, 16), np.inf)
-        self._weights = np.zeros((self.n_runs, 16))
-        self.sizes = np.zeros(self.n_runs, dtype=int)
+        self.n_runs = n_runs
+        self._centers = np.full((n_runs, input_dim, 16), np.inf)
+        self._weights = np.zeros((n_runs, 16))
+        self.sizes = np.zeros(n_runs, dtype=int)
         self.n_steps = 0
-        self.diverged_at = np.zeros(self.n_runs, dtype=int)
+        self.diverged_at = np.zeros(n_runs, dtype=int)
 
-    def _active(self, buffer: np.ndarray):
-        parts = [buffer[r, :size] for r, size in enumerate(self.sizes.tolist())]
-        return parts if self.batched else parts[0]
-
-    @property
-    def model_size(self):
-        return self.sizes.copy() if self.batched else int(self.sizes[0])
+    def _active(self, buffer: np.ndarray) -> list[np.ndarray]:
+        return [buffer[r, :size] for r, size in enumerate(self.sizes.tolist())]
 
     @property
-    def weights(self):
+    def model_size(self) -> np.ndarray:
+        return self.sizes.copy()
+
+    @property
+    def weights(self) -> list[np.ndarray]:
         return self._active(self._weights)
 
     @property
-    def centers(self):
+    def centers(self) -> list[np.ndarray]:
         return self._active(self._centers.transpose(0, 2, 1))
-
-    def predict(self, x) -> float:
-        x, _ = self._sample(x)
-        k = _kernel_rows(self._centers, x[None], 2.0 * self.bandwidth**2)
-        return float(np.add.reduce(self._weights * k, axis=1)[0])
 
     def _state(self) -> list[np.ndarray]:
         return [self._weights, self._centers, self.sizes]

@@ -2,22 +2,23 @@
 
 Each run derives its own stream and feature-bank seeds from the root seed
 and the run index, so results are reproducible bit-for-bit regardless of
-how the runs are batched or how many workers execute them. When both
-RFF-family filters appear in one config with the same bank settings they
-start from identical banks, giving a paired comparison.
+how the runs are split into batches or how many workers execute them.
+When both RFF-family filters appear in one config with the same bank
+settings they start from identical banks, giving a paired comparison.
 
 Runs are split evenly into contiguous batches of at most
 ``MAX_BATCH_RUNS`` runs; the batch count is the smallest multiple of
-``min(workers, runs)`` that allows this. With one worker the batches run
-one after the other in this process, otherwise in a pool of
-``min(workers, runs)`` processes, so memory is bounded by the batch size,
-not the run count. Within a batch each filter is built once for all of
-its runs and consumes their stacked streams, (R, T, L) inputs and (R, T)
-targets, in one ``run`` call (see ``rfflms.filters``): time is the only
-sequential axis. The batch that holds run 0 of a nonstationary experiment
-splits an RFF-family filter's call at the change step to record run 0's
-frequency bank there. The EMSE curves are then computed at once from the
-clean targets and the returned predictions.
+``workers``, capped at the run count and the CPU count, that allows
+this. With one worker the batches run one after the other in this
+process, otherwise in a pool of that many processes, so memory is
+bounded by the batch size, not the run count. Within a batch each filter
+is built once for all of its runs and consumes their stacked streams,
+(R, T, L) inputs and (R, T) targets, in one ``run`` call (see
+``rfflms.filters``): time is the only sequential axis. The batch that
+holds run 0 of a nonstationary experiment splits an RFF-family filter's
+call at the change step to record run 0's frequency bank there. The EMSE
+curves are then computed at once from the clean targets and the returned
+predictions.
 
 Divergence policy. A filter's run is usable iff its EMSE curve is finite
 at every step. A run whose filter state stops being finite is covered by
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -53,7 +55,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, FilterSpec, config_to_dict
-from .features import FeatureBank, sample_feature_bank
+from .features import sample_feature_bank
 from .filters import AdaptiveRffLms, CoherenceKlms
 from .metrics import steady_state_emse, to_db
 from .seeding import derive_seed
@@ -118,11 +120,10 @@ def build_filter(spec: FilterSpec, input_dim: int, bank_seeds):
         return CoherenceKlms(spec.bandwidth, spec.coherence_threshold,
                              spec.lr_weights, input_dim, n_runs=len(bank_seeds))
     # an rff spec has zero feature step sizes (FilterSpec.validate), which
-    # freezes the bank
+    # freezes the banks
     banks = [sample_feature_bank(spec.bandwidth, spec.n_features, input_dim, seed)
              for seed in bank_seeds]
-    bank = FeatureBank(np.stack([b.freqs for b in banks]), np.stack([b.phases for b in banks]))
-    return AdaptiveRffLms(bank, spec.lr_weights, spec.lr_freqs, spec.lr_phases)
+    return AdaptiveRffLms(banks, spec.lr_weights, spec.lr_freqs, spec.lr_phases)
 
 
 def _run_batch(cfg: ExperimentConfig, runs: range):
@@ -149,7 +150,7 @@ def _run_batch(cfg: ExperimentConfig, runs: range):
         filt = build_filter(spec, inputs.shape[2], bank_seeds)
         snapshots = None
         if take_snapshots and isinstance(filt, AdaptiveRffLms):
-            snapshots = {"initial": filt.bank.freqs[0].copy()}
+            snapshots = {"initial": filt.freqs[0].copy()}
         # the batch of run 0 stops at the regime change to record its bank there
         split = change_step if snapshots is not None else None
         if split is None:
@@ -157,7 +158,7 @@ def _run_batch(cfg: ExperimentConfig, runs: range):
         else:
             preds, sizes = filt.run(inputs[:, :split], targets[:, :split])
             if not filt.diverged_at[0]:
-                snapshots["change"] = filt.bank.freqs[0].copy()
+                snapshots["change"] = filt.freqs[0].copy()
             tail_preds, tail_sizes = filt.run(inputs[:, split:], targets[:, split:])
             preds = np.concatenate([preds, tail_preds], axis=1)
             sizes = np.concatenate([sizes, tail_sizes], axis=1)
@@ -167,7 +168,7 @@ def _run_batch(cfg: ExperimentConfig, runs: range):
         del preds
         usable = np.isfinite(emse).all(axis=1)
         if snapshots is not None and usable[0]:
-            snapshots["final"] = filt.bank.freqs[0].copy()
+            snapshots["final"] = filt.freqs[0].copy()
         yield spec.column, emse, sizes, usable, snapshots
 
 
@@ -179,7 +180,7 @@ def _batch_results(cfg: ExperimentConfig, runs: range) -> list[tuple]:
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunArtifacts:
     """Run all Monte Carlo runs and aggregate.
 
-    The runs are batched as the module docstring says. Aggregation is a
+    The runs are split into batches as the module docstring says. Aggregation is a
     sequential reduction in run-index order whatever the batching, so the
     artifacts are byte-reproducible under the root seed.
     """
@@ -192,7 +193,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunArtifacts:
     diverged = {lab: [] for lab in labels}
     snapshots = {}
 
-    workers = min(workers, cfg.runs)
+    # a process per core at most: the bytes do not depend on the count
+    workers = min(workers, cfg.runs, os.cpu_count() or 1)
     n_batches = workers * -(-cfg.runs // (workers * MAX_BATCH_RUNS))
     bounds = [cfg.runs * b // n_batches for b in range(n_batches + 1)]
     batches = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]

@@ -1,7 +1,8 @@
 """Reference implementations that only the tests use.
 
 Each one computes a quantity the library computes elsewhere, or inline,
-in a direct and slow way, so the tests can compare the two.
+in a direct and slow way, so the tests can compare the two. ``span_plant``
+is a plant whose steady state classic LMS theory predicts.
 """
 
 from __future__ import annotations
@@ -13,10 +14,12 @@ from pathlib import Path
 
 import numpy as np
 
+from rfflms.config import preset
 from rfflms.features import FeatureBank, phase_angles
+from rfflms.filters import AdaptiveRffLms, CoherenceKlms
 from rfflms.kernels import coherence_admit, kernelized_input
 from rfflms.seeding import derive_seed
-from rfflms.systems import SampleStream
+from rfflms.systems import SampleStream, gen_stationary_stream
 
 
 @dataclass
@@ -126,13 +129,19 @@ def stream_to_csv(stream: SampleStream, path) -> None:
             )
 
 
+def padded_sum(terms: np.ndarray) -> float:
+    """Sum of ``terms`` as ``CoherenceKlms`` sums its padded buffer: zero-padded
+    to a power-of-two length of at least 16, with numpy's pairwise sum."""
+    length = max(16, 1 << (len(terms) - 1).bit_length())
+    return float(np.pad(terms, (0, length - len(terms))).sum())
+
+
 def klms_reference(bandwidth: float, threshold: float, lr_weights: float,
                    inputs: np.ndarray, targets: np.ndarray):
     """Coherence KLMS one sample at a time through the public kernel helpers:
     offer x to the centers, kernelize x against the grown centers, predict
-    and update. The prediction sums weights * kernel as the filter
-    does: zero-padded to a power-of-two length of at least 16, with numpy's
-    pairwise sum. Returns (predictions, sizes, weights, centers)."""
+    and update. The prediction sums weights * kernel as the filter does
+    (``padded_sum``). Returns (predictions, sizes, weights, centers)."""
     centers = []
     weights = np.zeros(0)
     predictions, sizes = [], []
@@ -140,10 +149,51 @@ def klms_reference(bandwidth: float, threshold: float, lr_weights: float,
         if coherence_admit(bandwidth, centers, x, threshold):
             weights = np.append(weights, 0.0)
         k = kernelized_input(bandwidth, centers, x)
-        terms = weights * k
-        length = max(16, 1 << (len(terms) - 1).bit_length())
-        prediction = float(np.pad(terms, (0, length - len(terms))).sum())
+        prediction = padded_sum(weights * k)
         weights = weights + lr_weights * (float(y) - prediction) * k
         predictions.append(prediction)
         sizes.append(len(centers))
     return np.array(predictions), np.array(sizes), weights, np.array(centers)
+
+
+def predict(filt, x, run: int = 0) -> float:
+    """Run ``run``'s prediction at x from the filter's public state, without
+    stepping it: the weights against the cosine features, or against the
+    kernel of x with each center (``padded_sum``, 0 with no center)."""
+    if isinstance(filt, CoherenceKlms):
+        centers = filt.centers[run]
+        if len(centers) == 0:
+            return 0.0
+        return padded_sum(filt.weights[run] * kernelized_input(filt.bandwidth, centers, x))
+    bank = FeatureBank(filt.freqs[run], filt.phases[run])
+    return float(filt.weights[run] @ np.cos(phase_angles(bank, x)))
+
+
+def loss(filt, x, y, run: int = 0) -> float:
+    """Instantaneous squared prediction error of run ``run``; pure, for
+    gradient checks."""
+    e = float(y) - predict(filt, x, run)
+    return e * e
+
+
+def span_plant(filt: AdaptiveRffLms, w_star: np.ndarray, noise_var: float,
+               horizon: int, seed: int):
+    """A plant in the span of each run's own bank: y = w_star[r] . z_r(x) + v.
+
+    Run r's inputs are the ``stationary-paper`` plant's AR(1) pairs
+    (x_n, x_{n-1}), and v is white Gaussian noise of variance ``noise_var``.
+    Returns (inputs (R, T, L), targets (R, T), clean (R, T), trace (R,)),
+    where trace is the stream's mean ||z_r(x)||^2, an estimate of tr(R_zz).
+    """
+    plant = preset("stationary-paper").plant
+    inputs, targets, clean, trace = [], [], [], []
+    for r in range(filt.n_runs):
+        x = gen_stationary_stream(plant, horizon, derive_seed(seed, r, "input")).inputs
+        z = np.cos(x @ filt.freqs[r].T + filt.phases[r])
+        d = z @ w_star[r]
+        v = math.sqrt(noise_var) * make_rng(seed, r, "noise").standard_normal(horizon)
+        inputs.append(x)
+        targets.append(d + v)
+        clean.append(d)
+        trace.append(np.mean(np.sum(z * z, axis=1)))
+    return np.stack(inputs), np.stack(targets), np.stack(clean), np.array(trace)

@@ -3,7 +3,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import rfflms
+from rfflms import runner
 
 PUBLIC = [
     "AdaptiveRffLms",
@@ -15,7 +18,6 @@ PUBLIC = [
     "FeatureBank",
     "FilterSpec",
     "PlantConfig",
-    "RffLms",
     "RunArtifacts",
     "SampleStream",
     "StepOutcome",
@@ -40,10 +42,16 @@ def test_public_names_are_pinned_and_resolve():
 
 
 def test_rff_filter_is_the_adaptive_core_with_frozen_features():
-    assert issubclass(rfflms.RffLms, rfflms.AdaptiveRffLms)
-    bank = rfflms.sample_feature_bank(1.0, 4, 2, seed=0)
-    f = rfflms.RffLms(bank, 0.1)
-    assert (f.lr_weights, f.lr_freqs, f.lr_phases) == (0.1, 0.0, 0.0)
+    cfg = rfflms.preset("stationary-paper")
+    [spec] = [s for s in cfg.filters if s.kind == "rff"]
+    f = runner.build_filter(spec, 2, [0, 1])
+    assert type(f) is rfflms.AdaptiveRffLms
+    assert (f.lr_freqs, f.lr_phases) == (0, 0)
+    freqs, phases = f.freqs.tobytes(), f.phases.tobytes()
+    stream = rfflms.gen_stationary_stream(cfg.plant, 300, seed=3)
+    f.run(np.stack([stream.inputs] * 2), np.stack([stream.targets] * 2))
+    assert f.weights.any() and not f.diverged_at.any()
+    assert (f.freqs.tobytes(), f.phases.tobytes()) == (freqs, phases)
 
 
 def test_import_loads_no_scipy():

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -52,12 +53,13 @@ def test_sampling_moments_match_the_law():
 def test_bank_validates_shapes_and_amplitude():
     with pytest.raises(ValueError):
         FeatureBank(np.zeros((3, 2)), np.zeros(2))
-    # R stacked banks need (R, D) phases
-    for freqs, phases in [((2, 3, 2), (3,)), ((2, 3, 2), (2, 2)), ((1, 2, 3, 2), (1, 2, 3))]:
+    # one run's bank only: a filter stacks the banks of its runs itself
+    for freqs, phases in [((2, 3, 2), (2, 3)), ((2, 3, 2), (3,)), ((1, 2, 3, 2), (1, 2, 3)),
+                          ((6, 2), (2, 3)), ((2,), (1,))]:
         with pytest.raises(ValueError):
             FeatureBank(np.zeros(freqs), np.zeros(phases))
-    stacked = FeatureBank(np.zeros((2, 3, 4)), np.zeros((2, 3)))
-    assert (stacked.n_features, stacked.input_dim) == (3, 4)
+    bank = FeatureBank(np.zeros((3, 4)), np.zeros(3))
+    assert (bank.n_features, bank.input_dim) == (3, 4)
     with pytest.raises(ValueError):
         FeatureBank(np.array([[np.inf, 0.0]]), np.zeros(1))
 
@@ -173,14 +175,14 @@ def test_partials_match_central_finite_differences():
         m = int(rng.integers(5))
         d_freq, d_phase = feature_partials(bank, x, m)
         for i in range(2):
-            hi = bank.copy()
-            lo = bank.copy()
+            hi = copy.deepcopy(bank)
+            lo = copy.deepcopy(bank)
             hi.freqs[m, i] += h
             lo.freqs[m, i] -= h
             fd = (feature_map(hi, x)[m] - feature_map(lo, x)[m]) / (2 * h)
             assert math.isclose(fd, d_freq[i], rel_tol=1e-6, abs_tol=1e-10)
-        hi = bank.copy()
-        lo = bank.copy()
+        hi = copy.deepcopy(bank)
+        lo = copy.deepcopy(bank)
         hi.phases[m] += h
         lo.phases[m] -= h
         fd = (feature_map(hi, x)[m] - feature_map(lo, x)[m]) / (2 * h)

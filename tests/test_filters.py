@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -5,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import kernel_eval, klms_reference
+from oracles import kernel_eval, klms_reference, loss, predict
 from rfflms import filters
 from rfflms.features import FeatureBank, sample_feature_bank
-from rfflms.filters import AdaptiveRffLms, CoherenceKlms, DivergenceError, RffLms
+from rfflms.filters import AdaptiveRffLms, CoherenceKlms, DivergenceError
 
 # hand-computed single step from weights=0, D=1, L=1, freq=1, phase=0,
 # x=1, y=1, lr_weights=0.1: z=cos(1), e=1, weights -> 0.1*cos(1);
@@ -23,39 +24,40 @@ def scalar_bank(freq=1.0, phase=0.0):
 def random_state(seed, n_features=8, input_dim=2):
     rng = np.random.default_rng(seed)
     bank = sample_feature_bank(1.0, n_features, input_dim, seed=int(rng.integers(2**31)))
-    f = AdaptiveRffLms(bank, 0.1, 0.2, 0.3)
-    f.weights = rng.normal(size=n_features)
+    f = AdaptiveRffLms([bank], 0.1, 0.2, 0.3)
+    f.weights[0] = rng.normal(size=n_features)
     return f, rng
 
 
 def test_zero_weights_predict_zero():
     bank = sample_feature_bank(1.0, 6, 2, seed=1)
-    f = AdaptiveRffLms(bank, 0.01, 0.01, 0.01)
-    assert f.predict(np.array([0.7, -2.0])) == 0.0
+    f = AdaptiveRffLms([bank], 0.01, 0.01, 0.01)
+    assert f.step(np.array([0.7, -2.0]), 1.0).prediction == 0.0
 
 
 def test_predict_is_a_dot_product():
-    f = AdaptiveRffLms(scalar_bank(freq=0.0, phase=math.acos(0.5)), 0.1, 0.0, 0.0)
-    f.weights = np.array([2.0])
-    assert math.isclose(f.predict(np.array([123.0])), 1.0, rel_tol=1e-12)
+    f = AdaptiveRffLms([scalar_bank(freq=0.0, phase=math.acos(0.5))], 0.1, 0.0, 0.0)
+    f.weights[:] = 2.0
+    assert math.isclose(f.step(np.array([123.0]), 0.0).prediction, 1.0, rel_tol=1e-12)
 
 
 def test_prediction_invariant_under_phase_wrap():
     f, rng = random_state(5)
+    wrapped, _ = random_state(5)
+    wrapped.phases[0, 3] += 2.0 * math.pi
     x = rng.normal(size=2)
-    before = f.predict(x)
-    f.bank.phases[3] += 2.0 * math.pi
-    assert math.isclose(f.predict(x), before, rel_tol=0, abs_tol=1e-12)
+    assert math.isclose(wrapped.step(x, 0.0).prediction, f.step(x, 0.0).prediction,
+                        rel_tol=0, abs_tol=1e-12)
 
 
 def test_one_step_hand_oracle():
-    f = AdaptiveRffLms(scalar_bank(), lr_weights=0.1, lr_freqs=1.0, lr_phases=1.0)
+    f = AdaptiveRffLms([scalar_bank()], lr_weights=0.1, lr_freqs=1.0, lr_phases=1.0)
     out = f.step(np.array([1.0]), 1.0)
     assert out.prediction == 0.0
     assert out.error == 1.0
-    assert math.isclose(f.weights[0], ONE_STEP_WEIGHT, rel_tol=1e-15)
-    assert f.bank.freqs[0, 0] == 1.0
-    assert f.bank.phases[0] == 0.0
+    assert math.isclose(f.weights[0, 0], ONE_STEP_WEIGHT, rel_tol=1e-15)
+    assert f.freqs[0, 0, 0] == 1.0
+    assert f.phases[0, 0] == 0.0
 
 
 @settings(max_examples=40, deadline=None)
@@ -63,19 +65,21 @@ def test_one_step_hand_oracle():
 def test_zero_error_is_a_fixed_point(seed):
     f, rng = random_state(seed)
     x = rng.normal(size=2)
-    y = f.predict(x)
-    w0, fr0, ph0 = f.weights.copy(), f.bank.freqs.copy(), f.bank.phases.copy()
+    y = predict(f, x)
+    w0, fr0, ph0 = f.weights.copy(), f.freqs.copy(), f.phases.copy()
     out = f.step(x, y)
     assert out.error == 0.0
     assert np.array_equal(f.weights, w0)
-    assert np.array_equal(f.bank.freqs, fr0)
-    assert np.array_equal(f.bank.phases, ph0)
+    assert np.array_equal(f.freqs, fr0)
+    assert np.array_equal(f.phases, ph0)
 
 
 def test_frozen_feature_updates_match_rff_bit_for_bit():
+    # feature step sizes of one subnormal take the general loop, whose bank
+    # updates then round away; zero ones take rff's frozen loop
     bank = sample_feature_bank(0.95, 48, 2, seed=77)
-    arff = AdaptiveRffLms(bank, 0.01, 0.0, 0.0)
-    rff = RffLms(bank, 0.01)
+    arff = AdaptiveRffLms([bank], 0.01, 5e-324, 5e-324)
+    rff = AdaptiveRffLms([bank], 0.01, 0.0, 0.0)
     rng = np.random.default_rng(3)
     for _ in range(2000):
         x = rng.normal(size=2)
@@ -85,27 +89,28 @@ def test_frozen_feature_updates_match_rff_bit_for_bit():
         assert a.prediction == b.prediction
         assert a.error == b.error
     assert np.array_equal(arff.weights, rff.weights)
-    assert np.array_equal(arff.bank.freqs, rff.bank.freqs)
+    assert np.array_equal(arff.freqs, rff.freqs)
+    assert np.array_equal(arff.phases, rff.phases)
 
 
 def test_rff_first_step_from_zero_weights():
     bank = sample_feature_bank(1.0, 4, 2, seed=9)
-    f = RffLms(bank, 0.05)
+    f = AdaptiveRffLms([bank], 0.05, 0.0, 0.0)
     x = np.array([0.2, -0.7])
     z = np.cos(bank.freqs @ x + bank.phases)
     out = f.step(x, 2.0)
     assert out.prediction == 0.0
     assert out.error == 2.0
-    assert np.allclose(f.weights, 0.05 * 2.0 * z, rtol=0, atol=1e-15)
+    assert np.allclose(f.weights[0], 0.05 * 2.0 * z, rtol=0, atol=1e-15)
 
 
 def test_rff_zero_targets_keep_zero_state():
     bank = sample_feature_bank(1.0, 4, 2, seed=10)
-    f = RffLms(bank, 0.5)
+    f = AdaptiveRffLms([bank], 0.5, 0.0, 0.0)
     rng = np.random.default_rng(1)
     for _ in range(100):
         f.step(rng.normal(size=2), 0.0)
-    assert np.array_equal(f.weights, np.zeros(4))
+    assert np.array_equal(f.weights, np.zeros((1, 4)))
 
 
 def test_rff_three_steps_match_scalar_recursion():
@@ -118,31 +123,34 @@ def test_rff_three_steps_match_scalar_recursion():
         z = math.cos(freq * x + phase)
         e = y - w * z
         w = w + lr * e * z
-    f = RffLms(scalar_bank(freq, phase), lr)
+    f = AdaptiveRffLms([scalar_bank(freq, phase)], lr, 0.0, 0.0)
     for x, y in zip(xs, ys):
         f.step(np.array([x]), y)
-    assert math.isclose(f.weights[0], w, rel_tol=0, abs_tol=1e-12)
+    assert math.isclose(f.weights[0, 0], w, rel_tol=0, abs_tol=1e-12)
 
 
 def test_error_equals_target_minus_prediction():
     f, rng = random_state(21)
     x = rng.normal(size=2)
     y = 1.7
-    pred = f.predict(x)
+    pred = predict(f, x)
     out = f.step(x, y)
     assert out.error == y - out.prediction
     assert out.prediction == pred
 
 
 def test_instantaneous_loss():
+    # the squared step error, which the oracle loss of the gradient checks
+    # reproduces without stepping
     f, rng = random_state(8)
     x = rng.normal(size=2)
-    assert f.loss(x, f.predict(x)) == 0.0
-    g = AdaptiveRffLms(f.bank, 0.1, 0.1, 0.1)  # zero weights
-    assert g.loss(x, 3.0) == 9.0
+    y = copy.deepcopy(f).step(x, 0.0).prediction
     w0 = f.weights.copy()
-    f.loss(x, 1.0)
+    assert loss(f, x, y) == 0.0 and loss(f, x, 1.0) == (1.0 - y) ** 2
     assert np.array_equal(f.weights, w0)
+    assert f.step(x, y).error ** 2 == 0.0
+    g = AdaptiveRffLms([FeatureBank(f.freqs[0], f.phases[0])], 0.1, 0.1, 0.1)  # zero weights
+    assert g.step(x, 3.0).error ** 2 == 9.0
 
 
 def test_update_directions_are_loss_gradients():
@@ -156,24 +164,22 @@ def test_update_directions_are_loss_gradients():
         x = frng.normal(size=2)
         y = float(frng.normal())
 
-        ref = AdaptiveRffLms(f.bank, 1.0, 1.0, 1.0)
-        ref.weights = f.weights.copy()
+        ref = copy.deepcopy(f)
 
         def loss_at(dw=None, dfreq=None, dph=None):
-            g = AdaptiveRffLms(ref.bank, 1.0, 1.0, 1.0)
-            g.weights = ref.weights.copy()
+            g = copy.deepcopy(ref)
             if dw is not None:
-                g.weights += dw
+                g.weights[0] += dw
             if dfreq is not None:
-                g.bank.freqs += dfreq
+                g.freqs[0] += dfreq
             if dph is not None:
-                g.bank.phases += dph
-            return g.loss(x, y)
+                g.phases[0] += dph
+            return loss(g, x, y)
 
         f.step(x, y)
-        d_w = f.weights - ref.weights
-        d_freq = f.bank.freqs - ref.bank.freqs
-        d_ph = f.bank.phases - ref.bank.phases
+        d_w = (f.weights - ref.weights)[0]
+        d_freq = (f.freqs - ref.freqs)[0]
+        d_ph = (f.phases - ref.phases)[0]
 
         for i in range(8):
             e = np.zeros(8)
@@ -204,7 +210,7 @@ def test_non_finite_input_is_a_stream_error():
 
 def test_divergence_raises_with_step_index():
     bank = sample_feature_bank(1.0, 4, 2, seed=0)
-    f = AdaptiveRffLms(bank, 1e150, 1e150, 1e150)
+    f = AdaptiveRffLms([bank], 1e150, 1e150, 1e150)
     rng = np.random.default_rng(0)
     with pytest.raises(DivergenceError) as err:
         for _ in range(50):
@@ -215,16 +221,18 @@ def test_divergence_raises_with_step_index():
 def test_negative_rates_rejected():
     bank = sample_feature_bank(1.0, 4, 2, seed=0)
     with pytest.raises(ValueError):
-        AdaptiveRffLms(bank, -0.1, 0.0, 0.0)
+        AdaptiveRffLms([bank], -0.1, 0.0, 0.0)
     with pytest.raises(ValueError):
-        RffLms(bank, -0.1)
+        AdaptiveRffLms([bank], 0.1, -0.1, 0.0)
+    with pytest.raises(ValueError):
+        AdaptiveRffLms([bank], 0.1, 0.0, -0.1)
     with pytest.raises(ValueError):
         CoherenceKlms(1.0, 0.5, -0.1, 2)
 
 
 def test_filters_do_not_alias_the_given_bank():
     bank = sample_feature_bank(1.0, 4, 2, seed=0)
-    f = AdaptiveRffLms(bank, 0.1, 0.5, 0.5)
+    f = AdaptiveRffLms([bank], 0.1, 0.5, 0.5)
     f.weights[:] = 1.0
     f.step(np.ones(2), 5.0)
     fresh = sample_feature_bank(1.0, 4, 2, seed=0)
@@ -236,7 +244,7 @@ def test_klms_first_sample_is_admitted():
     out = f.step(np.array([0.3, 0.4]), 1.5)
     assert out.prediction == 0.0
     assert out.model_size == 1
-    assert math.isclose(f.weights[0], 0.2 * 1.5 * 1.0, rel_tol=1e-15)
+    assert math.isclose(f.weights[0][0], 0.2 * 1.5 * 1.0, rel_tol=1e-15)
 
 
 def test_klms_repeated_input_never_grows_the_dictionary():
@@ -252,8 +260,8 @@ def test_klms_weights_track_dictionary_size():
     rng = np.random.default_rng(12)
     for _ in range(300):
         out = f.step(rng.normal(size=2) * 2, float(rng.normal()))
-        assert len(f.weights) == out.model_size == len(f.centers)
-    c = f.centers
+        assert len(f.weights[0]) == out.model_size == len(f.centers[0])
+    c = f.centers[0]
     for i in range(len(c)):
         for j in range(i + 1, len(c)):
             assert kernel_eval(f.bandwidth, c[i], c[j]) <= 0.5 + 1e-12
@@ -265,14 +273,14 @@ def test_klms_zero_error_fixed_point():
     for _ in range(50):
         f.step(rng.normal(size=2), float(rng.normal()))
     x = rng.normal(size=2)
-    y = f.predict(x)
-    size_before = f.model_size
-    w_before = f.weights.copy()
+    y = predict(f, x)
+    size_before = int(f.model_size[0])
+    w_before = f.weights[0].copy()
     out = f.step(x, y)
     assert out.error == 0.0
     # admission may still grow the dictionary; the active weights stay put
-    assert np.array_equal(f.weights[:size_before], w_before)
-    assert np.all(f.weights[size_before:] == 0.0)
+    assert np.array_equal(f.weights[0][:size_before], w_before)
+    assert np.all(f.weights[0][size_before:] == 0.0)
 
 
 # ---- the whole-stream core ------------------------------------------------
@@ -289,27 +297,27 @@ STREAM_BANK = sample_feature_bank(0.95, 48, 2, seed=77)
 # per kind: a stable filter, and ones whose state overflows mid-stream
 # (the adaptive ones through the weights and through the bank)
 MAKERS = {
-    "rff": lambda: RffLms(STREAM_BANK, 0.05),
-    "adaptive-rff": lambda: AdaptiveRffLms(STREAM_BANK, 0.05, 0.5, 0.5),
+    "rff": lambda: AdaptiveRffLms([STREAM_BANK], 0.05, 0.0, 0.0),
+    "adaptive-rff": lambda: AdaptiveRffLms([STREAM_BANK], 0.05, 0.5, 0.5),
     "coherence-klms": lambda: CoherenceKlms(0.5, 0.5, 0.2, input_dim=2),
 }
 DIVERGENT = {
-    "rff": lambda: RffLms(STREAM_BANK, 1.0),
-    "adaptive-rff": lambda: AdaptiveRffLms(STREAM_BANK, 1.0, 0.5, 0.5),
-    "adaptive-rff-bank": lambda: AdaptiveRffLms(STREAM_BANK, 0.3, 1e250, 1e250),
+    "rff": lambda: AdaptiveRffLms([STREAM_BANK], 1.0, 0.0, 0.0),
+    "adaptive-rff": lambda: AdaptiveRffLms([STREAM_BANK], 1.0, 0.5, 0.5),
+    "adaptive-rff-bank": lambda: AdaptiveRffLms([STREAM_BANK], 0.3, 1e250, 1e250),
     "coherence-klms": lambda: CoherenceKlms(0.5, 0.5, 1e3, input_dim=2),
 }
 
 
-def filter_state(f):
+def row_state(f, i):
     if isinstance(f, CoherenceKlms):
-        return [f.weights, f.centers]
-    return [f.weights, f.bank.freqs, f.bank.phases]
+        return [f.weights[i], f.centers[i]]
+    return [f.weights[i], f.freqs[i], f.phases[i]]
 
 
 def assert_same_state(a, b):
     assert a.n_steps == b.n_steps
-    for x, y in zip(filter_state(a), filter_state(b), strict=True):
+    for x, y in zip(row_state(a, 0), row_state(b, 0), strict=True):
         assert x.shape == y.shape and np.array_equal(x, y)
 
 
@@ -323,11 +331,11 @@ def step_loop(f, inputs, targets):
 def test_run_matches_the_step_loop_bit_for_bit(kind):
     inputs, targets = smooth_stream()
     a, b = MAKERS[kind](), MAKERS[kind]()
-    preds, sizes = a.run(inputs, targets)
+    preds, sizes = a.run(inputs[None], targets[None])
     step_preds, step_sizes = step_loop(b, inputs, targets)
-    assert preds.shape == sizes.shape == (2000,)
-    assert np.array_equal(preds, step_preds)
-    assert np.array_equal(sizes, step_sizes)
+    assert preds.shape == sizes.shape == (1, 2000)
+    assert np.array_equal(preds[0], step_preds)
+    assert np.array_equal(sizes[0], step_sizes)
     assert_same_state(a, b)
     assert a.n_steps == 2000
 
@@ -337,11 +345,12 @@ def test_run_matches_the_step_loop_bit_for_bit(kind):
 def test_run_split_anywhere_matches_one_run(kind, cuts):
     inputs, targets = smooth_stream()
     whole, pieces = MAKERS[kind](), MAKERS[kind]()
-    preds, sizes = whole.run(inputs, targets)
+    preds, sizes = whole.run(inputs[None], targets[None])
     bounds = [0, *cuts, len(targets)]
-    parts = [pieces.run(inputs[a:b], targets[a:b]) for a, b in zip(bounds, bounds[1:])]
-    assert np.array_equal(preds, np.concatenate([p for p, _ in parts]))
-    assert np.array_equal(sizes, np.concatenate([s for _, s in parts]))
+    parts = [pieces.run(inputs[None, a:b], targets[None, a:b])
+             for a, b in zip(bounds, bounds[1:])]
+    assert np.array_equal(preds, np.concatenate([p for p, _ in parts], axis=1))
+    assert np.array_equal(sizes, np.concatenate([s for _, s in parts], axis=1))
     assert_same_state(whole, pieces)
 
 
@@ -350,65 +359,70 @@ def test_coherence_klms_run_matches_the_admit_then_kernelize_reference():
     # the dictionary; the reference recomputes one and appends to the other
     inputs, targets = smooth_stream()
     f = MAKERS["coherence-klms"]()
-    preds, sizes = f.run(inputs, targets)
+    [preds], [sizes] = f.run(inputs[None], targets[None])
     ref_preds, ref_sizes, ref_weights, ref_centers = klms_reference(
         0.5, 0.5, 0.2, inputs, targets)
     assert sizes[-1] > 32  # the center and weight buffers grew twice
     assert np.array_equal(preds, ref_preds)
     assert np.array_equal(sizes, ref_sizes)
-    assert np.array_equal(f.weights, ref_weights)
-    assert np.array_equal(f.centers, ref_centers)
+    assert np.array_equal(f.weights[0], ref_weights)
+    assert np.array_equal(f.centers[0], ref_centers)
 
 
 @pytest.mark.parametrize("kind", sorted(DIVERGENT))
 def test_divergence_step_is_global_across_run_split_run_and_step_loop(kind):
+    # run reports the step in diverged_at, step raises it
     inputs, targets = smooth_stream()
-    with np.errstate(all="ignore"):
-        with pytest.raises(DivergenceError) as whole:
-            DIVERGENT[kind]().run(inputs, targets)
-        step = whole.value.step
-        assert 1 < step < 2000
-        # cut halfway, and just before the diverging step so that it is the
-        # second call's first
-        for cut in (step // 2, step - 1):
-            f = DIVERGENT[kind]()
-            f.run(inputs[:cut], targets[:cut])
-            with pytest.raises(DivergenceError) as split:
-                f.run(inputs[cut:], targets[cut:])
-            assert split.value.step == step
-        with pytest.raises(DivergenceError) as looped:
-            step_loop(DIVERGENT[kind](), inputs, targets)
-        assert looped.value.step == step
+    whole = DIVERGENT[kind]()
+    whole.run(inputs[None], targets[None])
+    step = int(whole.diverged_at[0])
+    assert 1 < step < 2000
+    # cut halfway, and just before the diverging step so that it is the
+    # second call's first
+    for cut in (step // 2, step - 1):
+        f = DIVERGENT[kind]()
+        f.run(inputs[None, :cut], targets[None, :cut])
+        assert f.diverged_at[0] == 0
+        f.run(inputs[None, cut:], targets[None, cut:])
+        assert f.diverged_at[0] == step
+    with pytest.raises(DivergenceError) as looped:
+        step_loop(DIVERGENT[kind](), inputs, targets)
+    assert looped.value.step == step
 
 
 @pytest.mark.parametrize("kind", sorted(MAKERS))
 def test_run_rejects_a_bad_stream_before_the_first_step(kind):
     inputs, targets = smooth_stream(steps=50)
+    inputs, targets = inputs[None], targets[None]
     bad_last_input = inputs.copy()
-    bad_last_input[-1, 1] = np.nan
+    bad_last_input[0, -1, 1] = np.nan
     bad_last_target = targets.copy()
-    bad_last_target[-1] = np.inf
+    bad_last_target[0, -1] = np.inf
+    # the last two: one run's stream without its run axis, and two runs'
     for bad in [(bad_last_input, targets), (inputs, bad_last_target),
-                (np.zeros((50, 3)), targets), (inputs, targets[:-1]),
-                (inputs[:, 0], targets), (inputs[None], targets)]:
+                (np.zeros((1, 50, 3)), targets), (inputs, targets[:, :-1]),
+                (inputs[..., 0], targets), (inputs[None], targets),
+                (inputs[0], targets[0]), (inputs[[0, 0]], targets[[0, 0]])]:
         f = MAKERS[kind]()
         with pytest.raises(ValueError):
             f.run(*bad)
-        assert f.n_steps == 0 and f.model_size == MAKERS[kind]().model_size
+        assert f.n_steps == 0
+        assert np.array_equal(f.model_size, MAKERS[kind]().model_size)
         assert not np.any(f.weights)
 
 
 @pytest.mark.parametrize("kind", sorted(MAKERS))
 def test_predict_rejects_a_bad_input_before_and_after_training(kind):
-    # untrained, CoherenceKlms has no center to kernelize x against
+    # untrained, CoherenceKlms has no center yet
     f = MAKERS[kind]()
     inputs, targets = smooth_stream(steps=50)
     for trained in (False, True):
         for bad in ("garbage", None, 0.0, [np.nan, 0.0], [0.0, np.inf],
                     np.zeros(3), np.zeros((1, 2))):
             with pytest.raises(ValueError):
-                f.predict(bad)
-        f.run(inputs, targets)
+                f.step(bad, 0.0)
+        assert f.n_steps == 50 * trained
+        f.run(inputs[None], targets[None])
 
 
 # ---- the run-batched core -------------------------------------------------
@@ -446,14 +460,12 @@ def batch_rows(kind):
     return [(x0, y0, banks[0]), (x1, y1, banks[1]), (x2, y2, banks[2]), (x3, y3, banks[3])]
 
 
-def make_filter(kind, banks, batched=True):
+def make_filter(kind, banks):
     if kind == "coherence-klms":
-        return CoherenceKlms(0.5, 0.5, 0.2, input_dim=2, n_runs=len(banks) if batched else None)
-    bank = (FeatureBank(np.stack([b.freqs for b in banks]), np.stack([b.phases for b in banks]))
-            if batched else banks[0])
+        return CoherenceKlms(0.5, 0.5, 0.2, input_dim=2, n_runs=len(banks))
     if kind == "rff":
-        return RffLms(bank, 0.05)
-    return AdaptiveRffLms(bank, 0.05, 0.5, 0.5)
+        return AdaptiveRffLms(banks, 0.05, 0.0, 0.0)
+    return AdaptiveRffLms(banks, 0.05, 0.5, 0.5)
 
 
 def run_rows(kind, subset, cuts=()):
@@ -465,12 +477,6 @@ def run_rows(kind, subset, cuts=()):
     parts = [f.run(inputs[:, a:b], targets[:, a:b]) for a, b in zip(bounds, bounds[1:])]
     return (f, np.concatenate([p for p, _ in parts], axis=1),
             np.concatenate([s for _, s in parts], axis=1))
-
-
-def row_state(f, i):
-    if isinstance(f, CoherenceKlms):
-        return [f.weights[i], f.centers[i]]
-    return [f.weights[i], f.bank.freqs[i], f.bank.phases[i]]
 
 
 @pytest.mark.parametrize("kind", sorted(MAKERS))
@@ -485,25 +491,26 @@ def test_batched_run_flags_each_row_at_the_step_its_step_loop_raises(kind):
     for r, (x, y, bank) in enumerate(batch_rows(kind)):
         step = int(f.diverged_at[r])
         if step == 0:
-            alone = make_filter(kind, [bank], batched=False)
+            alone = make_filter(kind, [bank])
             step_preds, step_sizes = step_loop(alone, x, y)
             assert np.array_equal(preds[r], step_preds)
             assert np.array_equal(sizes[r], step_sizes)
-            for a, b in zip(row_state(f, r), filter_state(alone), strict=True):
+            for a, b in zip(row_state(f, r), row_state(alone, 0), strict=True):
                 assert np.array_equal(a, b)
             continue
         with pytest.raises(DivergenceError) as looped:
-            step_loop(make_filter(kind, [bank], batched=False), x, y)
+            step_loop(make_filter(kind, [bank]), x, y)
         assert looped.value.step == step
-        before = make_filter(kind, [bank], batched=False)
-        assert np.array_equal(preds[r, :step - 1], before.run(x[:step - 1], y[:step - 1])[0])
+        before = make_filter(kind, [bank])
+        assert np.array_equal(preds[r, :step - 1],
+                              before.run(x[None, :step - 1], y[None, :step - 1])[0][0])
         assert np.all(np.isnan(preds[r, step - 1:])) and not np.any(sizes[r, step - 1:])
         if step == 61:
             # the rare path: the state before the step is finite, its
             # prediction is not
-            assert all(np.isfinite(a).all() for a in filter_state(before))
+            assert all(np.isfinite(a).all() for a in row_state(before, 0))
             with np.errstate(all="ignore"):
-                assert not np.isfinite(before.predict(x[step - 1]))
+                assert not np.isfinite(predict(before, x[step - 1]))
 
 
 @pytest.mark.parametrize("subset", [(0,), (2,), (3, 1), (1, 2, 3), (0, 3), (2, 0, 1)])
@@ -603,9 +610,10 @@ def test_batched_filters_take_streams_only():
     with pytest.raises(ValueError):
         f.run(inputs, targets)  # a single run's stream
     with pytest.raises(ValueError):
-        f.step(inputs[0], targets[0])
+        f.run(inputs[None], targets[None])  # one of the two runs' streams
     with pytest.raises(ValueError):
-        f.predict(inputs[0])
+        f.step(inputs[0], targets[0])
+    assert f.n_steps == 0
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 60])

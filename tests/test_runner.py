@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import filecmp
 import json
+import os
 import warnings
 
 import numpy as np
@@ -84,6 +85,22 @@ def test_batch_cap_does_not_change_the_bytes(workers, tmp_path, monkeypatch):
 def test_workers_below_one_rejected(workers):
     with pytest.raises(ValueError, match="workers"):
         run_experiment(tiny_config(), workers=workers)
+
+
+@pytest.mark.parametrize("cpus", [1, None])
+def test_workers_are_capped_at_the_cpu_count(cpus, tmp_path, monkeypatch):
+    # one CPU (or an unknown count) runs every batch in this process
+    export_artifacts(run_experiment(tiny_config(runs=5), workers=1), tmp_path / "serial")
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was built")
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", no_pool)
+    export_artifacts(run_experiment(tiny_config(runs=5), workers=64), tmp_path / "capped")
+    for name in FILES:
+        assert filecmp.cmp(tmp_path / "serial" / name, tmp_path / "capped" / name,
+                           shallow=False), name
 
 
 def test_reexport_is_byte_identical(tmp_path):
