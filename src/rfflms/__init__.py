@@ -18,7 +18,13 @@ from .filters import (
     StepOutcome,
 )
 from .metrics import steady_state_emse, to_db
-from .runner import ExperimentError, RunArtifacts, export_artifacts, run_experiment
+from .runner import (
+    ExperimentError,
+    RunArtifacts,
+    export_artifacts,
+    run_experiment,
+    run_experiments,
+)
 from .seeding import derive_seed
 from .systems import SampleStream, gen_nonstationary_stream, gen_stationary_stream
 
@@ -45,6 +51,7 @@ __all__ = [
     "load_config",
     "preset",
     "run_experiment",
+    "run_experiments",
     "sample_feature_bank",
     "steady_state_emse",
     "to_db",

@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import math
 import sys
+from contextlib import closing
 from pathlib import Path
 
 from .config import (
@@ -23,7 +24,7 @@ from .config import (
     load_config,
     preset,
 )
-from .runner import ExperimentError, export_artifacts, run_experiment
+from .runner import ExperimentError, export_artifacts, run_experiment, run_experiments
 
 MAX_SWEEP_POINTS = 10_000
 SWEEPABLE = tuple(sorted({name for fields in FILTER_FIELDS.values() for name in fields}))
@@ -103,21 +104,20 @@ def _cmd_run(args) -> int:
     out_dir = Path(cfg.out_dir) if cfg.out_dir else Path("results") / cfg.name
     if args.sweep:
         name, values = _parse_sweep(args.sweep)
-        # check the whole grid before the first run; names keep _parse_sweep's 12
-        # significant digits
+        # run_experiments checks the whole grid before the first run; names keep
+        # _parse_sweep's 12 significant digits
         grid = [_override_filters(cfg, name, value) for value in values]
-        for cfg_v in grid:
-            cfg_v.validate()
         points = [f"{name}={value:.12g}" for value in values]
         if len(set(points)) != len(points):
             raise ConfigError(f"--sweep grid points share a directory name: {points}")
-        for point, cfg_v in zip(points, grid):
-            art = run_experiment(cfg_v, workers=args.workers)
-            sub = out_dir / f"sweep_{point}"
-            export_artifacts(art, sub)
-            print(f"[{cfg.name}] {point} -> {sub}")
-            for line in _summary_lines(art):
-                print("  " + line)
+        # closing() cancels the later points' batches if this loop fails
+        with closing(run_experiments(grid, workers=args.workers)) as arts:
+            for point, art in zip(points, arts):
+                sub = out_dir / f"sweep_{point}"
+                export_artifacts(art, sub)
+                print(f"[{cfg.name}] {point} -> {sub}")
+                for line in _summary_lines(art):
+                    print("  " + line)
         return 0
     art = run_experiment(cfg, workers=args.workers)
     export_artifacts(art, out_dir)
@@ -154,8 +154,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, help="override the root seed")
     run_p.add_argument("--out", type=Path, help="output directory")
     run_p.add_argument("--workers", type=int, default=1,
-                       help="processes that advance the batches of runs (default 1: "
-                            "no pool); results do not depend on it")
+                       help="processes that advance the batches of runs, one pool "
+                            "serving every sweep point (default 1: no pool); results do "
+                            "not depend on it")
     run_p.add_argument("--sweep", help="grid over one filter field, NAME=START:STOP:STEP")
     run_p.set_defaults(func=_cmd_run)
 

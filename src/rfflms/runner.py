@@ -6,11 +6,17 @@ how the runs are split into batches or how many workers execute them.
 When both RFF-family filters appear in one config with the same bank
 settings they start from identical banks, giving a paired comparison.
 
-Runs are split evenly into contiguous batches of at most
-``MAX_BATCH_RUNS`` runs; the batch count is the smallest multiple of
-``workers``, capped at the run count and the CPU count, that allows
-this. With one worker the batches run one after the other in this
-process, otherwise in a pool of that many processes, so memory is
+One call of ``run_experiments`` runs one experiment per config. Its
+worker count is capped at the total run count and the CPU count. Each
+config's runs are split evenly into contiguous batches of at most
+``MAX_BATCH_RUNS`` runs: with ``share = ceil(workers / configs)``, the
+batch count is the smallest multiple of ``share`` that allows this,
+capped at the config's run count. A single experiment thus gets a
+multiple of the worker count, and a sweep of small experiments one batch
+each. With one worker the batches run one after the other in this
+process. Otherwise every batch of the call goes through one pool of that
+many processes, which lives for the whole call and cancels its pending
+batches when the call fails or is closed early. Either way memory is
 bounded by the batch size, not the run count. Within a batch each filter
 is built once for all of its runs and consumes their stacked streams,
 (R, T, L) inputs and (R, T) targets, in one ``run`` call (see
@@ -47,9 +53,9 @@ from __future__ import annotations
 import csv
 import json
 import os
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -177,50 +183,40 @@ def _batch_results(cfg: ExperimentConfig, runs: range) -> list[tuple]:
     return list(_run_batch(cfg, runs))
 
 
-def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunArtifacts:
-    """Run all Monte Carlo runs and aggregate.
+def _plan_batches(runs: list[int], workers: int) -> tuple[int, list[list[range]]]:
+    """The pool size and each config's batches for one call over configs of
+    ``runs`` runs each, by the rule in the module docstring."""
+    # a process per core at most: the bytes do not depend on the count
+    workers = min(workers, sum(runs), os.cpu_count() or 1)
+    share = -(-workers // max(len(runs), 1))
+    plans = []
+    for n_runs in runs:
+        n_batches = min(share * -(-n_runs // (share * MAX_BATCH_RUNS)), n_runs)
+        bounds = [n_runs * b // n_batches for b in range(n_batches + 1)]
+        plans.append([range(lo, hi) for lo, hi in zip(bounds, bounds[1:])])
+    return workers, plans
 
-    The runs are split into batches as the module docstring says. Aggregation is a
-    sequential reduction in run-index order whatever the batching, so the
-    artifacts are byte-reproducible under the root seed.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    cfg.validate()
+
+def _aggregate(cfg: ExperimentConfig, batches: list[range], results) -> RunArtifacts:
+    """Reduce one config's batch results, in run-index order, to its
+    artifacts; raises ``ExperimentError`` by the divergence policy.
+    ``results`` yields a ``_run_batch`` result per batch and may go on past
+    the last one: ``zip`` stops at ``batches`` without drawing from it."""
     labels = [f.column for f in cfg.filters]
     emse_sum = {lab: np.zeros(cfg.horizon) for lab in labels}
     size_sum = {lab: np.zeros(cfg.horizon) for lab in labels}
     diverged = {lab: [] for lab in labels}
     snapshots = {}
-
-    # a process per core at most: the bytes do not depend on the count
-    workers = min(workers, cfg.runs, os.cpu_count() or 1)
-    n_batches = workers * -(-cfg.runs // (workers * MAX_BATCH_RUNS))
-    bounds = [cfg.runs * b // n_batches for b in range(n_batches + 1)]
-    batches = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    if workers > 1:
-        pool = ProcessPoolExecutor(max_workers=workers)
-        results = pool.map(partial(_batch_results, cfg), batches)
-    else:
-        # batch by batch, and a filter's curves are summed before the next
-        # filter runs
-        pool = None
-        results = (_run_batch(cfg, runs) for runs in batches)
-
-    try:
-        for runs, per_filter in zip(batches, results):
-            for lab, emse, sizes, usable, snaps in per_filter:
-                for i, run_index in enumerate(runs):
-                    if usable[i]:
-                        emse_sum[lab] += emse[i]
-                        size_sum[lab] += sizes[i]
-                    else:
-                        diverged[lab].append(run_index)
-                if snaps is not None:
-                    snapshots[lab] = snaps
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for runs, per_filter in zip(batches, results):
+        for lab, emse, sizes, usable, snaps in per_filter:
+            for i, run_index in enumerate(runs):
+                if usable[i]:
+                    emse_sum[lab] += emse[i]
+                    size_sum[lab] += sizes[i]
+                else:
+                    diverged[lab].append(run_index)
+            if snaps is not None:
+                snapshots[lab] = snaps
 
     bad_runs = sorted({r for runs in diverged.values() for r in runs})
     if len(bad_runs) > cfg.max_divergence_fraction * cfg.runs:
@@ -239,6 +235,49 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunArtifacts:
         diverged=diverged,
         snapshots=snapshots,
     )
+
+
+def run_experiments(cfgs: list[ExperimentConfig], workers: int = 1) -> Iterator[RunArtifacts]:
+    """Run every config's Monte Carlo runs; yield each config's artifacts,
+    in config order, as soon as its last batch is reduced.
+
+    Every config is validated before the first batch runs. The batches of
+    all configs are planned and executed as the module docstring says: with
+    ``workers`` > 1 they share one process pool, so later configs run while
+    earlier ones are reduced and exported. Aggregation is a sequential
+    reduction in run-index order whatever the batching, so the artifacts
+    are byte-reproducible under each config's root seed and equal those of
+    the config run alone. An ``ExperimentError`` ends the call, after the
+    artifacts of the configs before it; the pool's pending batches are
+    cancelled, as they are when the caller closes the generator early.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    for cfg in cfgs:
+        cfg.validate()
+    workers, plans = _plan_batches([cfg.runs for cfg in cfgs], workers)
+    tasks = [(cfg, runs) for cfg, batches in zip(cfgs, plans) for runs in batches]
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    try:
+        if pool is None:
+            # batch by batch, and a filter's curves are summed before the next
+            # filter runs
+            results = (_run_batch(cfg, runs) for cfg, runs in tasks)
+        else:
+            results = pool.map(_batch_results, *zip(*tasks))
+        for cfg, batches in zip(cfgs, plans):
+            yield _aggregate(cfg, batches, results)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+
+
+def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunArtifacts:
+    """Run all Monte Carlo runs of one config and aggregate: ``run_experiments``
+    over this config alone, so its batches are a multiple of the (capped)
+    worker count."""
+    [art] = run_experiments([cfg], workers)
+    return art
 
 
 def _fmt(value: float) -> str:

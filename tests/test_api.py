@@ -29,6 +29,7 @@ PUBLIC = [
     "load_config",
     "preset",
     "run_experiment",
+    "run_experiments",
     "sample_feature_bank",
     "steady_state_emse",
     "to_db",

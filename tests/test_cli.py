@@ -1,8 +1,12 @@
 import json
+import multiprocessing
+import os
 
 import pytest
 
 from rfflms.cli import _parse_sweep, main
+
+FILES = ["emse.csv", "model_size.csv", "summary.csv", "omega_snapshots.csv", "manifest.json"]
 
 
 def test_list_presets(capsys):
@@ -254,3 +258,18 @@ def test_run_rejects_workers_below_one(tmp_path, capsys, workers):
     assert code == 2
     assert "--workers" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_sweep_point_that_fails_ends_the_sweep(tmp_path, capsys, monkeypatch, workers):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool even on one core
+    out = tmp_path / "res"
+    # the second point's step size diverges on every run
+    code = main(["run", "--config", str(rff_config(tmp_path)), "--out", str(out),
+                 "--runs", "2", "--workers", workers,
+                 "--sweep", "lr_weights=0.01:200000000.01:1e8"])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["sweep_lr_weights=0.01"]
+    assert sorted(p.name for p in (out / "sweep_lr_weights=0.01").iterdir()) == sorted(FILES)
+    assert multiprocessing.active_children() == []

@@ -8,11 +8,24 @@ import warnings
 import numpy as np
 import pytest
 
-from rfflms.cli import _summary_lines
-from rfflms.config import ExperimentConfig, FilterSpec, PlantConfig, preset
+from rfflms.cli import _summary_lines, main
+from rfflms.config import (
+    ExperimentConfig,
+    FilterSpec,
+    PlantConfig,
+    config_from_dict,
+    config_to_dict,
+    preset,
+)
 from oracles import LearningCurve, aggregate_runs
 import rfflms.runner as runner
-from rfflms.runner import ExperimentError, _run_batch, export_artifacts, run_experiment
+from rfflms.runner import (
+    ExperimentError,
+    _run_batch,
+    export_artifacts,
+    run_experiment,
+    run_experiments,
+)
 
 FILES = ["emse.csv", "model_size.csv", "summary.csv", "omega_snapshots.csv", "manifest.json"]
 
@@ -101,6 +114,86 @@ def test_workers_are_capped_at_the_cpu_count(cpus, tmp_path, monkeypatch):
     for name in FILES:
         assert filecmp.cmp(tmp_path / "serial" / name, tmp_path / "capped" / name,
                            shallow=False), name
+    # so does a call over several configs, config by config
+    cfgs = [tiny_config(runs=2, seed=seed) for seed in (1, 2, 3)]
+    for i, art in enumerate(run_experiments(cfgs, workers=64)):
+        export_artifacts(art, tmp_path / f"capped-{i}")
+    for i, cfg in enumerate(cfgs):
+        export_artifacts(run_experiment(cfg), tmp_path / f"serial-{i}")
+        for name in FILES:
+            assert filecmp.cmp(tmp_path / f"serial-{i}" / name, tmp_path / f"capped-{i}" / name,
+                               shallow=False), (i, name)
+
+
+def test_batch_plan(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+
+    def sizes(runs, workers):
+        n_workers, plans = runner._plan_batches(runs, workers)
+        for n_runs, batches in zip(runs, plans):  # contiguous, in run-index order
+            assert [r for runs in batches for r in runs] == list(range(n_runs))
+        return n_workers, [[len(runs) for runs in batches] for batches in plans]
+
+    # one config: a multiple of the worker count, each batch within MAX_BATCH_RUNS
+    assert sizes([200], 2) == (2, [[25] * 8])
+    assert sizes([65], 1) == (1, [[21, 22, 22]])
+    assert sizes([65], 2) == (2, [[16, 16, 16, 17]])
+    assert sizes([5], 64) == (5, [[1] * 5])  # workers capped at the run count
+    assert sizes([200], 64) == (8, [[25] * 8])  # and at the CPU count
+    # a sweep of small configs: whole configs are the unit of parallel work
+    assert sizes([2] * 6, 2) == (2, [[2]] * 6)
+    # share = ceil(6 / 2) batches at least, capped at a config's run count
+    assert sizes([1, 5], 6) == (6, [[1], [1, 2, 2]])
+    assert sizes([], 2) == (0, [])
+    assert list(run_experiments([], workers=2)) == []
+
+
+class CountingPool(runner.ProcessPoolExecutor):
+    """The real pool, recording every instance and the futures it made."""
+
+    built = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.built.append(self)
+        self.futures = []
+
+    def submit(self, *args, **kwargs):
+        future = super().submit(*args, **kwargs)
+        self.futures.append(future)
+        return future
+
+
+@pytest.fixture
+def counting_pool(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool even on one core
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(CountingPool, "built", [])
+    return CountingPool.built
+
+
+def test_a_call_over_several_configs_builds_one_pool(counting_pool):
+    cfgs = [tiny_config(runs=2, seed=seed) for seed in (1, 2, 3)]
+    arts = list(run_experiments(cfgs, workers=2))
+    assert [art.config for art in arts] == cfgs
+    [pool] = counting_pool
+    assert pool._max_workers == 2
+    assert len(pool.futures) == 3  # one batch per config
+
+
+def test_a_failed_call_cancels_the_later_configs_batches(counting_pool):
+    bad = tiny_config(filters=(
+        FilterSpec(kind="rff", lr_weights=1e8, n_features=8, bandwidth=0.95),
+    ))
+    later = [tiny_config(horizon=2000, steady_window=100, seed=seed) for seed in range(8)]
+    arts = run_experiments([bad, *later], workers=2)
+    with pytest.raises(ExperimentError):
+        next(arts)
+    [pool] = counting_pool
+    assert len(pool.futures) == 9
+    assert all(future.done() for future in pool.futures)
+    # only the batches the workers had taken or had queued for them ran on
+    assert any(future.cancelled() for future in pool.futures)
 
 
 def test_reexport_is_byte_identical(tmp_path):
@@ -294,3 +387,29 @@ def test_runner_sum_matches_aggregate_oracle(make_cfg):
         assert art.summary()[lab]["runs_used"] == 5
         assert np.array_equal(art.emse[lab], emse)
         assert np.array_equal(art.model_size[lab], sizes)
+
+
+def test_sweep_bytes_do_not_depend_on_the_workers(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool even on one core
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(config_to_dict(tiny_config())))
+    out = tmp_path / "out"  # one path: the manifests and stdout echo it
+    stdout = {}
+    for workers in (1, 2):
+        assert main(["run", "--config", str(path), "--out", str(out), "--workers",
+                     str(workers), "--sweep", "n_features=8:24:8"]) == 0
+        stdout[workers] = capsys.readouterr().out
+        out.rename(tmp_path / f"w{workers}")
+    assert stdout[1] == stdout[2]
+    points = sorted(p.name for p in (tmp_path / "w1").iterdir())
+    assert points == sorted(p.name for p in (tmp_path / "w2").iterdir())
+    assert len(points) == 3
+    for point in points:
+        manifest = json.loads((tmp_path / "w1" / point / "manifest.json").read_text())
+        # each point alone, as run_experiment runs it
+        export_artifacts(run_experiment(config_from_dict(manifest["config"])),
+                         tmp_path / "alone" / point)
+        for name in FILES:
+            for tree in ("w2", "alone"):
+                assert filecmp.cmp(tmp_path / "w1" / point / name,
+                                   tmp_path / tree / point / name, shallow=False), (tree, name)
