@@ -110,7 +110,8 @@ def _cmd_run(args) -> int:
         points = [f"{name}={value:.12g}" for value in values]
         if len(set(points)) != len(points):
             raise ConfigError(f"--sweep grid points share a directory name: {points}")
-        # closing() cancels the later points' batches if this loop fails
+        # closing() ends the pool before the later points' batches are
+        # submitted if this loop fails
         with closing(run_experiments(grid, workers=args.workers)) as arts:
             for point, art in zip(points, arts):
                 sub = out_dir / f"sweep_{point}"

@@ -50,6 +50,15 @@ raises no numpy warning.
 phases. Within one step every right-hand side uses the pre-update state
 (a simultaneous update): the fresh weights are not fed into the frequency
 or phase updates.
+
+Buffers. A step works on arrays of a few dozen to a few hundred entries,
+so its cost is the per-call overhead of its 6 to 20 numpy operations,
+and allocating a fresh result is a large part of that. The loop over a
+time chunk therefore allocates its working arrays (angles, features,
+error, gradient, updates) once, or again when ``CoherenceKlms`` doubles
+its capacity, and every per-step operation writes into one of them with
+``out=``. The operations and their order are those of the plain
+expressions, so the bits are too.
 """
 
 from __future__ import annotations
@@ -65,10 +74,10 @@ from .kernels import check_bandwidth, coherence_admit, kernelized_input  # noqa:
 
 # the steps between two tests of the predictions form a time chunk of
 # _CHUNK // (state entries of the batch) steps, and at least _MIN_CHUNK;
-# frozen features compute a chunk's cosines at once. CoherenceKlms computes
-# its kernel rows per time block of at most _BLOCK steps, fewer if the
-# block's (steps, runs, L, capacity) differences would exceed _CHUNK
-# entries, and at least one
+# frozen features compute a chunk's cosines at once, in place in the
+# chunk's matmul result. CoherenceKlms computes its kernel rows per time
+# block of at most _BLOCK steps, fewer if the block's (steps, runs, L,
+# capacity) differences would exceed _CHUNK entries, and at least one
 _CHUNK = 1 << 16
 _MIN_CHUNK = 64
 _BLOCK = 32
@@ -148,8 +157,8 @@ class _StreamFilter:
             saved = [a.copy() for a in state]
             self._steps(state, xs[start:stop], ys[start:stop],
                         predictions[start:stop], sizes[start:stop])
-            bad = ~np.isfinite(predictions[start:stop]) & (self.diverged_at == 0)
-            if bad.any():
+            finite = np.isfinite(predictions[start:stop])
+            if not finite.all() and (bad := ~finite & (self.diverged_at == 0)).any():
                 # redo the chunk up to its first new non-finite prediction,
                 # and test the state there exactly
                 stop = start + int(np.argmax(bad.any(axis=1)))
@@ -159,13 +168,15 @@ class _StreamFilter:
                 new = bad[stop - start]
                 self.diverged_at[new] = np.maximum(base + stop + self._finite(state)[new], base + 1)
             start = stop
-        self.diverged_at[(self.diverged_at == 0) & ~self._finite(state)] = base + horizon
+        if not (state_ok := self._finite(state)).all():
+            self.diverged_at[(self.diverged_at == 0) & ~state_ok] = base + horizon
         self._store(state)
         self.n_steps = base + horizon
-        gone = (self.diverged_at > 0) & (np.arange(base + 1, base + horizon + 1)[:, None]
-                                         >= self.diverged_at)
-        predictions[gone] = np.nan
-        sizes[gone] = 0
+        if self.diverged_at.any():
+            gone = (self.diverged_at > 0) & (np.arange(base + 1, base + horizon + 1)[:, None]
+                                             >= self.diverged_at)
+            predictions[gone] = np.nan
+            sizes[gone] = 0
         return predictions.T, sizes.T
 
 
@@ -216,30 +227,42 @@ class AdaptiveRffLms(_StreamFilter):
         w, freqs, phases = state
         lr_weights, lr_freqs, lr_phases = self.lr_weights, self.lr_freqs, self.lr_phases
         cos, sin, matmul, vecdot = np.cos, np.sin, np.matmul, np.vecdot
+        multiply, subtract = np.multiply, np.subtract
         sizes[:] = self.model_size
+        # e (R, 1) holds the error, then lr_weights * e, and dw the weight
+        # update (lr_weights * e) * z
+        e, dw = np.empty((w.shape[0], 1)), np.empty(w.shape)
+        err = e[:, 0]
         if lr_freqs == 0.0 and lr_phases == 0.0:
             # the stacked matvec gives each (step, run) the bits of freqs @ x
-            zs = cos(matmul(freqs, xs[..., None])[..., 0] + phases)
-            for t, z in enumerate(zs):
-                p = predictions[t] = vecdot(w, z)
-                w += (lr_weights * (ys[t] - p))[:, None] * z
+            zs = matmul(freqs, xs[..., None])[..., 0]
+            zs += phases
+            cos(zs, out=zs)
+            for z, y, p in zip(zs, ys, predictions):
+                vecdot(w, z, out=p)
+                multiply(subtract(y, p, out=err), lr_weights, out=err)
+                w += multiply(e, z, out=dw)
             return
-        step, coords = np.empty(freqs.shape), range(freqs.shape[2])
-        for t, x in enumerate(xs[..., None]):
-            theta = matmul(freqs, x)[..., 0] + phases
-            z = cos(theta)
-            p = predictions[t] = vecdot(w, z)
-            e = ys[t] - p
-            # pre-update weights drive the feature gradients
-            g = e[:, None] * w * sin(theta)
+        theta = np.empty((*w.shape, 1))  # matmul's (R, D, 1) result
+        angles, z, s, g, lg = theta[..., 0], *(np.empty(w.shape) for _ in range(4))
+        step = np.empty(freqs.shape)
+        columns = list(enumerate(step.transpose(2, 0, 1)))  # (i, step[:, :, i])
+        for x, y, p in zip(xs[..., None], ys, predictions):
+            matmul(freqs, x, out=theta)
+            angles += phases
+            cos(angles, out=z)
+            vecdot(w, z, out=p)
+            subtract(y, p, out=err)
+            # pre-update weights drive the feature gradients: g = (e * w) * sin
+            multiply(multiply(e, w, out=g), sin(angles, out=s), out=g)
             # freqs[:, :, i] -= (lr_freqs * g) * x_i for each coordinate i,
             # built in one buffer so that numpy loops over D, not L
-            lg = lr_freqs * g
-            for i in coords:
-                np.multiply(lg, x[:, i], out=step[:, :, i])
+            multiply(g, lr_freqs, out=lg)
+            for i, column in columns:
+                multiply(lg, x[:, i], out=column)
             freqs -= step
-            phases -= lr_phases * g
-            w += (lr_weights * e)[:, None] * z
+            phases -= multiply(g, lr_phases, out=lg)
+            w += multiply(multiply(e, lr_weights, out=e), z, out=dw)
 
 
 def _kernel_rows(centers: np.ndarray, xs: np.ndarray, scale: float) -> np.ndarray:
@@ -335,8 +358,11 @@ class CoherenceKlms(_StreamFilter):
         w, centers, size = state
         threshold, lr = self.coherence_threshold, self.lr_weights
         scale = 2.0 * self.bandwidth**2
-        add = np.add.reduce
+        add, multiply, subtract = np.add.reduce, np.multiply, np.subtract
         horizon, n_runs, dim = xs.shape
+        # e (R, 1) holds the error, then lr * e, and wk w * k, then (lr * e) * k
+        e, wk = np.empty((n_runs, 1)), np.empty(w.shape)
+        err = e[:, 0]
         start = 0
         while start < horizon:
             stop = min(horizon, start + max(1, min(_BLOCK, _CHUNK // (n_runs * dim * w.shape[1]))))
@@ -357,6 +383,7 @@ class CoherenceKlms(_StreamFilter):
                         centers = state[1] = np.pad(centers, ((0, 0), (0, 0), (0, cap)),
                                                     constant_values=np.inf)
                         ks = np.pad(ks, ((0, 0), (0, 0), (0, cap)))
+                        wk = np.empty(w.shape)
                     slot = size[admit]
                     x = block[j, admit]
                     centers[admit, :, slot] = x
@@ -369,7 +396,8 @@ class CoherenceKlms(_StreamFilter):
                         ks[j + 1:, admit, slot] = column
                         later = peaks[j + 1:]
                         later[:, admit] = np.maximum(later[:, admit], column)
-                k = ks[j]
-                p = predictions[t] = add(w * k, axis=1)
-                w += (lr * (ys[t] - p))[:, None] * k
+                k, p = ks[j], predictions[t]
+                add(multiply(w, k, out=wk), axis=1, out=p)
+                multiply(subtract(ys[t], p, out=err), lr, out=err)
+                w += multiply(e, k, out=wk)
             start = stop

@@ -15,16 +15,18 @@ capped at the config's run count. A single experiment thus gets a
 multiple of the worker count, and a sweep of small experiments one batch
 each. With one worker the batches run one after the other in this
 process. Otherwise every batch of the call goes through one pool of that
-many processes, which lives for the whole call and cancels its pending
-batches when the call fails or is closed early. Either way memory is
-bounded by the batch size, not the run count. Within a batch each filter
-is built once for all of its runs and consumes their stacked streams,
-(R, T, L) inputs and (R, T) targets, in one ``run`` call (see
-``rfflms.filters``): time is the only sequential axis. The batch that
-holds run 0 of a nonstationary experiment splits an RFF-family filter's
-call at the change step to record run 0's frequency bank there. The EMSE
-curves are then computed at once from the clean targets and the returned
-predictions.
+many processes, which lives for the whole call. At most twice as many
+batches as processes are unfinished at any time: a new batch is
+submitted whenever one finishes, while the results are still reduced in
+order, so a call that fails or is closed early leaves at most that many
+to finish. Either way memory is bounded by the batch size, not the run
+count. Within a batch each filter is built once for all of its runs and
+consumes their stacked streams, (R, T, L) inputs and (R, T) targets, in
+one ``run`` call (see ``rfflms.filters``): time is the only sequential
+axis. The batch that holds run 0 of a nonstationary experiment splits an
+RFF-family filter's call at the change step to record run 0's frequency
+bank there. The EMSE curves are then computed at once from the clean
+targets and the returned predictions.
 
 Divergence policy. A filter's run is usable iff its EMSE curve is finite
 at every step. A run whose filter state stops being finite is covered by
@@ -53,9 +55,11 @@ from __future__ import annotations
 import csv
 import json
 import os
+from collections import deque
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -237,6 +241,27 @@ def _aggregate(cfg: ExperimentConfig, batches: list[range], results) -> RunArtif
     )
 
 
+def _pool_results(pool: ProcessPoolExecutor, tasks: list[tuple], limit: int):
+    """Each task's ``_batch_results`` from ``pool``, in task order. At most
+    ``limit`` submitted tasks are unfinished: while the next result is not
+    ready, every finished task makes room for the next one, so a slow batch
+    does not idle the other workers, and a call that stops drawing leaves at
+    most ``limit`` batches to finish."""
+    tasks = iter(tasks)
+    submitted = deque()
+    while True:
+        if submitted and submitted[0].done():
+            yield submitted.popleft().result()
+            continue
+        running = [future for future in submitted if not future.done()]
+        for task in islice(tasks, limit - len(running)):
+            submitted.append(pool.submit(_batch_results, *task))
+            running.append(submitted[-1])
+        if not submitted:
+            return
+        wait(running, return_when=FIRST_COMPLETED)
+
+
 def run_experiments(cfgs: list[ExperimentConfig], workers: int = 1) -> Iterator[RunArtifacts]:
     """Run every config's Monte Carlo runs; yield each config's artifacts,
     in config order, as soon as its last batch is reduced.
@@ -248,8 +273,9 @@ def run_experiments(cfgs: list[ExperimentConfig], workers: int = 1) -> Iterator[
     reduction in run-index order whatever the batching, so the artifacts
     are byte-reproducible under each config's root seed and equal those of
     the config run alone. An ``ExperimentError`` ends the call, after the
-    artifacts of the configs before it; the pool's pending batches are
-    cancelled, as they are when the caller closes the generator early.
+    artifacts of the configs before it; the pool then finishes only the
+    batches already submitted, as it does when the caller closes the
+    generator early.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -264,12 +290,12 @@ def run_experiments(cfgs: list[ExperimentConfig], workers: int = 1) -> Iterator[
             # filter runs
             results = (_run_batch(cfg, runs) for cfg, runs in tasks)
         else:
-            results = pool.map(_batch_results, *zip(*tasks))
+            results = _pool_results(pool, tasks, 2 * workers)
         for cfg, batches in zip(cfgs, plans):
             yield _aggregate(cfg, batches, results)
     finally:
         if pool is not None:
-            pool.shutdown(cancel_futures=True)
+            pool.shutdown()
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunArtifacts:

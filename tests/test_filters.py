@@ -91,6 +91,21 @@ def test_frozen_feature_updates_match_rff_bit_for_bit():
     assert np.array_equal(arff.weights, rff.weights)
     assert np.array_equal(arff.freqs, rff.freqs)
     assert np.array_equal(arff.phases, rff.phases)
+    # and in one run call at R=3, where rff computes each time chunk's cosines
+    # at once, in place: at D=48 a chunk is _CHUNK // 144 = 455 steps, so 1500
+    # steps span 4 chunks
+    banks = [sample_feature_bank(0.95, 48, 2, seed=seed) for seed in (77, 78, 79)]
+    streams = [smooth_stream(1500, seed=seed) for seed in (4, 5, 6)]
+    inputs = np.stack([x for x, _ in streams])
+    targets = np.stack([y for _, y in streams])
+    assert inputs.shape[1] > 3 * (filters._CHUNK // (3 * 48))
+    arff = AdaptiveRffLms(banks, 0.01, 5e-324, 5e-324)
+    rff = AdaptiveRffLms(banks, 0.01, 0.0, 0.0)
+    assert np.array_equal(arff.run(inputs, targets)[0], rff.run(inputs, targets)[0])
+    assert np.array_equal(arff.weights, rff.weights)
+    assert np.array_equal(arff.freqs, rff.freqs)
+    assert np.array_equal(arff.phases, rff.phases)
+    assert not arff.diverged_at.any()
 
 
 def test_rff_first_step_from_zero_weights():

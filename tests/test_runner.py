@@ -190,10 +190,11 @@ def test_a_failed_call_cancels_the_later_configs_batches(counting_pool):
     with pytest.raises(ExperimentError):
         next(arts)
     [pool] = counting_pool
-    assert len(pool.futures) == 9
+    # at most 2 * workers batches are unfinished at once, and the failing
+    # batch, the first and shortest, ends the call before any other finishes:
+    # at least 5 of the 9 never reached the pool
+    assert len(pool.futures) <= 4
     assert all(future.done() for future in pool.futures)
-    # only the batches the workers had taken or had queued for them ran on
-    assert any(future.cancelled() for future in pool.futures)
 
 
 def test_reexport_is_byte_identical(tmp_path):
