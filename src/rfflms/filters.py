@@ -25,26 +25,24 @@ pieces gives bit-for-bit what one call over the whole stream gives.
 ``step(x, y)`` is the online form for a filter of one run: ``run`` over a
 stream of length 1, returning a ``StepOutcome``.
 
-Divergence. A run diverges at the step whose update left its state
-non-finite; steps are global and 1-based, counted over every step the
-filter has taken (``n_steps`` before the call plus the position in the
-stream). The check is lazy. A non-finite state always gives a non-finite
-prediction on a finite input, so the steps of a time chunk test nothing,
-and the chunk's predictions are tested at once afterwards. At the first
-step where a run not yet diverged predicts a non-finite value, the chunk
-is redone from a copy of its starting state, up to that step, and the
-run's state is tested exactly: if it is not finite the previous step
-diverged, otherwise the prediction overflowed from a finite state, and
-this step diverges (its update would spread the overflow). The state is
-also tested once at the end of each call. A diverged run keeps its slot:
-its step goes to ``diverged_at`` (0 for a live run) and it is stepped on
-with the other runs, whose bits it cannot touch, until every run of the
-batch has diverged; the call then takes no further step. Its state after
-that step is not defined. At the end of the call its predictions from
-that step on are set to NaN and its model sizes to 0. ``run`` reports
-divergence only through ``diverged_at``; ``step`` raises
-``DivergenceError`` with the step instead. Overflow on the way there
-raises no numpy warning.
+Divergence. A run diverges at its first step whose prediction is not
+finite; steps are global and 1-based, counted over every step the filter
+has taken (``n_steps`` before the call plus the position in the stream).
+A non-finite state always gives a non-finite prediction on a finite
+input, so every broken state shows in the next prediction: a run whose
+update overflowed is flagged one step later, and one whose prediction
+overflowed from a finite state at that step. The steps of a time chunk
+test nothing; the chunk's predictions are tested at once afterwards. A
+break on a call's last update is thus flagged at the next call's first
+step, and a run that breaks on the last update of its stream keeps
+finite predictions throughout. A diverged run keeps its slot: its step
+goes to ``diverged_at`` (0 for a live run) and it is stepped on with the
+other runs, whose bits it cannot touch, until every run of the batch has
+diverged; the call then takes no further step. Its state after that step
+is not defined. At the end of the call its predictions from that step on
+are set to NaN and its model sizes to 0. ``run`` reports divergence only
+through ``diverged_at``; ``step`` raises ``DivergenceError`` with the
+step instead. Overflow on the way there raises no numpy warning.
 
 ``AdaptiveRffLms`` additionally descends on the feature frequencies and
 phases. Within one step every right-hand side uses the pre-update state
@@ -72,12 +70,13 @@ import numpy as np
 from .features import FeatureBank, phase_angles  # noqa: F401
 from .kernels import check_bandwidth, coherence_admit, kernelized_input  # noqa: F401
 
-# the steps between two tests of the predictions form a time chunk of
-# _CHUNK // (state entries of the batch) steps, and at least _MIN_CHUNK;
-# frozen features compute a chunk's cosines at once, in place in the
-# chunk's matmul result. CoherenceKlms computes its kernel rows per time
-# block of at most _BLOCK steps, fewer if the block's (steps, runs, L,
-# capacity) differences would exceed _CHUNK entries, and at least one
+# the steps between two tests of the predictions, which flag divergence,
+# form a time chunk of _CHUNK // (weight entries of the batch) steps, and
+# at least _MIN_CHUNK; frozen features compute a chunk's cosines at once,
+# in place in the chunk's matmul result. CoherenceKlms computes its kernel
+# rows per time block of at most _BLOCK steps, fewer if the block's
+# (steps, runs, L, capacity) differences would exceed _CHUNK entries, and
+# at least one
 _CHUNK = 1 << 16
 _MIN_CHUNK = 64
 _BLOCK = 32
@@ -93,10 +92,10 @@ class StepOutcome:
 
 
 class DivergenceError(RuntimeError):
-    """Filter state left the finite range; carries the 1-based step index."""
+    """A prediction left the finite range; carries the 1-based step index."""
 
     def __init__(self, step: int):
-        super().__init__(f"filter state became non-finite at step {step}")
+        super().__init__(f"filter prediction at step {step} is not finite")
         self.step = step
 
 
@@ -110,11 +109,11 @@ def _check_rate(name: str, value: float) -> float:
 class _StreamFilter:
     """``run``, ``step`` and the stream check around a filter's time loop.
 
-    A subclass provides ``n_runs``, ``input_dim``, the working state of all
-    its runs (``_state``, written back by ``_store``), its exact finiteness
-    test per run (``_finite``) and the time loop itself (``_steps``), which
-    steps every run, diverged or not. ``run`` stops calling it once every
-    run has diverged.
+    A subclass provides ``n_runs``, ``input_dim``, its (R, width) weight
+    buffer ``_weights``, whose size sets the time chunk, and the time loop
+    itself (``_steps``), which steps every run on the filter's own arrays,
+    diverged or not. ``run`` flags each run at its first non-finite
+    prediction and stops calling ``_steps`` once every run has diverged.
     """
 
     def _check_stream(self, inputs, targets) -> tuple[np.ndarray, np.ndarray]:
@@ -150,27 +149,15 @@ class _StreamFilter:
         base = self.n_steps
         predictions = np.empty((horizon, n_runs))
         sizes = np.empty((horizon, n_runs), dtype=int)
-        state = self._state()
         start = 0
         while start < horizon and not self.diverged_at.all():
-            stop = min(horizon, start + max(_MIN_CHUNK, _CHUNK // state[0].size))
-            saved = [a.copy() for a in state]
-            self._steps(state, xs[start:stop], ys[start:stop],
-                        predictions[start:stop], sizes[start:stop])
-            finite = np.isfinite(predictions[start:stop])
-            if not finite.all() and (bad := ~finite & (self.diverged_at == 0)).any():
-                # redo the chunk up to its first new non-finite prediction,
-                # and test the state there exactly
-                stop = start + int(np.argmax(bad.any(axis=1)))
-                state[:] = saved
-                self._steps(state, xs[start:stop], ys[start:stop],
-                            predictions[start:stop], sizes[start:stop])
-                new = bad[stop - start]
-                self.diverged_at[new] = np.maximum(base + stop + self._finite(state)[new], base + 1)
+            stop = min(horizon, start + max(_MIN_CHUNK, _CHUNK // self._weights.size))
+            self._steps(xs[start:stop], ys[start:stop], predictions[start:stop], sizes[start:stop])
+            bad = ~np.isfinite(predictions[start:stop])
+            if bad.any() and (new := bad.any(axis=0) & (self.diverged_at == 0)).any():
+                # each new run's first non-finite prediction in the chunk
+                self.diverged_at[new] = base + start + 1 + np.argmax(bad[:, new], axis=0)
             start = stop
-        if not (state_ok := self._finite(state)).all():
-            self.diverged_at[(self.diverged_at == 0) & ~state_ok] = base + horizon
-        self._store(state)
         self.n_steps = base + horizon
         if self.diverged_at.any():
             gone = (self.diverged_at > 0) & (np.arange(base + 1, base + horizon + 1)[:, None]
@@ -212,19 +199,12 @@ class AdaptiveRffLms(_StreamFilter):
         self.n_steps = 0
         self.diverged_at = np.zeros(self.n_runs, dtype=int)
 
-    def _state(self) -> list[np.ndarray]:
-        return [self.weights, self.freqs, self.phases]
+    @property
+    def _weights(self) -> np.ndarray:
+        return self.weights
 
-    def _store(self, state) -> None:
-        self.weights, self.freqs, self.phases = state
-
-    def _finite(self, state) -> np.ndarray:
-        w, freqs, phases = state
-        finite = np.isfinite
-        return finite(w).all(axis=1) & finite(freqs).all(axis=(1, 2)) & finite(phases).all(axis=1)
-
-    def _steps(self, state, xs, ys, predictions, sizes) -> None:
-        w, freqs, phases = state
+    def _steps(self, xs, ys, predictions, sizes) -> None:
+        w, freqs, phases = self.weights, self.freqs, self.phases
         lr_weights, lr_freqs, lr_phases = self.lr_weights, self.lr_freqs, self.lr_phases
         cos, sin, matmul, vecdot = np.cos, np.sin, np.matmul, np.vecdot
         multiply, subtract = np.multiply, np.subtract
@@ -345,17 +325,8 @@ class CoherenceKlms(_StreamFilter):
     def centers(self) -> list[np.ndarray]:
         return self._active(self._centers.transpose(0, 2, 1))
 
-    def _state(self) -> list[np.ndarray]:
-        return [self._weights, self._centers, self.sizes]
-
-    def _store(self, state) -> None:
-        self._weights, self._centers, self.sizes = state
-
-    def _finite(self, state) -> np.ndarray:
-        return np.isfinite(state[0]).all(axis=1)
-
-    def _steps(self, state, xs, ys, predictions, sizes) -> None:
-        w, centers, size = state
+    def _steps(self, xs, ys, predictions, sizes) -> None:
+        w, centers, size = self._weights, self._centers, self.sizes
         threshold, lr = self.coherence_threshold, self.lr_weights
         scale = 2.0 * self.bandwidth**2
         add, multiply, subtract = np.add.reduce, np.multiply, np.subtract
@@ -377,11 +348,11 @@ class CoherenceKlms(_StreamFilter):
                 t = start + j
                 if flagged[j] and (admit := np.flatnonzero(~(peaks[j] > threshold))).size:
                     if size[admit].max() == w.shape[1]:
-                        # double the buffers; written back by _store
+                        # double the buffers
                         cap = w.shape[1]
-                        w = state[0] = np.pad(w, ((0, 0), (0, cap)))
-                        centers = state[1] = np.pad(centers, ((0, 0), (0, 0), (0, cap)),
-                                                    constant_values=np.inf)
+                        w = self._weights = np.pad(w, ((0, 0), (0, cap)))
+                        centers = self._centers = np.pad(centers, ((0, 0), (0, 0), (0, cap)),
+                                                         constant_values=np.inf)
                         ks = np.pad(ks, ((0, 0), (0, 0), (0, cap)))
                         wk = np.empty(w.shape)
                     slot = size[admit]

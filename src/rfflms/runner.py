@@ -30,9 +30,12 @@ targets and the returned predictions.
 
 Divergence policy. A filter's run is usable iff its EMSE curve is finite
 at every step. A run whose filter state stops being finite is covered by
-this rule (the filter records the step, keeps stepping the run with its
-batch and returns NaN predictions for it from that step on), and so is a
-run whose prediction stays finite while its squared error overflows. An
+this rule (its next prediction is not finite: the filter flags the run at
+that step, keeps stepping it with its batch and returns NaN predictions
+for it from that step on; a break on the horizon's last update leaves
+every prediction finite, and the run usable), and so is a run whose
+prediction stays finite while its squared error overflows. Run 0's
+``change`` and ``final`` bank snapshots are taken only of a finite bank. An
 unusable run of a filter is listed in ``RunArtifacts.diverged`` and left
 out of that filter's mean curves, while the other filters' curves of the
 same run, and the other runs of the batch, still count. The experiment
@@ -167,7 +170,7 @@ def _run_batch(cfg: ExperimentConfig, runs: range):
             preds, sizes = filt.run(inputs, targets)
         else:
             preds, sizes = filt.run(inputs[:, :split], targets[:, :split])
-            if not filt.diverged_at[0]:
+            if not filt.diverged_at[0] and np.isfinite(filt.freqs[0]).all():
                 snapshots["change"] = filt.freqs[0].copy()
             tail_preds, tail_sizes = filt.run(inputs[:, split:], targets[:, split:])
             preds = np.concatenate([preds, tail_preds], axis=1)
@@ -177,7 +180,7 @@ def _run_batch(cfg: ExperimentConfig, runs: range):
             emse *= emse
         del preds
         usable = np.isfinite(emse).all(axis=1)
-        if snapshots is not None and usable[0]:
+        if snapshots is not None and usable[0] and np.isfinite(filt.freqs[0]).all():
             snapshots["final"] = filt.freqs[0].copy()
         yield spec.column, emse, sizes, usable, snapshots
 

@@ -449,11 +449,13 @@ ROWS = 4
 
 def batch_rows(kind):
     """Four runs of one kind, as (inputs, targets, bank) each: two stable
-    ones, one whose update overflows its state at step 2, and one whose
+    ones, one whose update overflows its state at step 2, so that it
+    diverges at step 3, its first non-finite prediction, and one whose
     prediction overflows at step 61 from a still finite state (the rare
-    path of the lazy divergence check). The ``coherence-klms`` run that
-    diverges at step 2 goes on to admit every later input, so its batch
-    doubles buffers that the live runs do not need."""
+    path, where the prediction breaks before the state). The
+    ``coherence-klms`` run that diverges at step 3 goes on to admit every
+    later input, so its batch doubles buffers that the live runs do not
+    need."""
     x0, y0 = smooth_stream(200, seed=4)
     x3, y3 = smooth_stream(200, seed=5)
     y1, y2 = np.zeros(200), np.zeros(200)
@@ -498,7 +500,7 @@ def run_rows(kind, subset, cuts=()):
 def test_batched_run_flags_each_row_at_the_step_its_step_loop_raises(kind):
     f, preds, sizes = run_rows(kind, range(ROWS))
     assert preds.shape == sizes.shape == (ROWS, 200)
-    assert list(f.diverged_at) == [0, 2, 61, 0]
+    assert list(f.diverged_at) == [0, 3, 61, 0]
     if kind == "coherence-klms":
         # the diverged run kept admitting centers, past the 64 slots the
         # live runs need
@@ -558,27 +560,26 @@ def test_batched_run_split_anywhere_matches_one_call(kind, cuts):
 @pytest.mark.parametrize("kind", sorted(MAKERS))
 def test_a_batch_stops_stepping_once_every_run_has_diverged(kind, monkeypatch):
     full, full_preds, full_sizes = run_rows(kind, range(ROWS))
-    # one-step chunks: steps 1 to 61, then no further, and step 3 twice, since
-    # the chunk where run 1's divergence is found is redone
+    # one-step chunks: steps 1 to 61, each once, then no further
     monkeypatch.setattr(filters, "_CHUNK", 0)
     monkeypatch.setattr(filters, "_MIN_CHUNK", 1)
     cls = CoherenceKlms if kind == "coherence-klms" else AdaptiveRffLms
     steps, given = cls._steps, []
 
-    def counted(self, state, xs, *rest):
+    def counted(self, xs, *rest):
         given.append(len(xs))
-        steps(self, state, xs, *rest)
+        steps(self, xs, *rest)
 
     monkeypatch.setattr(cls, "_steps", counted)
     f, preds, sizes = run_rows(kind, (1, 2))
-    assert list(f.diverged_at) == [2, 61] and sum(given) == 62
+    assert list(f.diverged_at) == [3, 61] and sum(given) == 61
     assert np.array_equal(preds, full_preds[1:3], equal_nan=True)
     assert np.array_equal(sizes, full_sizes[1:3])
     # a later call takes no step at all
     given.clear()
     x, y, _ = batch_rows(kind)[0]
     more_preds, more_sizes = f.run(np.stack([x, x]), np.stack([y, y]))
-    assert given == [] and f.n_steps == 400 and list(f.diverged_at) == [2, 61]
+    assert given == [] and f.n_steps == 400 and list(f.diverged_at) == [3, 61]
     assert np.isnan(more_preds).all() and not more_sizes.any()
 
 

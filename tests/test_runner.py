@@ -300,6 +300,39 @@ def test_overflowing_squared_error_is_a_diverged_run(monkeypatch):
     assert np.array_equal(art.emse["rff"], (emse[0] + emse[2]) / 2)
 
 
+def test_a_bank_that_breaks_on_a_calls_last_update_has_no_snapshot(monkeypatch, tmp_path):
+    # run 0's bank turns NaN on the last update before the regime change, so
+    # its filter flags it only at the second call's first prediction
+    cfg = tiny_nonstationary(max_divergence_fraction=1.0)
+    build = runner.build_filter
+
+    def build_breaking(spec, input_dim, bank_seeds):
+        filt = build(spec, input_dim, bank_seeds)
+        if spec.kind == "coherence-klms":
+            return filt
+        run = filt.run
+
+        def run_breaking(inputs, targets):
+            first = filt.n_steps == 0
+            preds, sizes = run(inputs, targets)
+            if first:
+                filt.freqs[0] = np.nan
+                assert filt.diverged_at[0] == 0
+            return preds, sizes
+
+        filt.run = run_breaking
+        return filt
+
+    monkeypatch.setattr(runner, "build_filter", build_breaking)
+    art = run_experiment(cfg)
+    assert art.diverged == {"coherence-klms": [], "rff": [0], "adaptive-rff": [0]}
+    export_artifacts(art, tmp_path)
+    with (tmp_path / "omega_snapshots.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {row["stage"] for row in rows} == {"initial"}
+    assert not any("nan" in cell.lower() for row in rows for cell in row.values())
+
+
 def test_all_runs_diverging_is_an_error():
     cfg = tiny_config(
         filters=(FilterSpec(kind="rff", lr_weights=1e8, n_features=8, bandwidth=0.95),),
