@@ -97,6 +97,14 @@ def _summary_lines(art) -> list[str]:
     return lines
 
 
+def _check_out_dir(out_dir: Path) -> None:
+    """Raise ``ConfigError`` unless export can make ``out_dir``: its nearest
+    existing path must be a directory."""
+    nearest = next(path for path in (out_dir, *out_dir.parents) if path.exists())
+    if not nearest.is_dir():
+        raise ConfigError(f"--out {out_dir}: {nearest} is not a directory")
+
+
 def _cmd_run(args) -> int:
     if args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
@@ -110,16 +118,19 @@ def _cmd_run(args) -> int:
         points = [f"{name}={value:.12g}" for value in values]
         if len(set(points)) != len(points):
             raise ConfigError(f"--sweep grid points share a directory name: {points}")
-        # closing() ends the pool before the later points' batches are
-        # submitted if this loop fails
+        subs = [out_dir / f"sweep_{point}" for point in points]
+        for sub in subs:
+            _check_out_dir(sub)
+        # closing() ends the pool if this loop fails, cancelling the later
+        # points' batches that no worker has taken
         with closing(run_experiments(grid, workers=args.workers)) as arts:
-            for point, art in zip(points, arts):
-                sub = out_dir / f"sweep_{point}"
+            for point, sub, art in zip(points, subs, arts):
                 export_artifacts(art, sub)
                 print(f"[{cfg.name}] {point} -> {sub}")
                 for line in _summary_lines(art):
                     print("  " + line)
         return 0
+    _check_out_dir(out_dir)
     art = run_experiment(cfg, workers=args.workers)
     export_artifacts(art, out_dir)
     print(f"[{cfg.name}] runs={cfg.runs} horizon={cfg.horizon} seed={cfg.seed} -> {out_dir}")

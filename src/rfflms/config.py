@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .kernels import check_bandwidth
+
 
 class ConfigError(ValueError):
     pass
@@ -97,8 +99,10 @@ class FilterSpec:
         for name in ("lr_weights", "lr_freqs", "lr_phases"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"filter.{name} must be >= 0")
-        if self.bandwidth <= 0:
-            raise ConfigError(f"filter.bandwidth must be > 0, got {self.bandwidth}")
+        try:
+            check_bandwidth(self.bandwidth)
+        except ValueError as exc:
+            raise ConfigError(f"filter.{exc}") from None
         if "n_features" in reads and self.n_features < 1:
             raise ConfigError(f"filter.n_features must be >= 1, got {self.n_features}")
         if "coherence_threshold" in reads and not 0.0 < self.coherence_threshold < 1.0:
@@ -155,12 +159,9 @@ class ExperimentConfig:
     ``seed`` is the root seed, in ``[0, 2**64)``; every stream and bank
     seed derives from it (see ``rfflms.seeding``).
 
-    ``max_divergence_fraction`` bounds the share of bad runs, where a run
-    is bad if any of its filters diverged. The experiment fails if more
-    than ``max_divergence_fraction * runs`` runs are bad, or if no filter
-    has a usable run; otherwise diverged curves are only left out of the
-    aggregates, and a filter that diverged on every run is reported as
-    diverged with no curve (see ``rfflms.runner``).
+    ``max_divergence_fraction`` bounds the share of bad runs: the
+    divergence policy in ``rfflms.runner`` says which runs are bad and
+    what becomes of them.
     """
 
     name: str

@@ -112,8 +112,7 @@ class _StreamFilter:
     A subclass provides ``n_runs``, ``input_dim``, its (R, width) weight
     buffer ``_weights``, whose size sets the time chunk, and the time loop
     itself (``_steps``), which steps every run on the filter's own arrays,
-    diverged or not. ``run`` flags each run at its first non-finite
-    prediction and stops calling ``_steps`` once every run has diverged.
+    diverged or not. ``run`` flags divergence as the module docstring says.
     """
 
     def _check_stream(self, inputs, targets) -> tuple[np.ndarray, np.ndarray]:

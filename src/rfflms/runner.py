@@ -14,26 +14,25 @@ batch count is the smallest multiple of ``share`` that allows this,
 capped at the config's run count. A single experiment thus gets a
 multiple of the worker count, and a sweep of small experiments one batch
 each. With one worker the batches run one after the other in this
-process. Otherwise every batch of the call goes through one pool of that
-many processes, which lives for the whole call. At most twice as many
-batches as processes are unfinished at any time: a new batch is
-submitted whenever one finishes, while the results are still reduced in
-order, so a call that fails or is closed early leaves at most that many
-to finish. Either way memory is bounded by the batch size, not the run
-count. Within a batch each filter is built once for all of its runs and
-consumes their stacked streams, (R, T, L) inputs and (R, T) targets, in
-one ``run`` call (see ``rfflms.filters``): time is the only sequential
-axis. The batch that holds run 0 of a nonstationary experiment splits an
-RFF-family filter's call at the change step to record run 0's frequency
-bank there. The EMSE curves are then computed at once from the clean
-targets and the returned predictions.
+process. Otherwise ``pool.map`` submits every batch of the call at once to
+one pool of that many processes, which lives for the whole call, and the
+results are still reduced in task order: a finished batch waits in this
+process until its turn. A call that fails or is closed early cancels
+every batch that no worker has taken yet. Besides the batches they run,
+the workers hold up to ``workers + 1`` taken ones in the pool's queue,
+and these still finish: up to ``2 * workers + 1`` batches past those
+already done. With 2 workers, a call of 9 batches whose first one fails
+runs 5 or 6 of them. Within a batch each filter is built once for all
+of its runs and consumes their stacked streams, (R, T, L) inputs and
+(R, T) targets, in one ``run`` call (see ``rfflms.filters``): time is the
+only sequential axis. The batch that holds run 0 of a nonstationary
+experiment splits an RFF-family filter's call at the change step to
+record run 0's frequency bank there. The EMSE curves are then computed at
+once from the clean targets and the returned predictions.
 
 Divergence policy. A filter's run is usable iff its EMSE curve is finite
-at every step. A run whose filter state stops being finite is covered by
-this rule (its next prediction is not finite: the filter flags the run at
-that step, keeps stepping it with its batch and returns NaN predictions
-for it from that step on; a break on the horizon's last update leaves
-every prediction finite, and the run usable), and so is a run whose
+at every step. This covers a run that the filter flags as diverged (see
+the divergence paragraph of ``rfflms.filters``) and a run whose
 prediction stays finite while its squared error overflows. Run 0's
 ``change`` and ``final`` bank snapshots are taken only of a finite bank. An
 unusable run of a filter is listed in ``RunArtifacts.diverged`` and left
@@ -58,11 +57,9 @@ from __future__ import annotations
 import csv
 import json
 import os
-from collections import deque
 from collections.abc import Iterator
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -244,27 +241,6 @@ def _aggregate(cfg: ExperimentConfig, batches: list[range], results) -> RunArtif
     )
 
 
-def _pool_results(pool: ProcessPoolExecutor, tasks: list[tuple], limit: int):
-    """Each task's ``_batch_results`` from ``pool``, in task order. At most
-    ``limit`` submitted tasks are unfinished: while the next result is not
-    ready, every finished task makes room for the next one, so a slow batch
-    does not idle the other workers, and a call that stops drawing leaves at
-    most ``limit`` batches to finish."""
-    tasks = iter(tasks)
-    submitted = deque()
-    while True:
-        if submitted and submitted[0].done():
-            yield submitted.popleft().result()
-            continue
-        running = [future for future in submitted if not future.done()]
-        for task in islice(tasks, limit - len(running)):
-            submitted.append(pool.submit(_batch_results, *task))
-            running.append(submitted[-1])
-        if not submitted:
-            return
-        wait(running, return_when=FIRST_COMPLETED)
-
-
 def run_experiments(cfgs: list[ExperimentConfig], workers: int = 1) -> Iterator[RunArtifacts]:
     """Run every config's Monte Carlo runs; yield each config's artifacts,
     in config order, as soon as its last batch is reduced.
@@ -276,9 +252,9 @@ def run_experiments(cfgs: list[ExperimentConfig], workers: int = 1) -> Iterator[
     reduction in run-index order whatever the batching, so the artifacts
     are byte-reproducible under each config's root seed and equal those of
     the config run alone. An ``ExperimentError`` ends the call, after the
-    artifacts of the configs before it; the pool then finishes only the
-    batches already submitted, as it does when the caller closes the
-    generator early.
+    artifacts of the configs before it. The pool then cancels every batch
+    that no worker has taken and finishes the taken ones, as it does when
+    the caller closes the generator early (see the module docstring).
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -293,12 +269,12 @@ def run_experiments(cfgs: list[ExperimentConfig], workers: int = 1) -> Iterator[
             # filter runs
             results = (_run_batch(cfg, runs) for cfg, runs in tasks)
         else:
-            results = _pool_results(pool, tasks, 2 * workers)
+            results = pool.map(_batch_results, *zip(*tasks))
         for cfg, batches in zip(cfgs, plans):
             yield _aggregate(cfg, batches, results)
     finally:
         if pool is not None:
-            pool.shutdown()
+            pool.shutdown(cancel_futures=True)
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunArtifacts:

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+import rfflms.cli as cli
 from rfflms.cli import _parse_sweep, main
 
 FILES = ["emse.csv", "model_size.csv", "summary.csv", "omega_snapshots.csv", "manifest.json"]
@@ -149,6 +150,32 @@ def rff_config(tmp_path, **filter_fields):
     return path
 
 
+SWEEP = ["--sweep", "n_features=4:8:4"]
+
+
+# "res" holds a file in place of the sweep's second point directory
+@pytest.mark.parametrize("out, sweep", [
+    ("taken", []), ("taken/res", []), ("taken", SWEEP), ("taken/res", SWEEP), ("res", SWEEP),
+])
+def test_run_rejects_an_out_that_cannot_be_a_directory(tmp_path, capsys, monkeypatch,
+                                                        out, sweep):
+    (tmp_path / "taken").write_text("a file\n")
+    (tmp_path / "res").mkdir()
+    (tmp_path / "res" / "sweep_n_features=8").write_text("a file\n")
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a batch ran")
+
+    monkeypatch.setattr(cli, "run_experiments", no_run)
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    code = main(["run", "--config", str(rff_config(tmp_path)),
+                 "--out", str(tmp_path / out), *sweep])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out") and "is not a directory" in err
+    assert (tmp_path / "taken").read_text() == "a file\n"
+
+
 def test_sweep_rejects_non_integer_n_features(tmp_path, capsys):
     out = tmp_path / "res"
     code = main(["run", "--config", str(rff_config(tmp_path)), "--out", str(out),
@@ -172,6 +199,13 @@ def test_validate_rejects_a_field_the_kind_does_not_read(tmp_path, capsys):
     path = rff_config(tmp_path, lr_freqs=1.0)
     assert main(["validate", "--config", str(path)]) == 2
     assert "lr_freqs" in capsys.readouterr().err
+
+
+def test_validate_rejects_a_bandwidth_whose_kernel_scale_overflows(tmp_path, capsys):
+    path = rff_config(tmp_path)
+    path.write_text(path.read_text().replace('"bandwidth": 0.95', '"bandwidth": 1e200'))
+    assert main(["validate", "--config", str(path)]) == 2
+    assert "filter.bandwidth" in capsys.readouterr().err
 
 
 def test_validate_rejects_mistyped_values(tmp_path, capsys):

@@ -218,6 +218,27 @@ def test_mistyped_and_nonfinite_values_rejected(tmp_path, where, key, value):
         load_config(path)
 
 
+KIND_FIELDS = {
+    "rff": {"lr_weights": 0.01, "n_features": 8},
+    "adaptive-rff": {"lr_weights": 0.005, "lr_freqs": 1.0, "lr_phases": 1.0, "n_features": 8},
+    "coherence-klms": {"lr_weights": 0.2, "coherence_threshold": 0.7},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_FIELDS))
+def test_bandwidth_whose_kernel_scale_leaves_the_floats_is_rejected(kind):
+    # 2 * bandwidth**2 underflows to 0 below about 1.6e-162 and overflows
+    # above about 9.4e153
+    payload = good_payload()
+    for bandwidth in (1e-320, 1e-163, 1e200):
+        payload["filters"] = [{"kind": kind, "bandwidth": bandwidth, **KIND_FIELDS[kind]}]
+        with pytest.raises(ConfigError, match="filter.bandwidth"):
+            config_from_dict(payload)
+    for bandwidth in (1e-160, 1e150):
+        payload["filters"] = [{"kind": kind, "bandwidth": bandwidth, **KIND_FIELDS[kind]}]
+        assert config_from_dict(payload).filters[0].bandwidth == bandwidth
+
+
 @pytest.mark.parametrize("snr_db", [-4000.0, -3083.0])
 def test_snr_whose_noise_factor_overflows_is_rejected(snr_db):
     payload = good_payload()

@@ -15,7 +15,8 @@ KERNEL_AT_DIST1_BW095 = 0.5746370697554741
 
 
 def test_spec_rejects_bad_parameters():
-    for bad in (0.0, -1.0, math.nan, math.inf):
+    # 1 / 1e-320 is inf, and 2 * 1e200**2 overflows
+    for bad in (0.0, -1.0, math.nan, math.inf, 1e-320, 1e200):
         with pytest.raises(ValueError, match="bandwidth"):
             sample_feature_bank(bandwidth=bad, n_features=4, input_dim=2, seed=0)
     with pytest.raises(ValueError, match="n_features"):

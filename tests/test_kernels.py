@@ -26,7 +26,8 @@ finite2 = st.lists(st.floats(-100, 100), min_size=2, max_size=2).map(np.array)
 def test_kernel_rejects_bad_bandwidth():
     d = []
     d.append(np.zeros(2))
-    for bad in (0.0, -1.0, float("nan"), float("inf")):
+    # 2 * bandwidth**2 underflows to 0 at 1e-163 and overflows at 1e200
+    for bad in (0.0, -1.0, float("nan"), float("inf"), 1e-163, 1e200):
         with pytest.raises(ValueError, match="bandwidth"):
             CoherenceKlms(bad, 0.5, 0.1, input_dim=2)
         with pytest.raises(ValueError, match="bandwidth"):

@@ -4,6 +4,7 @@ import filecmp
 import json
 import os
 import warnings
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -190,10 +191,19 @@ def test_a_failed_call_cancels_the_later_configs_batches(counting_pool):
     with pytest.raises(ExperimentError):
         next(arts)
     [pool] = counting_pool
-    # at most 2 * workers batches are unfinished at once, and the failing
-    # batch, the first and shortest, ends the call before any other finishes:
-    # at least 5 of the 9 never reached the pool
-    assert len(pool.futures) <= 4
+    # the failing batch, the first and shortest, ends the call before the
+    # batches no worker has taken start
+    assert any(future.cancelled() for future in pool.futures)
+    assert all(future.done() for future in pool.futures)
+
+
+def test_closing_the_call_early_cancels_the_later_configs_batches(counting_pool):
+    first = tiny_config(horizon=100, steady_window=50)
+    later = [tiny_config(horizon=2000, steady_window=100, seed=seed) for seed in range(8)]
+    with closing(run_experiments([first, *later], workers=2)) as arts:
+        assert next(arts).config == first
+    [pool] = counting_pool
+    assert any(future.cancelled() for future in pool.futures)
     assert all(future.done() for future in pool.futures)
 
 
