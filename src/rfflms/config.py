@@ -4,8 +4,10 @@ An experiment is fully declarative: a plant, a list of filters with their
 step sizes and feature/kernel settings, a horizon, a Monte Carlo run
 count, one root seed, and a steady-state window. Configs come from the
 built-in presets or from a JSON file validated against this schema:
-unknown keys, mistyped or non-finite values, and nonzero parameters that
-a filter's kind does not read are rejected, and errors name the field.
+unknown keys, mistyped or non-finite values, nonzero parameters that a
+filter's kind does not read, and RFF step sizes and bandwidths outside
+the float32 bounds of ``rfflms.filters`` are rejected, and errors name
+the field.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .filters import check_rff_bandwidth, check_rff_rate
 from .kernels import check_bandwidth
 
 
@@ -100,7 +103,14 @@ class FilterSpec:
             if getattr(self, name) < 0:
                 raise ConfigError(f"filter.{name} must be >= 0")
         try:
-            check_bandwidth(self.bandwidth)
+            if self.kind == "coherence-klms":
+                check_bandwidth(self.bandwidth)
+            else:
+                # the RFF kinds compute in float32 (see rfflms.filters), so
+                # their step sizes and bandwidth have float32 bounds
+                for name in ("lr_weights", "lr_freqs", "lr_phases"):
+                    check_rff_rate(name, getattr(self, name))
+                check_rff_bandwidth(self.bandwidth)
         except ValueError as exc:
             raise ConfigError(f"filter.{exc}") from None
         if "n_features" in reads and self.n_features < 1:

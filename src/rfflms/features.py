@@ -14,6 +14,11 @@ filters never form the kernel estimate: they evaluate the map inline in
 their time loop, and their learned weights absorb the scale of the
 features. A filter over R runs takes one bank per run and stacks them
 itself (see ``rfflms.filters``).
+
+Banks are drawn and held in float64, so a bank depends only on its seed.
+``AdaptiveRffLms`` casts each bank to float32 when it stacks them, and
+refuses one that is not finite once cast; ``check_rff_bandwidth`` in
+``rfflms.filters`` bounds the bandwidths whose drawn banks always fit.
 """
 
 from __future__ import annotations

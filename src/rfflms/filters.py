@@ -57,6 +57,23 @@ error, gradient, updates) once, or again when ``CoherenceKlms`` doubles
 its capacity, and every per-step operation writes into one of them with
 ``out=``. The operations and their order are those of the plain
 expressions, so the bits are too.
+
+Precision. ``AdaptiveRffLms`` computes in float32: its ``freqs``,
+``phases`` and ``weights``, every buffer of its time loop and its copy of
+the stream, which ``run`` casts once per call, and its step sizes, which
+the loop casts to float32 scalars. Its cost is the cosines and
+sines of the feature angles, and float32 ``np.cos`` and ``np.sin`` cost a
+small fraction of the float64 ones; at the presets' step sizes the
+steady-state EMSE is within 0.01 dB of float64's. What float32 cannot hold is
+refused at the boundary, never met inside a run: a stream value beyond
+``F32_MAX`` (``run`` raises ``ValueError``), a bank that is not finite once
+cast (the constructor raises), a step size that float32 would round to 0
+or inf (``check_rff_rate``) and, at config validation, a bandwidth whose
+sampled bank would not fit (``check_rff_bandwidth``). ``CoherenceKlms``
+stays float64: its admission test compares kernel peaks with the
+threshold, and rounding them would change which inputs it admits. Both
+return float64 predictions, so the EMSE, the aggregation and the export
+downstream are float64 throughout.
 """
 
 from __future__ import annotations
@@ -80,6 +97,11 @@ from .kernels import check_bandwidth, coherence_admit, kernelized_input  # noqa:
 _CHUNK = 1 << 16
 _MIN_CHUNK = 64
 _BLOCK = 32
+
+# the float32 range of the RFF engine: its largest finite value, and its
+# smallest positive one (a subnormal), below which a value rounds to 0
+F32_MAX = float(np.finfo(np.float32).max)  # about 3.4e38
+F32_TINY = float(np.finfo(np.float32).smallest_subnormal)  # about 1.4e-45
 
 
 @dataclass(frozen=True)
@@ -106,6 +128,31 @@ def _check_rate(name: str, value: float) -> float:
     return value
 
 
+def check_rff_rate(name: str, value: float) -> float:
+    """A step size of ``AdaptiveRffLms`` as a float: finite, >= 0, and held
+    by float32, that is 0 or within [F32_TINY, F32_MAX]. A smaller one would
+    round to 0 and freeze its update, a larger one to inf."""
+    value = _check_rate(name, value)
+    if value > F32_MAX or 0.0 < value < F32_TINY:
+        raise ValueError(f"{name} must be 0 or within float32's range "
+                         f"[{F32_TINY:.4g}, {F32_MAX:.4g}], got {value}")
+    return value
+
+
+def check_rff_bandwidth(bandwidth: float) -> float:
+    """A bandwidth of the RFF kinds as a float: ``check_bandwidth``'s rule,
+    held by float32 (at most F32_MAX), and at least 16 / F32_MAX (about
+    4.7e-38). ``sample_feature_bank`` draws frequencies as standard normal
+    values over the bandwidth, and numpy's ziggurat draws stay below 13.8 in
+    magnitude, so above that floor every frequency stays finite once
+    ``AdaptiveRffLms`` casts the bank to float32."""
+    bandwidth = check_bandwidth(bandwidth)
+    if not 16.0 / F32_MAX <= bandwidth <= F32_MAX:
+        raise ValueError(f"bandwidth must lie within [{16.0 / F32_MAX:.4g}, {F32_MAX:.4g}] "
+                         f"for the float32 RFF kinds, got {bandwidth}")
+    return bandwidth
+
+
 class _StreamFilter:
     """``run``, ``step`` and the stream check around a filter's time loop.
 
@@ -116,7 +163,8 @@ class _StreamFilter:
     """
 
     def _check_stream(self, inputs, targets) -> tuple[np.ndarray, np.ndarray]:
-        """The stream as time-major contiguous (T, R, L) inputs and (T, R) targets."""
+        """The stream as time-major contiguous (T, R, L) inputs and (T, R)
+        targets of the filter's dtype, each value finite in it."""
         inputs = np.asarray(inputs, dtype=float)
         targets = np.asarray(targets, dtype=float)
         if (inputs.ndim != 3 or inputs.shape[0] != self.n_runs
@@ -125,9 +173,13 @@ class _StreamFilter:
                 f"expected inputs of shape ({self.n_runs}, T, {self.input_dim}) and targets "
                 f"of shape ({self.n_runs}, T), got {inputs.shape} and {targets.shape}"
             )
-        if not (np.isfinite(inputs).all() and np.isfinite(targets).all()):
-            raise ValueError("stream (inputs, targets) must be finite")
-        return np.ascontiguousarray(inputs.transpose(1, 0, 2)), np.ascontiguousarray(targets.T)
+        dtype = self._weights.dtype
+        xs = np.ascontiguousarray(inputs.transpose(1, 0, 2), dtype=dtype)
+        ys = np.ascontiguousarray(targets.T, dtype=dtype)
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+            raise ValueError(f"stream (inputs, targets) must be finite in {dtype}, whose "
+                             f"range is +-{np.finfo(dtype).max:.4g}")
+        return xs, ys
 
     def step(self, x, y) -> StepOutcome:
         """``run`` over the one-step stream (x, y) of a single-run filter;
@@ -146,7 +198,7 @@ class _StreamFilter:
         xs, ys = self._check_stream(inputs, targets)
         horizon, n_runs = ys.shape
         base = self.n_steps
-        predictions = np.empty((horizon, n_runs))
+        predictions = np.empty((horizon, n_runs), dtype=xs.dtype)
         sizes = np.empty((horizon, n_runs), dtype=int)
         start = 0
         while start < horizon and not self.diverged_at.all():
@@ -163,7 +215,7 @@ class _StreamFilter:
                                              >= self.diverged_at)
             predictions[gone] = np.nan
             sizes[gone] = 0
-        return predictions.T, sizes.T
+        return predictions.T.astype(float, copy=False), sizes.T
 
 
 class AdaptiveRffLms(_StreamFilter):
@@ -176,9 +228,11 @@ class AdaptiveRffLms(_StreamFilter):
         freqs[m] -=  lr_freqs  * e * weights[m] * sin(theta_m) * x
         phases[m]-=  lr_phases * e * weights[m] * sin(theta_m)
 
-    Run r starts from a copy of ``banks[r]`` and zero weights; the banks
-    share D and L. The filter keeps ``freqs`` (R, D, L), ``phases`` (R, D)
-    and ``weights`` (R, D) as plain arrays. The joint objective is not
+    Run r starts from a float32 copy of ``banks[r]`` and zero weights; the
+    banks share D and L, and each must be finite once cast. The filter
+    keeps ``freqs`` (R, D, L), ``phases`` (R, D) and ``weights`` (R, D) as
+    plain float32 arrays, and its step sizes pass ``check_rff_rate`` (see
+    the module docstring's precision paragraph). The joint objective is not
     convex in the frequencies and phases, so a bad step size can blow the
     state up; see the module docstring for how that is caught and
     reported. With both feature step sizes zero the banks never change,
@@ -187,12 +241,16 @@ class AdaptiveRffLms(_StreamFilter):
 
     def __init__(self, banks: list[FeatureBank], lr_weights: float,
                  lr_freqs: float, lr_phases: float):
-        self.freqs = np.stack([b.freqs for b in banks])
-        self.phases = np.stack([b.phases for b in banks])
-        self.weights = np.zeros(self.phases.shape)
-        self.lr_weights = _check_rate("lr_weights", lr_weights)
-        self.lr_freqs = _check_rate("lr_freqs", lr_freqs)
-        self.lr_phases = _check_rate("lr_phases", lr_phases)
+        with np.errstate(over="ignore"):  # an entry past F32_MAX casts to inf
+            self.freqs = np.stack([b.freqs for b in banks], dtype=np.float32)
+            self.phases = np.stack([b.phases for b in banks], dtype=np.float32)
+        if not (np.isfinite(self.freqs).all() and np.isfinite(self.phases).all()):
+            raise ValueError(f"feature bank entries must be finite in float32, whose range "
+                             f"is +-{F32_MAX:.4g}")
+        self.weights = np.zeros(self.phases.shape, dtype=np.float32)
+        self.lr_weights = check_rff_rate("lr_weights", lr_weights)
+        self.lr_freqs = check_rff_rate("lr_freqs", lr_freqs)
+        self.lr_phases = check_rff_rate("lr_phases", lr_phases)
         self.n_runs, n_features, self.input_dim = self.freqs.shape
         self.model_size = np.full(self.n_runs, n_features)
         self.n_steps = 0
@@ -204,13 +262,16 @@ class AdaptiveRffLms(_StreamFilter):
 
     def _steps(self, xs, ys, predictions, sizes) -> None:
         w, freqs, phases = self.weights, self.freqs, self.phases
-        lr_weights, lr_freqs, lr_phases = self.lr_weights, self.lr_freqs, self.lr_phases
+        # float32 scalars give the bits that the Python floats would give
+        # against float32 arrays, at a cheaper ufunc call
+        lr_weights, lr_freqs, lr_phases = (np.float32(v) for v in (
+            self.lr_weights, self.lr_freqs, self.lr_phases))
         cos, sin, matmul, vecdot = np.cos, np.sin, np.matmul, np.vecdot
         multiply, subtract = np.multiply, np.subtract
         sizes[:] = self.model_size
         # e (R, 1) holds the error, then lr_weights * e, and dw the weight
         # update (lr_weights * e) * z
-        e, dw = np.empty((w.shape[0], 1)), np.empty(w.shape)
+        e, dw = np.empty((w.shape[0], 1), w.dtype), np.empty_like(w)
         err = e[:, 0]
         if lr_freqs == 0.0 and lr_phases == 0.0:
             # the stacked matvec gives each (step, run) the bits of freqs @ x
@@ -222,9 +283,9 @@ class AdaptiveRffLms(_StreamFilter):
                 multiply(subtract(y, p, out=err), lr_weights, out=err)
                 w += multiply(e, z, out=dw)
             return
-        theta = np.empty((*w.shape, 1))  # matmul's (R, D, 1) result
-        angles, z, s, g, lg = theta[..., 0], *(np.empty(w.shape) for _ in range(4))
-        step = np.empty(freqs.shape)
+        theta = np.empty((*w.shape, 1), w.dtype)  # matmul's (R, D, 1) result
+        angles, z, s, g, lg = theta[..., 0], *(np.empty_like(w) for _ in range(4))
+        step = np.empty_like(freqs)
         columns = list(enumerate(step.transpose(2, 0, 1)))  # (i, step[:, :, i])
         for x, y, p in zip(xs[..., None], ys, predictions):
             matmul(freqs, x, out=theta)

@@ -305,7 +305,7 @@ def export_artifacts(art: RunArtifacts, out_dir) -> dict:
     Files: emse.csv (per-filter ensemble EMSE in dB), model_size.csv
     (per-filter mean model size), summary.csv (``RunArtifacts.summary``
     plus the diverged run count), omega_snapshots.csv (frequency vectors
-    per stage), manifest.json (config echo, seed, runs used, diverged
+    per stage, the float32 values of the RFF engine), manifest.json (config echo, seed, runs used, diverged
     runs). A filter with no usable run has no curve column and empty
     summary cells.
     """

@@ -159,21 +159,54 @@ def klms_reference(bandwidth: float, threshold: float, lr_weights: float,
 def predict(filt, x, run: int = 0) -> float:
     """Run ``run``'s prediction at x from the filter's public state, without
     stepping it: the weights against the cosine features, or against the
-    kernel of x with each center (``padded_sum``, 0 with no center)."""
+    kernel of x with each center (``padded_sum``, 0 with no center).
+
+    The cosine form takes any object with ``freqs``, ``phases`` and
+    ``weights`` and computes in their dtype, with x cast to it as ``run``
+    casts the stream: an ``AdaptiveRffLms``'s float32 state gives the bits
+    of its loop, a float64 copy of it the float64 value."""
     if isinstance(filt, CoherenceKlms):
         centers = filt.centers[run]
         if len(centers) == 0:
             return 0.0
         return padded_sum(filt.weights[run] * kernelized_input(filt.bandwidth, centers, x))
-    bank = FeatureBank(filt.freqs[run], filt.phases[run])
-    return float(filt.weights[run] @ np.cos(phase_angles(bank, x)))
+    x = np.asarray(x, dtype=float).astype(filt.weights.dtype)
+    return float(filt.weights[run] @ np.cos(filt.freqs[run] @ x + filt.phases[run]))
 
 
 def loss(filt, x, y, run: int = 0) -> float:
-    """Instantaneous squared prediction error of run ``run``; pure, for
-    gradient checks."""
+    """Instantaneous squared prediction error of run ``run``, from
+    ``predict``; pure, for gradient checks."""
     e = float(y) - predict(filt, x, run)
     return e * e
+
+
+def rff_reference(freqs, phases, weights, lr_weights, lr_freqs, lr_phases, inputs, targets):
+    """``AdaptiveRffLms``'s loop as plain expressions, one time step at a
+    time, from the state (R, D, L) ``freqs``, (R, D) ``phases`` and
+    ``weights`` over the stream (R, T, L) ``inputs`` and (R, T) ``targets``.
+
+    It computes in the dtype of ``weights``, to which it casts everything
+    else: float32 gives the filter's bits, since each operation is the
+    loop's in the loop's order, and float64 the float64 form of the same
+    filter. Returns (predictions (R, T) as float64, weights, freqs, phases)."""
+    dtype = np.asarray(weights).dtype
+    w, freqs, phases = (np.array(a, dtype=dtype) for a in (weights, freqs, phases))
+    lr_w, lr_f, lr_p = (dtype.type(v) for v in (lr_weights, lr_freqs, lr_phases))
+    xs = np.asarray(inputs, dtype=float).astype(dtype).transpose(1, 0, 2)
+    ys = np.asarray(targets, dtype=float).astype(dtype).T
+    predictions = []
+    for x, y in zip(xs, ys):
+        angles = (freqs @ x[..., None])[..., 0] + phases
+        z = np.cos(angles)
+        p = np.vecdot(w, z)
+        e = (y - p)[:, None]
+        g = (e * w) * np.sin(angles)
+        freqs = freqs - (g * lr_f)[..., None] * x[:, None, :]
+        phases = phases - g * lr_p
+        w = w + (e * lr_w) * z
+        predictions.append(p)
+    return np.array(predictions, dtype=float).T, w, freqs, phases
 
 
 def span_plant(filt: AdaptiveRffLms, w_star: np.ndarray, noise_var: float,

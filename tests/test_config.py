@@ -234,9 +234,38 @@ def test_bandwidth_whose_kernel_scale_leaves_the_floats_is_rejected(kind):
         payload["filters"] = [{"kind": kind, "bandwidth": bandwidth, **KIND_FIELDS[kind]}]
         with pytest.raises(ConfigError, match="filter.bandwidth"):
             config_from_dict(payload)
-    for bandwidth in (1e-160, 1e150):
+    # the float32 RFF kinds take a narrower range (next test)
+    accepted = (1e-160, 1e150) if kind == "coherence-klms" else (1e-37, 1e38)
+    for bandwidth in accepted:
         payload["filters"] = [{"kind": kind, "bandwidth": bandwidth, **KIND_FIELDS[kind]}]
         assert config_from_dict(payload).filters[0].bandwidth == bandwidth
+
+
+@pytest.mark.parametrize("kind", ["rff", "adaptive-rff"])
+def test_rff_bandwidth_and_rates_that_float32_cannot_hold_are_rejected(kind):
+    # the RFF kinds compute in float32: a bandwidth below 16 / 3.4e38 would
+    # sample frequencies past float32's range, one above 3.4e38 is past it,
+    # and a nonzero step size must round to neither 0 nor inf
+    payload = good_payload()
+    for bandwidth in (1e-160, 4e-38, 3.5e38, 1e150):
+        payload["filters"] = [{"kind": kind, "bandwidth": bandwidth, **KIND_FIELDS[kind]}]
+        with pytest.raises(ConfigError, match="filter.bandwidth .*float32"):
+            config_from_dict(payload)
+    rates = [name for name in ("lr_weights", "lr_freqs", "lr_phases") if name in KIND_FIELDS[kind]]
+    for name in rates:
+        for value in (1e39, 1e-46):
+            fields = {**KIND_FIELDS[kind], name: value}
+            payload["filters"] = [{"kind": kind, "bandwidth": 0.95, **fields}]
+            with pytest.raises(ConfigError, match=f"filter.{name} .*float32"):
+                config_from_dict(payload)
+        for value in (3e38, 1.5e-45):
+            fields = {**KIND_FIELDS[kind], name: value}
+            payload["filters"] = [{"kind": kind, "bandwidth": 0.95, **fields}]
+            assert getattr(config_from_dict(payload).filters[0], name) == value
+    # coherence-klms computes in float64
+    payload["filters"] = [{"kind": "coherence-klms", "bandwidth": 4e-38,
+                           **KIND_FIELDS["coherence-klms"], "lr_weights": 1e39}]
+    assert config_from_dict(payload).filters[0].lr_weights == 1e39
 
 
 @pytest.mark.parametrize("snr_db", [-4000.0, -3083.0])

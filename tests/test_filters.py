@@ -1,20 +1,29 @@
 import copy
+import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import kernel_eval, klms_reference, loss, predict
+from oracles import kernel_eval, klms_reference, loss, predict, rff_reference
 from rfflms import filters
+from rfflms.config import preset
 from rfflms.features import FeatureBank, sample_feature_bank
-from rfflms.filters import AdaptiveRffLms, CoherenceKlms, DivergenceError
+from rfflms.filters import F32_MAX, F32_TINY, AdaptiveRffLms, CoherenceKlms, DivergenceError
+from rfflms.metrics import steady_state_emse, to_db
+from rfflms.runner import make_stream, run_experiment
+from rfflms.seeding import derive_seed
+
+F32 = np.float32
 
 # hand-computed single step from weights=0, D=1, L=1, freq=1, phase=0,
-# x=1, y=1, lr_weights=0.1: z=cos(1), e=1, weights -> 0.1*cos(1);
-# freq and phase unchanged because the pre-update weight is zero
-ONE_STEP_WEIGHT = 0.05403023058681397
+# x=1, y=1, lr_weights=0.1, in float32: z=cos(1), e=1, weights ->
+# (0.1*1)*cos(1); freq and phase unchanged because the pre-update weight is
+# zero
+ONE_STEP_WEIGHT = float((F32(0.1) * F32(1.0)) * np.cos(F32(1.0)))
 
 
 def scalar_bank(freq=1.0, phase=0.0):
@@ -36,18 +45,32 @@ def test_zero_weights_predict_zero():
 
 
 def test_predict_is_a_dot_product():
+    # 2 * cos(acos(0.5)) in float32, the phase rounded to float32 first
     f = AdaptiveRffLms([scalar_bank(freq=0.0, phase=math.acos(0.5))], 0.1, 0.0, 0.0)
     f.weights[:] = 2.0
-    assert math.isclose(f.step(np.array([123.0]), 0.0).prediction, 1.0, rel_tol=1e-12)
+    assert f.step(np.array([123.0]), 0.0).prediction == F32(2.0) * np.cos(F32(math.acos(0.5)))
+
+
+def float64_state(f):
+    """The float64 form of a filter's state, which ``predict`` and ``loss``
+    evaluate in float64."""
+    return SimpleNamespace(**{k: getattr(f, k).astype(float)
+                              for k in ("freqs", "phases", "weights")})
 
 
 def test_prediction_invariant_under_phase_wrap():
+    # float32 cannot hold a phase shifted by 2 pi, so the invariance is
+    # checked on the float64 form of the state, and the engine's prediction
+    # from the wrapped float32 state against the float32 oracle
     f, rng = random_state(5)
     wrapped, _ = random_state(5)
     wrapped.phases[0, 3] += 2.0 * math.pi
     x = rng.normal(size=2)
-    assert math.isclose(wrapped.step(x, 0.0).prediction, f.step(x, 0.0).prediction,
-                        rel_tol=0, abs_tol=1e-12)
+    state, wrapped64 = float64_state(f), float64_state(f)
+    wrapped64.phases[0, 3] += 2.0 * math.pi
+    assert math.isclose(predict(wrapped64, x), predict(state, x), rel_tol=0, abs_tol=1e-12)
+    expected = predict(wrapped, x)  # before the step updates the state
+    assert wrapped.step(x, 0.0).prediction == expected
 
 
 def test_one_step_hand_oracle():
@@ -55,7 +78,7 @@ def test_one_step_hand_oracle():
     out = f.step(np.array([1.0]), 1.0)
     assert out.prediction == 0.0
     assert out.error == 1.0
-    assert math.isclose(f.weights[0, 0], ONE_STEP_WEIGHT, rel_tol=1e-15)
+    assert f.weights[0, 0] == ONE_STEP_WEIGHT
     assert f.freqs[0, 0, 0] == 1.0
     assert f.phases[0, 0] == 0.0
 
@@ -75,10 +98,10 @@ def test_zero_error_is_a_fixed_point(seed):
 
 
 def test_frozen_feature_updates_match_rff_bit_for_bit():
-    # feature step sizes of one subnormal take the general loop, whose bank
-    # updates then round away; zero ones take rff's frozen loop
+    # feature step sizes of one float32 subnormal take the general loop,
+    # whose bank updates then round away; zero ones take rff's frozen loop
     bank = sample_feature_bank(0.95, 48, 2, seed=77)
-    arff = AdaptiveRffLms([bank], 0.01, 5e-324, 5e-324)
+    arff = AdaptiveRffLms([bank], 0.01, F32_TINY, F32_TINY)
     rff = AdaptiveRffLms([bank], 0.01, 0.0, 0.0)
     rng = np.random.default_rng(3)
     for _ in range(2000):
@@ -99,7 +122,7 @@ def test_frozen_feature_updates_match_rff_bit_for_bit():
     inputs = np.stack([x for x, _ in streams])
     targets = np.stack([y for _, y in streams])
     assert inputs.shape[1] > 3 * (filters._CHUNK // (3 * 48))
-    arff = AdaptiveRffLms(banks, 0.01, 5e-324, 5e-324)
+    arff = AdaptiveRffLms(banks, 0.01, F32_TINY, F32_TINY)
     rff = AdaptiveRffLms(banks, 0.01, 0.0, 0.0)
     assert np.array_equal(arff.run(inputs, targets)[0], rff.run(inputs, targets)[0])
     assert np.array_equal(arff.weights, rff.weights)
@@ -112,11 +135,12 @@ def test_rff_first_step_from_zero_weights():
     bank = sample_feature_bank(1.0, 4, 2, seed=9)
     f = AdaptiveRffLms([bank], 0.05, 0.0, 0.0)
     x = np.array([0.2, -0.7])
-    z = np.cos(bank.freqs @ x + bank.phases)
+    # in float32, as the filter computes
+    z = np.cos(bank.freqs.astype(F32) @ x.astype(F32) + bank.phases.astype(F32))
     out = f.step(x, 2.0)
     assert out.prediction == 0.0
     assert out.error == 2.0
-    assert np.allclose(f.weights[0], 0.05 * 2.0 * z, rtol=0, atol=1e-15)
+    assert np.array_equal(f.weights[0], (F32(2.0) * F32(0.05)) * z)
 
 
 def test_rff_zero_targets_keep_zero_state():
@@ -129,19 +153,19 @@ def test_rff_zero_targets_keep_zero_state():
 
 
 def test_rff_three_steps_match_scalar_recursion():
-    # independent scalar LMS recursion, pure python floats
+    # independent scalar LMS recursion on numpy float32 scalars
     freq, phase, lr = 0.8, 0.3, 0.2
     xs = [1.0, -0.5, 2.0]
     ys = [0.7, 0.1, -1.2]
-    w = 0.0
+    w = F32(0.0)
     for x, y in zip(xs, ys):
-        z = math.cos(freq * x + phase)
-        e = y - w * z
-        w = w + lr * e * z
+        z = np.cos(F32(freq) * F32(x) + F32(phase))
+        e = F32(y) - w * z
+        w = w + (e * F32(lr)) * z
     f = AdaptiveRffLms([scalar_bank(freq, phase)], lr, 0.0, 0.0)
     for x, y in zip(xs, ys):
         f.step(np.array([x]), y)
-    assert math.isclose(f.weights[0, 0], w, rel_tol=0, abs_tol=1e-12)
+    assert f.weights[0, 0] == w
 
 
 def test_error_equals_target_minus_prediction():
@@ -169,8 +193,9 @@ def test_instantaneous_loss():
 
 
 def test_update_directions_are_loss_gradients():
-    # step deltas with unit rates vs central finite differences of loss:
-    # delta = -(1/2) dL/d(param) evaluated pre-update
+    # the step equals the float32 oracle's bit for bit, and the float64 form
+    # of that step, with unit rates, matches central finite differences of
+    # the float64 loss: delta = -(1/2) dL/d(param) evaluated pre-update
     rng = np.random.default_rng(44)
     h = 1e-6
     for _ in range(20):
@@ -180,6 +205,15 @@ def test_update_directions_are_loss_gradients():
         y = float(frng.normal())
 
         ref = copy.deepcopy(f)
+        f.step(x, y)
+        _, *after = rff_reference(ref.freqs, ref.phases, ref.weights,
+                                  1.0, 1.0, 1.0, x[None, None], [[y]])
+        for a, b in zip(after, (f.weights, f.freqs, f.phases), strict=True):
+            assert a.dtype == b.dtype == F32 and np.array_equal(a, b)
+
+        ref = float64_state(ref)
+        # the point the filter steps at: x and y rounded to float32
+        x, y = x.astype(F32).astype(float), float(F32(y))
 
         def loss_at(dw=None, dfreq=None, dph=None):
             g = copy.deepcopy(ref)
@@ -191,10 +225,11 @@ def test_update_directions_are_loss_gradients():
                 g.phases[0] += dph
             return loss(g, x, y)
 
-        f.step(x, y)
-        d_w = (f.weights - ref.weights)[0]
-        d_freq = (f.freqs - ref.freqs)[0]
-        d_ph = (f.phases - ref.phases)[0]
+        _, w, freqs, phases = rff_reference(ref.freqs, ref.phases, ref.weights,
+                                            1.0, 1.0, 1.0, x[None, None], [[y]])
+        d_w = (w - ref.weights)[0]
+        d_freq = (freqs - ref.freqs)[0]
+        d_ph = (phases - ref.phases)[0]
 
         for i in range(8):
             e = np.zeros(8)
@@ -225,7 +260,7 @@ def test_non_finite_input_is_a_stream_error():
 
 def test_divergence_raises_with_step_index():
     bank = sample_feature_bank(1.0, 4, 2, seed=0)
-    f = AdaptiveRffLms([bank], 1e150, 1e150, 1e150)
+    f = AdaptiveRffLms([bank], 1e30, 1e30, 1e30)
     rng = np.random.default_rng(0)
     with pytest.raises(DivergenceError) as err:
         for _ in range(50):
@@ -319,7 +354,7 @@ MAKERS = {
 DIVERGENT = {
     "rff": lambda: AdaptiveRffLms([STREAM_BANK], 1.0, 0.0, 0.0),
     "adaptive-rff": lambda: AdaptiveRffLms([STREAM_BANK], 1.0, 0.5, 0.5),
-    "adaptive-rff-bank": lambda: AdaptiveRffLms([STREAM_BANK], 0.3, 1e250, 1e250),
+    "adaptive-rff-bank": lambda: AdaptiveRffLms([STREAM_BANK], 0.3, 1e38, 1e38),
     "coherence-klms": lambda: CoherenceKlms(0.5, 0.5, 1e3, input_dim=2),
 }
 
@@ -442,7 +477,8 @@ def test_predict_rejects_a_bad_input_before_and_after_training(kind):
 
 # ---- the run-batched core -------------------------------------------------
 
-BIG = 1.7e308
+BIG = 1.7e308  # past half the float64 range, for the float64 coherence-klms
+BIG32 = 3e38  # past half the float32 range, for the float32 RFF engine
 ZERO_BANK = FeatureBank(np.zeros((48, 2)), np.zeros(48))  # every feature is 1
 ROWS = 4
 
@@ -469,10 +505,12 @@ def batch_rows(kind):
         y2[:60] = BIG
         banks = [None] * ROWS
     else:
-        # with every feature 1 the prediction is the sum of the 48 weights
+        # with every feature 1 the prediction is the sum of the 48 weights:
+        # 48 * (0.05 * 6e37) = 1.44e38 at step 2, whose error overflows
+        # float32, and 48 * (0.05 * BIG32) = 7.2e38 at step 61
         x1, x2 = x0, x0
-        y1[:2] = 3e307, -BIG
-        y2[59] = 1.5e308
+        y1[:2] = 6e37, -BIG32
+        y2[59] = BIG32
         banks = [STREAM_BANK, ZERO_BANK, ZERO_BANK, STREAM_BANK]
     return [(x0, y0, banks[0]), (x1, y1, banks[1]), (x2, y2, banks[2]), (x3, y3, banks[3])]
 
@@ -646,3 +684,87 @@ def test_time_chunk_length_changes_no_bit(kind, chunk, monkeypatch):
     for r in range(ROWS):
         for a, b in zip(row_state(f, r), row_state(whole, r), strict=True):
             assert np.array_equal(a, b, equal_nan=True)
+
+
+# ---- the float32 RFF engine ------------------------------------------------
+
+@pytest.mark.parametrize("kind", sorted(MAKERS))
+def test_state_dtype_and_run_output_contract(kind):
+    # the RFF kinds hold float32 state and coherence-klms float64; every
+    # filter returns float64 predictions and integer model sizes
+    f = MAKERS[kind]()
+    inputs, targets = smooth_stream(steps=50)
+    preds, sizes = f.run(inputs[None], targets[None])
+    dtype = np.float64 if kind == "coherence-klms" else F32
+    assert {a.dtype for a in row_state(f, 0)} == {np.dtype(dtype)}
+    assert preds.dtype == np.float64 and sizes.dtype.kind == "i"
+    assert type(f.step(inputs[0], targets[0]).prediction) is float
+
+
+@pytest.mark.parametrize("value", [1e39, -1e39, F32_MAX * 1.0000001])
+def test_rff_run_rejects_a_stream_value_beyond_float32(value):
+    # finite in float64 but not in float32: refused before the first step,
+    # where a cast would flag the run as diverged inside the stream
+    inputs, targets = smooth_stream(steps=50)
+    bad_input, bad_target = inputs.copy(), targets.copy()
+    bad_input[7, 0] = value
+    bad_target[7] = value
+    for kind in ("rff", "adaptive-rff"):
+        for bad in [(bad_input, targets), (inputs, bad_target)]:
+            f = MAKERS[kind]()
+            with pytest.raises(ValueError, match="float32"):
+                f.run(bad[0][None], bad[1][None])
+            assert f.n_steps == 0 and not f.diverged_at.any()
+    # coherence-klms computes in float64, where the value is finite
+    f = MAKERS["coherence-klms"]()
+    f.run(inputs[None], bad_target[None])
+    assert f.n_steps == 50
+
+
+def test_a_bank_beyond_float32_is_refused():
+    good = sample_feature_bank(1.0, 4, 2, seed=0)
+    for bank in [FeatureBank(np.full((4, 2), 1e39), good.phases),
+                 FeatureBank(good.freqs, np.full(4, -1e39))]:
+        with pytest.raises(ValueError, match="float32"):
+            AdaptiveRffLms([good, bank], 0.1, 0.1, 0.1)
+    # float32's largest value is held
+    edge = FeatureBank(np.full((4, 2), F32_MAX), good.phases)
+    assert AdaptiveRffLms([edge], 0.1, 0.0, 0.0).freqs.max() == F32_MAX
+
+
+@pytest.mark.parametrize("name", ["lr_weights", "lr_freqs", "lr_phases"])
+def test_rff_rates_that_float32_cannot_hold_are_refused(name):
+    bank = sample_feature_bank(1.0, 4, 2, seed=0)
+    rates = {"lr_weights": 0.1, "lr_freqs": 0.1, "lr_phases": 0.1}
+    for value in (1e39, F32_TINY / 2, 5e-324):
+        with pytest.raises(ValueError, match=f"{name} .*float32"):
+            AdaptiveRffLms([bank], **{**rates, name: value})
+    for value in (0.0, F32_TINY, F32_MAX):
+        assert getattr(AdaptiveRffLms([bank], **{**rates, name: value}), name) == value
+    # coherence-klms's float64 step size has no float32 bound
+    assert CoherenceKlms(1.0, 0.5, 1e39, 2).lr_weights == 1e39
+
+
+@pytest.mark.parametrize("name", ["stationary-paper", "nonstationary-paper"])
+def test_float32_engine_agrees_with_the_float64_oracle_at_steady_state(name):
+    # 4 runs of the preset at full horizon: each RFF filter's steady-state
+    # EMSE in dB, float32 engine against the float64 form of its loop
+    cfg = dataclasses.replace(preset(name), runs=4)
+    summary = run_experiment(cfg).summary()
+    streams = [make_stream(cfg, derive_seed(cfg.seed, r, "stream")) for r in range(cfg.runs)]
+    inputs = np.stack([s.inputs for s in streams])
+    clean = np.stack([s.clean for s in streams])
+    for spec in cfg.filters:
+        if spec.kind == "coherence-klms":
+            continue  # float64 in both
+        banks = [sample_feature_bank(spec.bandwidth, spec.n_features, 2,
+                                     derive_seed(cfg.seed, r, "bank")) for r in range(cfg.runs)]
+        freqs = np.stack([b.freqs for b in banks])
+        phases = np.stack([b.phases for b in banks])
+        preds, *_ = rff_reference(freqs, phases, np.zeros(phases.shape), spec.lr_weights,
+                                  spec.lr_freqs, spec.lr_phases, inputs,
+                                  np.stack([s.targets for s in streams]))
+        emse = np.mean((clean - preds) ** 2, axis=0)
+        oracle_db = to_db(steady_state_emse(emse, cfg.steady_window))
+        assert summary[spec.column]["runs_used"] == cfg.runs
+        assert abs(summary[spec.column]["steady_state_emse_db"] - oracle_db) < 0.01

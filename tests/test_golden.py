@@ -11,66 +11,208 @@ is the same bits whatever runs share its batch. That moved 9 stationary
 and 2 nonstationary cells of its ``emse.csv`` column, by at most 1e-10 dB
 in the written 12 digits; every other file, the RFF columns and all six
 steady-state values kept their bits.
+
+One pin set per numpy dispatch class. numpy picks a SIMD kernel per CPU
+feature set at run time, and the kernels of one function can differ in
+their last bits: float64 ``exp`` and ``log10`` differ between the AVX512
+(``X86_V4``) and the AVX2 (``X86_V3``) class, float32 ``cos`` and
+``sin`` do not, but change again below ``X86_V3``. ``dispatch_class``
+names the class of this process from numpy's ``__cpu_features__``; a
+class with no pins fails, naming itself. On an AVX512 host the AVX2 class
+is also run in a subprocess under numpy's own switch, ``AVX2_SWITCH``.
+Both sets were made with numpy 2.4 on one AVX512 host, the ``AVX2`` one
+under that switch. They differ only in ``emse.csv``, whose dB cells go
+through ``log10``.
+
+Re-pinned once more when ``rff`` and ``adaptive-rff`` began to compute in
+float32 (see ``rfflms.filters``). ``model_size.csv`` and
+``manifest.json`` kept their bits. The other files moved (sha256 prefix,
+old ``AVX512_SKX`` pin → new):
+
+====================  ============  ============  ============  ============
+file                  stationary                  nonstationary
+====================  ============  ============  ============  ============
+emse.csv              950d4a26fdf9  eed343c5a05e  3e5de930e046  25ae6bea505e
+summary.csv           62556779e043  c87926a2a0fe  55fa93f69890  87ec1e2fc6c5
+omega_snapshots.csv   ada7e579eb50  562ab9959d48  d22d365e3dcb  6dfda69637a9
+====================  ============  ============  ============  ============
+
+``omega_snapshots.csv`` now holds the float32 frequencies of both RFF
+filters. The steady-state EMSE in dB, float64 → float32 engine:
+
+=================  ===================  ===================
+preset, filter     float64 (old pin)    float32 (new pin)
+=================  ===================  ===================
+stationary rff     -26.646029374924424  -26.646029747163528
+stationary arff    -30.289916497790884  -30.289915058301318
+nonstat. rff       -7.537900836760292   -7.537900444576456
+nonstat. arff      -9.947050259692524   -9.947053063731842
+=================  ===================  ===================
+
+The ``coherence-klms`` values, -25.040055342176775 and
+-6.171621183611808, kept their bits.
 """
 
 import dataclasses
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__
 
+import rfflms
 from rfflms.config import preset
 from rfflms.runner import export_artifacts, run_experiment
 
+# numpy's switch to its AVX2 kernels on an AVX512 host; names that this
+# numpy does not dispatch on are ignored, with an ImportWarning
+AVX2_SWITCH = ("AVX512F AVX512CD AVX512_SKX AVX512_CLX AVX512_CNL AVX512_ICL AVX512_SPR "
+               "X86_V4")
+
+FILES = ("emse.csv", "model_size.csv", "summary.csv", "omega_snapshots.csv", "manifest.json")
+
 GOLDEN = {
-    "stationary-paper": {
-        "files": {
-            "emse.csv": "950d4a26fdf9eed362b3a1199d0be93f48b1b5eae3be0f7fc41876d56681ce06",
-            "model_size.csv": "6e6e157f68bd0f26ee744b14066bd12968171b721213dc9c3a4fc3680c15a136",
-            "summary.csv": "62556779e0435e40bfa905fbb4dfc7a029611a7b2a07c884d7471804e3fa2703",
-            "omega_snapshots.csv":
-                "ada7e579eb506deae6fef50095aee05930803b0504359aa6ace10ddb0212b2c9",
-            "manifest.json": "2ef82f2c78d9a94eb1e6af4b48892b80953b3b8cd84561f40a1f5eb9d3cc7420",
+    "AVX512_SKX": {
+        "stationary-paper": {
+            "files": {
+                "emse.csv": "eed343c5a05e9857ba83d5ab9bbb3a0985daf09bd24710e02deb53a8673c5f21",
+                "model_size.csv":
+                    "6e6e157f68bd0f26ee744b14066bd12968171b721213dc9c3a4fc3680c15a136",
+                "summary.csv": "c87926a2a0febe173e6de0743ddd01af5acc09f07e8e8154aa76ef2c113df551",
+                "omega_snapshots.csv":
+                    "562ab9959d480626224cd0271cee3f20a28903ad8b762b1b8c861faaff3b2930",
+                "manifest.json":
+                    "2ef82f2c78d9a94eb1e6af4b48892b80953b3b8cd84561f40a1f5eb9d3cc7420",
+            },
+            "steady_state_db": {
+                "coherence-klms": -25.040055342176775,
+                "rff": -26.646029747163528,
+                "adaptive-rff": -30.289915058301318,
+            },
         },
-        "steady_state_db": {
-            "coherence-klms": -25.040055342176775,
-            "rff": -26.646029374924424,
-            "adaptive-rff": -30.289916497790884,
+        "nonstationary-paper": {
+            "files": {
+                "emse.csv": "25ae6bea505e9e67e72c33a037ca9894e3d3c349f31b213e0f59db6a1cdb95d6",
+                "model_size.csv":
+                    "bb13ed68c77abb23246f1872400665a9221de4c6a5d1da4776db44490afd5899",
+                "summary.csv": "87ec1e2fc6c5847a1ca122fcfe3dcc31646b61715e396def4c23528373b28790",
+                "omega_snapshots.csv":
+                    "6dfda69637a9cd91414d2b14a42e8eb18169abb07b976f2fe72076539a36a0af",
+                "manifest.json":
+                    "2b139fa639b1e61eb376a814eea0963462ffb68a8022ca2b63a19cd8b94db196",
+            },
+            "steady_state_db": {
+                "coherence-klms": -6.171621183611808,
+                "rff": -7.537900444576456,
+                "adaptive-rff": -9.947053063731842,
+            },
         },
     },
-    "nonstationary-paper": {
-        "files": {
-            "emse.csv": "3e5de930e04656ea4f9fcdf45c568c95f5b35a89e49d16047bb125c6c10199fd",
-            "model_size.csv": "bb13ed68c77abb23246f1872400665a9221de4c6a5d1da4776db44490afd5899",
-            "summary.csv": "55fa93f69890a68fb7052c8cc33f105de8695754d325aee670094eddf29f7528",
-            "omega_snapshots.csv":
-                "d22d365e3dcbb1d54bb6a8023dbe6c00d0890bff4e745c74f8b55a61429463d3",
-            "manifest.json": "2b139fa639b1e61eb376a814eea0963462ffb68a8022ca2b63a19cd8b94db196",
+    "AVX2": {
+        "stationary-paper": {
+            "files": {
+                "emse.csv": "24e27c1a6259af8b8974afdbbadff2d4fd788a1a69aac381c1e0b6f037b0ce86",
+                "model_size.csv":
+                    "6e6e157f68bd0f26ee744b14066bd12968171b721213dc9c3a4fc3680c15a136",
+                "summary.csv": "c87926a2a0febe173e6de0743ddd01af5acc09f07e8e8154aa76ef2c113df551",
+                "omega_snapshots.csv":
+                    "562ab9959d480626224cd0271cee3f20a28903ad8b762b1b8c861faaff3b2930",
+                "manifest.json":
+                    "2ef82f2c78d9a94eb1e6af4b48892b80953b3b8cd84561f40a1f5eb9d3cc7420",
+            },
+            "steady_state_db": {
+                "coherence-klms": -25.040055342176775,
+                "rff": -26.646029747163528,
+                "adaptive-rff": -30.289915058301318,
+            },
         },
-        "steady_state_db": {
-            "coherence-klms": -6.171621183611808,
-            "rff": -7.537900836760292,
-            "adaptive-rff": -9.947050259692524,
+        "nonstationary-paper": {
+            "files": {
+                "emse.csv": "cf13b89a187d8fd4f282c81448d88dd06ac1f4e717415165ae100051c5d291bf",
+                "model_size.csv":
+                    "bb13ed68c77abb23246f1872400665a9221de4c6a5d1da4776db44490afd5899",
+                "summary.csv": "87ec1e2fc6c5847a1ca122fcfe3dcc31646b61715e396def4c23528373b28790",
+                "omega_snapshots.csv":
+                    "6dfda69637a9cd91414d2b14a42e8eb18169abb07b976f2fe72076539a36a0af",
+                "manifest.json":
+                    "2b139fa639b1e61eb376a814eea0963462ffb68a8022ca2b63a19cd8b94db196",
+            },
+            "steady_state_db": {
+                "coherence-klms": -6.171621183611808,
+                "rff": -7.537900444576456,
+                "adaptive-rff": -9.947053063731842,
+            },
         },
     },
 }
 
 
-def run_and_hash(name: str, workers: int, out_dir):
+def dispatch_class() -> str:
+    """numpy's SIMD dispatch class of this process: "AVX512_SKX", "AVX2"
+    (a numpy that names ``X86_V3`` must have it on), or "baseline"."""
+    if __cpu_features__.get("AVX512_SKX"):
+        return "AVX512_SKX"
+    if __cpu_features__.get("X86_V3", __cpu_features__.get("AVX2")
+                            and __cpu_features__.get("FMA3")):
+        return "AVX2"
+    return "baseline"
+
+
+def pins(cls: str) -> dict:
+    assert cls in GOLDEN, (f"no golden pins for numpy's dispatch class {cls!r}; pinned "
+                           f"classes: {sorted(GOLDEN)}")
+    return GOLDEN[cls]
+
+
+def run_and_hash(name: str, workers: int, out_dir: Path) -> dict:
+    """The preset's pinned quantities: file hashes and steady-state dB."""
     art = run_experiment(dataclasses.replace(preset(name), runs=2), workers=workers)
     export_artifacts(art, out_dir)
-    hashes = {f: hashlib.sha256((out_dir / f).read_bytes()).hexdigest()
-              for f in GOLDEN[name]["files"]}
-    return art, hashes
+    return {
+        "files": {f: hashlib.sha256((out_dir / f).read_bytes()).hexdigest() for f in FILES},
+        "steady_state_db": {lab: row["steady_state_emse_db"]
+                            for lab, row in art.summary().items()},
+    }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
+def all_presets(out_dir: Path) -> dict:
+    """``run_and_hash`` of both presets, serially, with this process's class."""
+    results = {"class": dispatch_class()}
+    for name in ("nonstationary-paper", "stationary-paper"):
+        (out_dir / name).mkdir()
+        results[name] = run_and_hash(name, 1, out_dir / name)
+    return results
+
+
+@pytest.mark.parametrize("name", ["nonstationary-paper", "stationary-paper"])
 def test_preset_artifacts_match_golden(name, tmp_path):
-    art, hashes = run_and_hash(name, 1, tmp_path)
-    assert hashes == GOLDEN[name]["files"]
-    steady_db = {lab: row["steady_state_emse_db"] for lab, row in art.summary().items()}
-    assert steady_db == GOLDEN[name]["steady_state_db"]
+    assert run_and_hash(name, 1, tmp_path) == pins(dispatch_class())[name]
 
 
 def test_two_workers_write_the_golden_bytes(tmp_path):
-    _, hashes = run_and_hash("nonstationary-paper", 2, tmp_path)
-    assert hashes == GOLDEN["nonstationary-paper"]["files"]
+    hashes = run_and_hash("nonstationary-paper", 2, tmp_path)["files"]
+    assert hashes == pins(dispatch_class())["nonstationary-paper"]["files"]
+
+
+def test_the_avx2_class_matches_its_pins_in_a_subprocess(tmp_path):
+    # on a host without AVX512 the switch changes nothing, and the
+    # subprocess repeats this process's own class
+    code = ("import json, sys, pathlib, test_golden; "
+            "print(json.dumps(test_golden.all_presets(pathlib.Path(sys.argv[1]))))")
+    path = os.pathsep.join([str(Path(rfflms.__file__).parents[1]), str(Path(__file__).parent)])
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": AVX2_SWITCH, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    assert results.pop("class") == "AVX2"
+    assert results == {name: pins("AVX2")[name] for name in results}
+
+
+def test_a_class_without_pins_fails_naming_it():
+    with pytest.raises(AssertionError, match="'baseline'"):
+        pins("baseline")
