@@ -24,6 +24,7 @@ from .config import (
     load_config,
     preset,
 )
+# run_experiment is not called here, but perfbench/tracing.py patches it by this name
 from .runner import ExperimentError, export_artifacts, run_experiment, run_experiments
 
 MAX_SWEEP_POINTS = 10_000
@@ -71,17 +72,9 @@ def _resolve_config(args) -> ExperimentConfig:
     if (args.preset is None) == (args.config is None):
         raise ConfigError("give exactly one of a preset name or --config PATH")
     cfg = load_config(args.config) if args.config else preset(args.preset)
-    overrides = {}
-    if args.runs is not None:
-        overrides["runs"] = args.runs
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["out_dir"] = str(args.out)
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-    cfg.validate()
-    return cfg
+    overrides = {"runs": args.runs, "seed": args.seed,
+                 "out_dir": None if args.out is None else str(args.out)}
+    return dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _summary_lines(art) -> list[str]:
@@ -110,32 +103,28 @@ def _cmd_run(args) -> int:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     cfg = _resolve_config(args)
     out_dir = Path(cfg.out_dir) if cfg.out_dir else Path("results") / cfg.name
+    # a single experiment is the one-point grid [cfg], exported to out_dir
+    grid, subs = [cfg], [out_dir]
+    headers = [f"runs={cfg.runs} horizon={cfg.horizon} seed={cfg.seed}"]
     if args.sweep:
         name, values = _parse_sweep(args.sweep)
-        # run_experiments checks the whole grid before the first run; names keep
-        # _parse_sweep's 12 significant digits
+        # names keep _parse_sweep's 12 significant digits
         grid = [_override_filters(cfg, name, value) for value in values]
-        points = [f"{name}={value:.12g}" for value in values]
-        if len(set(points)) != len(points):
-            raise ConfigError(f"--sweep grid points share a directory name: {points}")
-        subs = [out_dir / f"sweep_{point}" for point in points]
-        for sub in subs:
-            _check_out_dir(sub)
-        # closing() ends the pool if this loop fails, cancelling the later
-        # points' batches that no worker has taken
-        with closing(run_experiments(grid, workers=args.workers)) as arts:
-            for point, sub, art in zip(points, subs, arts):
-                export_artifacts(art, sub)
-                print(f"[{cfg.name}] {point} -> {sub}")
-                for line in _summary_lines(art):
-                    print("  " + line)
-        return 0
-    _check_out_dir(out_dir)
-    art = run_experiment(cfg, workers=args.workers)
-    export_artifacts(art, out_dir)
-    print(f"[{cfg.name}] runs={cfg.runs} horizon={cfg.horizon} seed={cfg.seed} -> {out_dir}")
-    for line in _summary_lines(art):
-        print("  " + line)
+        headers = [f"{name}={value:.12g}" for value in values]
+        if len(set(headers)) != len(headers):
+            raise ConfigError(f"--sweep grid points share a directory name: {headers}")
+        subs = [out_dir / f"sweep_{header}" for header in headers]
+    for sub in subs:
+        _check_out_dir(sub)
+    # run_experiments checks every config before the first batch; closing()
+    # ends the pool if this loop fails, cancelling the later points' batches
+    # that no worker has taken
+    with closing(run_experiments(grid, workers=args.workers)) as arts:
+        for header, sub, art in zip(headers, subs, arts):
+            export_artifacts(art, sub)
+            print(f"[{cfg.name}] {header} -> {sub}")
+            for line in _summary_lines(art):
+                print("  " + line)
     return 0
 
 

@@ -18,8 +18,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .filters import check_rff_bandwidth, check_rff_rate
-from .kernels import check_bandwidth
+from .filters import check_rate, check_rff_bandwidth, check_rff_rate
+from .kernels import check_bandwidth, check_threshold
 
 
 class ConfigError(ValueError):
@@ -99,12 +99,11 @@ class FilterSpec:
         _check_types(self, "filter.")
         reads = FILTER_FIELDS[self.kind]
         _check_unread(self, "filter.", reads)
-        for name in ("lr_weights", "lr_freqs", "lr_phases"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"filter.{name} must be >= 0")
         try:
             if self.kind == "coherence-klms":
+                check_rate("lr_weights", self.lr_weights)
                 check_bandwidth(self.bandwidth)
+                check_threshold(self.coherence_threshold)
             else:
                 # the RFF kinds compute in float32 (see rfflms.filters), so
                 # their step sizes and bandwidth have float32 bounds
@@ -115,11 +114,8 @@ class FilterSpec:
             raise ConfigError(f"filter.{exc}") from None
         if "n_features" in reads and self.n_features < 1:
             raise ConfigError(f"filter.n_features must be >= 1, got {self.n_features}")
-        if "coherence_threshold" in reads and not 0.0 < self.coherence_threshold < 1.0:
-            raise ConfigError(
-                "filter.coherence_threshold must lie in (0, 1), "
-                f"got {self.coherence_threshold}"
-            )
+        if self.column == "n":  # the step column of emse.csv and model_size.csv
+            raise ConfigError("filter.label must not be 'n', the curve CSVs' step column")
 
     @property
     def column(self) -> str:
@@ -186,6 +182,10 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         _check_types(self, "")
+        # export writes to results/<name> unless out_dir is set; both path
+        # separators are refused, so a config validates on every platform
+        if self.name in ("", ".", "..") or "/" in self.name or "\\" in self.name:
+            raise ConfigError(f"name must be one plain directory name, got {self.name!r}")
         if self.runs < 1:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
         if self.horizon < 1:
@@ -262,10 +262,11 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(payload)
 
 
-def _stationary_preset() -> ExperimentConfig:
+# the built-in experiments, frozen values that preset() returns as they are
+PRESETS = {
     # horizon is not pinned by the scenario; 2e4 leaves the 5e3 steady
     # window well past convergence for all three filters
-    return ExperimentConfig(
+    "stationary-paper": ExperimentConfig(
         name="stationary-paper",
         plant=PlantConfig(kind="stationary", snr_db=15.0, rho=0.5),
         filters=(
@@ -281,11 +282,8 @@ def _stationary_preset() -> ExperimentConfig:
         runs=200,
         seed=12345,
         steady_window=5000,
-    )
-
-
-def _nonstationary_preset() -> ExperimentConfig:
-    return ExperimentConfig(
+    ),
+    "nonstationary-paper": ExperimentConfig(
         name="nonstationary-paper",
         plant=PlantConfig(kind="nonstationary", snr_db=25.0, change_step=5000),
         filters=(
@@ -301,18 +299,13 @@ def _nonstationary_preset() -> ExperimentConfig:
         runs=200,
         seed=12345,
         steady_window=5000,
-    )
-
-
-PRESETS = {
-    "stationary-paper": _stationary_preset,
-    "nonstationary-paper": _nonstationary_preset,
+    ),
 }
 
 
 def preset(name: str) -> ExperimentConfig:
     try:
-        return PRESETS[name]()
+        return PRESETS[name]
     except KeyError:
         raise ConfigError(
             f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"

@@ -85,7 +85,8 @@ import numpy as np
 # phase_angles, coherence_admit and kernelized_input stay importable from
 # this module: perfbench/tracing.py patches them under these names
 from .features import FeatureBank, phase_angles  # noqa: F401
-from .kernels import check_bandwidth, coherence_admit, kernelized_input  # noqa: F401
+from .kernels import coherence_admit, kernelized_input  # noqa: F401
+from .kernels import check_bandwidth, check_threshold
 
 # the steps between two tests of the predictions, which flag divergence,
 # form a time chunk of _CHUNK // (weight entries of the batch) steps, and
@@ -121,7 +122,8 @@ class DivergenceError(RuntimeError):
         self.step = step
 
 
-def _check_rate(name: str, value: float) -> float:
+def check_rate(name: str, value: float) -> float:
+    """A step size as a float; raises ValueError unless it is finite and >= 0."""
     value = float(value)
     if not (np.isfinite(value) and value >= 0.0):
         raise ValueError(f"{name} must be finite and >= 0, got {value}")
@@ -132,7 +134,7 @@ def check_rff_rate(name: str, value: float) -> float:
     """A step size of ``AdaptiveRffLms`` as a float: finite, >= 0, and held
     by float32, that is 0 or within [F32_TINY, F32_MAX]. A smaller one would
     round to 0 and freeze its update, a larger one to inf."""
-    value = _check_rate(name, value)
+    value = check_rate(name, value)
     if value > F32_MAX or 0.0 < value < F32_TINY:
         raise ValueError(f"{name} must be 0 or within float32's range "
                          f"[{F32_TINY:.4g}, {F32_MAX:.4g}], got {value}")
@@ -351,17 +353,13 @@ class CoherenceKlms(_StreamFilter):
 
     def __init__(self, bandwidth: float, coherence_threshold: float,
                  lr_weights: float, input_dim: int, n_runs: int = 1):
-        if not 0.0 < coherence_threshold < 1.0:
-            raise ValueError(
-                f"coherence_threshold must lie in (0, 1), got {coherence_threshold}"
-            )
         if input_dim < 1:
             raise ValueError(f"input_dim must be >= 1, got {input_dim}")
         if n_runs < 1:
             raise ValueError(f"n_runs must be >= 1, got {n_runs}")
         self.bandwidth = check_bandwidth(bandwidth)
-        self.coherence_threshold = float(coherence_threshold)
-        self.lr_weights = _check_rate("lr_weights", lr_weights)
+        self.coherence_threshold = check_threshold(coherence_threshold)
+        self.lr_weights = check_rate("lr_weights", lr_weights)
         self.input_dim = input_dim
         self.n_runs = n_runs
         self._centers = np.full((n_runs, input_dim, 16), np.inf)

@@ -30,6 +30,14 @@ def check_bandwidth(bandwidth: float) -> float:
     return bandwidth
 
 
+def check_threshold(threshold: float) -> float:
+    """A coherence threshold as a float; raises ValueError unless it is in (0, 1)."""
+    threshold = float(threshold)
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"coherence_threshold must lie in (0, 1), got {threshold}")
+    return threshold
+
+
 def kernelized_input(bandwidth: float, centers, x) -> np.ndarray:
     """Kernel value of x against every row of the (C, L) ``centers``;
     components in (0, 1]."""
@@ -50,8 +58,7 @@ def coherence_admit(bandwidth: float, centers: list, x, threshold: float) -> boo
     Admission appends a copy of x to the list ``centers``.
     """
     check_bandwidth(bandwidth)
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
+    check_threshold(threshold)
     if centers and float(np.max(kernelized_input(bandwidth, centers, x))) > threshold:
         return False
     centers.append(np.array(x, dtype=float))

@@ -31,14 +31,17 @@ record run 0's frequency bank there. The EMSE curves are then computed at
 once from the clean targets and the returned predictions.
 
 Divergence policy. A filter's run is usable iff its EMSE curve is finite
-at every step. This covers a run that the filter flags as diverged (see
-the divergence paragraph of ``rfflms.filters``) and a run whose
-prediction stays finite while its squared error overflows. Run 0's
-``change`` and ``final`` bank snapshots are taken only of a finite bank. An
-unusable run of a filter is listed in ``RunArtifacts.diverged`` and left
-out of that filter's mean curves, while the other filters' curves of the
-same run, and the other runs of the batch, still count. The experiment
-raises ``ExperimentError`` in exactly two cases:
+at every step and its mean EMSE over the steady window is at most the
+run's mean clean power there, the EMSE of predicting 0. This covers a run
+that the filter flags as diverged (see the divergence paragraph of
+``rfflms.filters``), a run whose prediction stays finite while its
+squared error overflows, and a finite run that does worse than
+predicting 0. Run 0's ``change`` and ``final`` bank snapshots are taken
+only of a finite bank. An unusable run of a filter is listed in
+``RunArtifacts.diverged`` and left out of that filter's mean curves,
+while the other filters' curves of the same run, and the other runs of
+the batch, still count. The experiment raises ``ExperimentError`` in
+exactly two cases:
 
 - more than ``max_divergence_fraction * runs`` runs are bad, where a run
   is bad if any of its filters diverged;
@@ -152,6 +155,8 @@ def _run_batch(cfg: ExperimentConfig, runs: range):
     targets = np.stack([s.targets for s in streams], axis=1).T
     clean = np.stack([s.clean for s in streams], axis=1).T
     del streams
+    # the steady-window EMSE of predicting 0, which a usable run must not exceed
+    clean_power = (clean[:, -cfg.steady_window:] ** 2).mean(axis=1)
     bank_seeds = [derive_seed(cfg.seed, r, "bank") for r in runs]
     take_snapshots = runs[0] == 0
     change_step = cfg.plant.change_step if cfg.plant.kind == "nonstationary" else None
@@ -175,8 +180,9 @@ def _run_batch(cfg: ExperimentConfig, runs: range):
         with np.errstate(all="ignore"):  # d * d can overflow for a finite prediction
             emse = clean - preds
             emse *= emse
+            steady = emse[:, -cfg.steady_window:].mean(axis=1)
         del preds
-        usable = np.isfinite(emse).all(axis=1)
+        usable = np.isfinite(emse).all(axis=1) & (steady <= clean_power)
         if snapshots is not None and usable[0] and np.isfinite(filt.freqs[0]).all():
             snapshots["final"] = filt.freqs[0].copy()
         yield spec.column, emse, sizes, usable, snapshots

@@ -52,7 +52,7 @@ class SampleStream:
         if not np.array_equal(self.targets, self.clean + self.noise):
             raise ValueError("targets must equal clean + noise exactly")
         if not all(np.all(np.isfinite(a)) for a in (self.inputs, self.targets)):
-            raise ValueError("stream values must be finite")
+            raise ValueError("stream inputs and targets must be finite")
 
     def __len__(self) -> int:
         return self.inputs.shape[0]

@@ -1,3 +1,4 @@
+import csv
 import json
 import multiprocessing
 import os
@@ -5,6 +6,7 @@ import os
 import pytest
 
 import rfflms.cli as cli
+import rfflms.runner as runner
 from rfflms.cli import _parse_sweep, main
 
 FILES = ["emse.csv", "model_size.csv", "summary.csv", "omega_snapshots.csv", "manifest.json"]
@@ -63,7 +65,7 @@ def test_run_preset_scaled_down(tmp_path, capsys):
     assert "steady EMSE" in capsys.readouterr().out
 
 
-def test_run_config_file(tmp_path):
+def test_run_config_file(tmp_path, capsys):
     path = tmp_path / "exp.json"
     path.write_text(json.dumps({
         "name": "mini",
@@ -77,6 +79,8 @@ def test_run_config_file(tmp_path):
     }))
     out = tmp_path / "res"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        f"[mini] runs=2 horizon=60 seed=3 -> {out}")
     lines = (out / "emse.csv").read_text().strip().splitlines()
     assert lines[0] == "n,rff"
     assert len(lines) == 61
@@ -116,12 +120,26 @@ def test_sweep_grid_counts_steps_with_a_relative_tolerance():
 
 
 def test_sweep_over_n_features_keeps_its_grid_and_directory_names(tmp_path):
+    # rff's LMS is unstable from D=416 on (0.01 * D / 2 > 2): its one run does
+    # worse than predicting 0 and counts as diverged, while coherence-klms
+    # keeps every point usable
+    path = rff_config(tmp_path)
+    payload = json.loads(path.read_text())
+    payload["filters"].append({"kind": "coherence-klms", "lr_weights": 0.2,
+                               "bandwidth": 0.95, "coherence_threshold": 0.7})
+    path.write_text(json.dumps({**payload, "max_divergence_fraction": 1.0}))
     out = tmp_path / "res"
-    code = main(["run", "--config", str(rff_config(tmp_path)), "--out", str(out),
+    code = main(["run", "--config", str(path), "--out", str(out),
                  "--sweep", "n_features=32:512:96"])
     assert code == 0
+    grid = (32, 128, 224, 320, 416, 512)
     assert sorted(p.name for p in out.iterdir()) == sorted(
-        f"sweep_n_features={d}" for d in (32, 128, 224, 320, 416, 512))
+        f"sweep_n_features={d}" for d in grid)
+    for d in grid:
+        with (out / f"sweep_n_features={d}" / "summary.csv").open(newline="") as fh:
+            rows = {row["filter"]: row for row in csv.DictReader(fh)}
+        assert rows["rff"]["runs_diverged"] == ("1" if d >= 416 else "0"), d
+        assert rows["coherence-klms"]["runs_diverged"] == "0", d
 
 
 def test_validate_reports_an_unreadable_config_path(tmp_path, capsys):
@@ -133,6 +151,11 @@ def test_validate_reports_an_unreadable_config_path(tmp_path, capsys):
 def test_sweep_rejects_bad_grammar(capsys):
     assert main(["run", "stationary-paper", "--sweep", "bandwidth=1:2"]) == 2
     assert main(["run", "stationary-paper", "--sweep", "colour=1:2:1"]) == 2
+    capsys.readouterr()
+    # a step that does not advance, and a grid that runs backward
+    for grid in ("1:2:0", "1:2:-0.5", "2:1:0.5"):
+        assert main(["run", "stationary-paper", "--sweep", f"bandwidth={grid}"]) == 2
+        assert "--sweep needs step > 0 and stop >= start" in capsys.readouterr().err
 
 
 def rff_config(tmp_path, **filter_fields):
@@ -176,6 +199,23 @@ def test_run_rejects_an_out_that_cannot_be_a_directory(tmp_path, capsys, monkeyp
     assert (tmp_path / "taken").read_text() == "a file\n"
 
 
+@pytest.mark.parametrize("override, field", [(["--runs", "0"], "runs"),
+                                             (["--seed", "-1"], "seed")])
+@pytest.mark.parametrize("sweep", [[], SWEEP])
+def test_run_rejects_a_bad_override_before_the_first_batch(tmp_path, capsys, monkeypatch,
+                                                           override, field, sweep):
+    def no_batch(*args, **kwargs):
+        raise AssertionError("a batch ran")
+
+    monkeypatch.setattr(runner, "_run_batch", no_batch)
+    out = tmp_path / "res"
+    code = main(["run", "--config", str(rff_config(tmp_path)), "--out", str(out),
+                 *override, *sweep])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {field} must")
+    assert not out.exists()
+
+
 def test_sweep_rejects_non_integer_n_features(tmp_path, capsys):
     out = tmp_path / "res"
     code = main(["run", "--config", str(rff_config(tmp_path)), "--out", str(out),
@@ -206,6 +246,24 @@ def test_validate_rejects_a_bandwidth_whose_kernel_scale_overflows(tmp_path, cap
     path.write_text(path.read_text().replace('"bandwidth": 0.95', '"bandwidth": 1e200'))
     assert main(["validate", "--config", str(path)]) == 2
     assert "filter.bandwidth" in capsys.readouterr().err
+
+
+# a name that export would not make one directory under results/, and a
+# label that would repeat the curve CSVs' step column "n"
+@pytest.mark.parametrize("field, value", [
+    ("name", ""), ("name", "."), ("name", ".."), ("name", "/tmp/x"), ("name", "../x"),
+    ("name", "a\\b"), ("filter.label", "n"),
+])
+def test_validate_rejects_a_name_export_would_misplace(tmp_path, capsys, field, value):
+    path = rff_config(tmp_path)
+    payload = json.loads(path.read_text())
+    if field == "name":
+        payload["name"] = value
+    else:
+        payload["filters"][0]["label"] = value
+    path.write_text(json.dumps(payload))
+    assert main(["validate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field} must")
 
 
 def test_validate_rejects_mistyped_values(tmp_path, capsys):

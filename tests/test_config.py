@@ -207,6 +207,10 @@ def test_oversized_seed_rejected():
     ("top", "name", 5),
     ("top", "out_dir", 5),
     ("filter", "label", 3),
+    ("top", "plant", 5),
+    ("top", "plant", {"kind": "stationary"}),  # no snr_db
+    ("top", "filters", {"kind": "rff"}),
+    ("top", "filters", [5]),
 ])
 def test_mistyped_and_nonfinite_values_rejected(tmp_path, where, key, value):
     payload = good_payload()
@@ -215,6 +219,27 @@ def test_mistyped_and_nonfinite_values_rejected(tmp_path, where, key, value):
     path = tmp_path / "exp.json"
     path.write_text(json.dumps(payload))  # json writes NaN and Infinity as such
     with pytest.raises(ConfigError, match=key):
+        load_config(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("plant.kind", "linear"),
+    ("horizon", 0),
+    ("max_divergence_fraction", -0.1),
+    ("max_divergence_fraction", 1.5),
+])
+def test_out_of_range_values_rejected(field, value):
+    payload = good_payload()
+    *parent, key = field.split(".")
+    (payload[parent[0]] if parent else payload)[key] = value
+    with pytest.raises(ConfigError, match=f"^{re.escape(field)} must"):
+        config_from_dict(payload)
+
+
+def test_top_level_config_must_be_an_object(tmp_path):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps([good_payload()]))
+    with pytest.raises(ConfigError, match="top-level config must be an object"):
         load_config(path)
 
 

@@ -280,6 +280,13 @@ def test_negative_rates_rejected():
         CoherenceKlms(1.0, 0.5, -0.1, 2)
 
 
+@pytest.mark.parametrize("field", ["input_dim", "n_runs"])
+def test_coherence_klms_needs_an_input_coordinate_and_a_run(field):
+    sizes = {"input_dim": 2, "n_runs": 1, field: 0}
+    with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+        CoherenceKlms(1.0, 0.5, 0.1, **sizes)
+
+
 def test_filters_do_not_alias_the_given_bank():
     bank = sample_feature_bank(1.0, 4, 2, seed=0)
     f = AdaptiveRffLms([bank], 0.1, 0.5, 0.5)

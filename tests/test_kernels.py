@@ -69,6 +69,8 @@ def test_known_value_at_unit_distance():
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         kernel_eval(1.0, np.zeros(2), np.zeros(3))
+    with pytest.raises(ValueError, match=r"input of shape \(2,\), got \(3,\)"):
+        kernelized_input(1.0, np.zeros((4, 2)), np.zeros(3))
 
 
 def test_kernelized_input_against_scalar_oracle():
@@ -118,8 +120,11 @@ def test_admission_distance_threshold():
 def test_threshold_domain():
     d = []
     for bad in (0.0, 1.0, -0.2, 1.5):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="coherence_threshold"):
             coherence_admit(1.0, d, np.zeros(2), bad)
+        with pytest.raises(ValueError, match="coherence_threshold"):
+            CoherenceKlms(1.0, bad, 0.1, input_dim=2)
+    assert d == []
 
 
 @settings(max_examples=40, deadline=None)

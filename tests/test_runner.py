@@ -280,34 +280,58 @@ def test_divergent_runs_are_flagged_and_excluded():
     assert np.all(np.isfinite(art.emse["ok"]))
 
 
-def test_overflowing_squared_error_is_a_diverged_run(monkeypatch):
-    # run 1 predicts a finite 1e200 from a finite state, so only its squared
-    # error overflows
-    cfg = tiny_config(
-        filters=(FilterSpec(kind="rff", lr_weights=0.01, n_features=8, bandwidth=0.95),),
-        max_divergence_fraction=1.0,
-    )
-    [(_, emse, _, _, _)] = _run_batch(cfg, range(cfg.runs))
+def predict_constant(monkeypatch, run_index: int, value: float) -> None:
+    """Make run ``run_index`` of every filter predict ``value`` at every step,
+    from a state that its filter never flags."""
     build = runner.build_filter
 
-    def build_overflowing(spec, input_dim, bank_seeds):
+    def build_constant(spec, input_dim, bank_seeds):
         filt = build(spec, input_dim, bank_seeds)
         run = filt.run
 
-        def run_overflowing(inputs, targets):
+        def run_constant(inputs, targets):
             preds, sizes = run(inputs, targets)
             assert not filt.diverged_at.any()
-            preds[1] = 1e200
+            preds[run_index] = value
             return preds, sizes
 
-        filt.run = run_overflowing
+        filt.run = run_constant
         return filt
 
-    monkeypatch.setattr(runner, "build_filter", build_overflowing)
+    monkeypatch.setattr(runner, "build_filter", build_constant)
+
+
+RFF_ONLY = (FilterSpec(kind="rff", lr_weights=0.01, n_features=8, bandwidth=0.95),)
+
+
+def test_overflowing_squared_error_is_a_diverged_run(monkeypatch):
+    # run 1 predicts a finite 1e200 from a finite state, so only its squared
+    # error overflows
+    cfg = tiny_config(filters=RFF_ONLY, max_divergence_fraction=1.0)
+    [(_, emse, _, _, _)] = _run_batch(cfg, range(cfg.runs))
+    predict_constant(monkeypatch, 1, 1e200)
     art = run_experiment(cfg)
     assert art.diverged["rff"] == [1]
     assert art.summary()["rff"]["runs_used"] == 2
     assert np.array_equal(art.emse["rff"], (emse[0] + emse[2]) / 2)
+
+
+def test_a_finite_run_worse_than_predicting_zero_is_a_diverged_run(monkeypatch):
+    # run 1 predicts a constant 100: its EMSE stays finite, far above the
+    # clean power of the plant, which is what predicting 0 scores
+    cfg = tiny_config(filters=RFF_ONLY, max_divergence_fraction=1.0)
+    [(_, emse, _, usable, _)] = _run_batch(cfg, range(cfg.runs))
+    assert usable.all()
+    predict_constant(monkeypatch, 1, 100.0)
+    [(_, runaway, _, usable, _)] = _run_batch(cfg, range(cfg.runs))
+    assert np.isfinite(runaway).all() and usable.tolist() == [True, False, True]
+    art = run_experiment(cfg)
+    assert art.diverged["rff"] == [1]
+    assert art.summary()["rff"]["runs_used"] == 2
+    assert np.array_equal(art.emse["rff"], (emse[0] + emse[2]) / 2)
+    # 1 bad run of 3 is over the default fraction of 0.01
+    with pytest.raises(ExperimentError, match="1 of 3 runs diverged"):
+        run_experiment(dataclasses.replace(cfg, max_divergence_fraction=0.01))
 
 
 def test_a_bank_that_breaks_on_a_calls_last_update_has_no_snapshot(monkeypatch, tmp_path):

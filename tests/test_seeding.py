@@ -43,3 +43,9 @@ def test_encoding_is_unambiguous(a, b):
 def test_out_of_range_integers_are_rejected(path):
     with pytest.raises(ValueError):
         derive_seed(*path)
+
+
+@pytest.mark.parametrize("token", [1.5, None, b"run"])
+def test_tokens_other_than_int_or_str_are_rejected(token):
+    with pytest.raises(TypeError, match="seed tokens must be int or str"):
+        derive_seed(7, token)

@@ -9,6 +9,7 @@ from oracles import stream_to_csv
 from rfflms import systems
 from rfflms.config import ConfigError, PlantConfig
 from rfflms.systems import (
+    SampleStream,
     calibrate_noise,
     gen_ar1,
     gen_nonstationary_stream,
@@ -35,6 +36,11 @@ def test_ar1_spec_domain():
         plant = PlantConfig(kind="stationary", snr_db=15.0, rho=bad)
         with pytest.raises(ConfigError, match="plant.rho"):
             gen_stationary_stream(plant, 100, seed=0)
+
+
+def test_ar1_needs_a_step():
+    with pytest.raises(ValueError, match="n_steps must be >= 1"):
+        gen_ar1(0.5, 0, seed=0)
 
 
 def test_ar1_rho_zero_is_raw_noise():
@@ -85,6 +91,19 @@ def test_kernel_plant_response_matches_scalar_oracle():
             for w, c in zip(systems.PLANT_WEIGHTS, systems.PLANT_CENTERS)
         )
         assert math.isclose(got[n], expected, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("noise", np.zeros(3), "inputs, targets, clean and noise lengths disagree"),
+    ("targets", np.full(4, 2.0), r"targets must equal clean \+ noise"),
+    ("inputs", np.full((4, 2), np.nan), "inputs and targets must be finite"),
+])
+def test_sample_stream_rejects_inconsistent_arrays(field, value, message):
+    arrays = dict(inputs=np.zeros((4, 2)), targets=np.ones(4), clean=np.ones(4),
+                  noise=np.zeros(4))
+    arrays[field] = value
+    with pytest.raises(ValueError, match=message):
+        SampleStream(**arrays)
 
 
 def test_stationary_stream_structure():
