@@ -6,11 +6,17 @@ how the runs are split into batches or how many workers execute them.
 When both RFF-family filters appear in one config with the same bank
 settings they start from identical banks, giving a paired comparison.
 
-One call of ``run_experiments`` runs one experiment per config. Its
-worker count is capped at the total run count and the CPU count. Each
-config's runs are split evenly into contiguous batches of at most
-``MAX_BATCH_RUNS`` runs: with ``share = ceil(workers / configs)``, the
-batch count is the smallest multiple of ``share`` that allows this,
+One call of ``run_experiments`` computes each filter unit once. A
+filter's curves over a config's runs depend only on its unit: its
+``FilterSpec`` plus the config's ``plant``, ``horizon``, ``seed``, ``runs``
+and ``steady_window``. A config's batches run only the filters whose unit
+no earlier config of the call has, and a config with no such filter runs
+no batch; the other filters reuse the earlier config's reduction. So a
+sweep's points share every filter that the swept field does not touch.
+The call's worker count is capped at the total run count and the CPU
+count. Each config's runs are split evenly into contiguous batches of at
+most ``MAX_BATCH_RUNS`` runs: with ``share = ceil(workers / configs)``,
+the batch count is the smallest multiple of ``share`` that allows this,
 capped at the config's run count. A single experiment thus gets a
 multiple of the worker count, and a sweep of small experiments one batch
 each. With one worker the batches run one after the other in this
@@ -58,6 +64,8 @@ and model-size cells, and the CLI table reads "diverged".
 from __future__ import annotations
 
 import csv
+import dataclasses
+import io
 import json
 import os
 from collections.abc import Iterator
@@ -207,67 +215,97 @@ def _plan_batches(runs: list[int], workers: int) -> tuple[int, list[list[range]]
     return workers, plans
 
 
-def _aggregate(cfg: ExperimentConfig, batches: list[range], results) -> RunArtifacts:
+def _unit(cfg: ExperimentConfig, spec: FilterSpec) -> tuple:
+    """The key of a filter's unit: all that its curves over ``cfg``'s runs
+    depend on (see the module docstring)."""
+    return spec, cfg.plant, cfg.horizon, cfg.seed, cfg.runs, cfg.steady_window
+
+
+def _aggregate(cfg: ExperimentConfig, batches: list[range], results, units: dict) -> RunArtifacts:
     """Reduce one config's batch results, in run-index order, to its
     artifacts; raises ``ExperimentError`` by the divergence policy.
-    ``results`` yields a ``_run_batch`` result per batch and may go on past
-    the last one: ``zip`` stops at ``batches`` without drawing from it."""
-    labels = [f.column for f in cfg.filters]
-    emse_sum = {lab: np.zeros(cfg.horizon) for lab in labels}
-    size_sum = {lab: np.zeros(cfg.horizon) for lab in labels}
-    diverged = {lab: [] for lab in labels}
-    snapshots = {}
+
+    ``units`` maps each unit that an earlier config of the call reduced to
+    its reduction: the emse and size sums over its usable runs, its
+    unusable runs and run 0's snapshots, all (T,) or smaller. ``results``
+    yields a ``_run_batch`` result per batch for the config's other filters,
+    whose reductions join ``units``, and may go on past the last batch:
+    ``zip`` stops at ``batches`` without drawing from it.
+    """
+    keys = {f.column: _unit(cfg, f) for f in cfg.filters}
     for runs, per_filter in zip(batches, results):
         for lab, emse, sizes, usable, snaps in per_filter:
+            emse_sum, size_sum, unusable, unit_snaps = units.setdefault(
+                keys[lab], (np.zeros(cfg.horizon), np.zeros(cfg.horizon), [], {}))
             for i, run_index in enumerate(runs):
                 if usable[i]:
-                    emse_sum[lab] += emse[i]
-                    size_sum[lab] += sizes[i]
+                    emse_sum += emse[i]
+                    size_sum += sizes[i]
                 else:
-                    diverged[lab].append(run_index)
+                    unusable.append(run_index)
             if snaps is not None:
-                snapshots[lab] = snaps
+                unit_snaps.update(snaps)
 
+    # copies, so that configs sharing a unit share no mutable artifact
+    emse, model_size, diverged, snapshots = {}, {}, {}, {}
+    for lab, key in keys.items():
+        emse_sum, size_sum, unusable, snaps = units[key]
+        diverged[lab] = list(unusable)
+        if len(unusable) < cfg.runs:
+            emse[lab] = emse_sum / (cfg.runs - len(unusable))
+            model_size[lab] = size_sum / (cfg.runs - len(unusable))
+        if snaps:
+            snapshots[lab] = {stage: freqs.copy() for stage, freqs in snaps.items()}
     bad_runs = sorted({r for runs in diverged.values() for r in runs})
     if len(bad_runs) > cfg.max_divergence_fraction * cfg.runs:
         raise ExperimentError(
             f"{len(bad_runs)} of {cfg.runs} runs diverged "
             f"(allowed fraction {cfg.max_divergence_fraction}): runs {bad_runs[:20]}"
         )
-    # runs used, by usable label in config order
-    used = {lab: cfg.runs - len(runs) for lab, runs in diverged.items() if len(runs) < cfg.runs}
-    if not used:
-        raise ExperimentError(f"every run of every filter diverged: {labels}")
-    return RunArtifacts(
-        config=cfg,
-        emse={lab: emse_sum[lab] / n for lab, n in used.items()},
-        model_size={lab: size_sum[lab] / n for lab, n in used.items()},
-        diverged=diverged,
-        snapshots=snapshots,
-    )
+    if not emse:
+        raise ExperimentError(f"every run of every filter diverged: {list(keys)}")
+    return RunArtifacts(config=cfg, emse=emse, model_size=model_size, diverged=diverged,
+                        snapshots=snapshots)
 
 
 def run_experiments(cfgs: list[ExperimentConfig], workers: int = 1) -> Iterator[RunArtifacts]:
     """Run every config's Monte Carlo runs; yield each config's artifacts,
     in config order, as soon as its last batch is reduced.
 
-    Every config is validated before the first batch runs. The batches of
-    all configs are planned and executed as the module docstring says: with
-    ``workers`` > 1 they share one process pool, so later configs run while
-    earlier ones are reduced and exported. Aggregation is a sequential
-    reduction in run-index order whatever the batching, so the artifacts
-    are byte-reproducible under each config's root seed and equal those of
-    the config run alone. An ``ExperimentError`` ends the call, after the
-    artifacts of the configs before it. The pool then cancels every batch
-    that no worker has taken and finishes the taken ones, as it does when
-    the caller closes the generator early (see the module docstring).
+    Every config is validated before the first batch runs. Each filter
+    unit (a ``FilterSpec`` with the config's plant, horizon, seed, runs
+    and steady window) is computed once per call, by the first config that
+    has it: a config's batches run only its filters with a new unit, and a
+    config with none runs no batch. Each config still applies its own
+    ``max_divergence_fraction``. The batches are planned and executed as
+    the module docstring says: with ``workers`` > 1 they share one process
+    pool, so later configs run while earlier ones are reduced and
+    exported. Aggregation is a sequential reduction in run-index order
+    whatever the batching, so the artifacts are byte-reproducible under
+    each config's root seed and equal those of the config run alone. An
+    ``ExperimentError`` ends the call, after the artifacts of the configs
+    before it. The pool then cancels every batch that no worker has taken
+    and finishes the taken ones, as it does when the caller closes the
+    generator early (see the module docstring).
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     for cfg in cfgs:
         cfg.validate()
     workers, plans = _plan_batches([cfg.runs for cfg in cfgs], workers)
-    tasks = [(cfg, runs) for cfg, batches in zip(cfgs, plans) for runs in batches]
+    # the indices of the configs that read each unit: the first computes it,
+    # and its reduction is dropped after the last
+    readers = {}
+    for i, cfg in enumerate(cfgs):
+        for f in cfg.filters:
+            readers.setdefault(_unit(cfg, f), []).append(i)
+    tasks = []
+    for i, cfg in enumerate(cfgs):
+        new = tuple(f for f in cfg.filters if readers[_unit(cfg, f)][0] == i)
+        if not new:  # a config with no new unit runs no batch
+            plans[i] = []
+        tasks += [(dataclasses.replace(cfg, filters=new), runs) for runs in plans[i]]
+    units = {}
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         if pool is None:
@@ -276,8 +314,12 @@ def run_experiments(cfgs: list[ExperimentConfig], workers: int = 1) -> Iterator[
             results = (_run_batch(cfg, runs) for cfg, runs in tasks)
         else:
             results = pool.map(_batch_results, *zip(*tasks))
-        for cfg, batches in zip(cfgs, plans):
-            yield _aggregate(cfg, batches, results)
+        for i, (cfg, batches) in enumerate(zip(cfgs, plans)):
+            art = _aggregate(cfg, batches, results, units)
+            for f in cfg.filters:
+                if readers[_unit(cfg, f)][-1] == i:
+                    del units[_unit(cfg, f)]
+            yield art
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
@@ -336,12 +378,18 @@ def export_artifacts(art: RunArtifacts, out_dir) -> dict:
         dim = max((s["initial"].shape[1] for s in art.snapshots.values()), default=0)
         writer.writerow(["filter", "stage", "feature"] + [f"coord{i}" for i in range(dim)])
         for lab, snaps in art.snapshots.items():
+            # csv.writer's cells, so that a label holding a comma is quoted
+            cells = io.StringIO()
+            csv.writer(cells, lineterminator="").writerow([lab])
             for stage in SNAPSHOT_STAGES:
                 freqs = snaps.get(stage)
                 if freqs is None:
                     continue
-                for m in range(freqs.shape[0]):
-                    writer.writerow([lab, stage, m] + [_fmt(v) for v in freqs[m]])
+                # one %-format per row, as in _write_curve_csv
+                row = "%d" + ",%.12g" * freqs.shape[1] + "\r\n"
+                prefix = f"{cells.getvalue()},{stage},"
+                fh.writelines(prefix + row % (m, *values)
+                              for m, values in enumerate(freqs.tolist()))
 
     manifest = {
         "config": config_to_dict(art.config),

@@ -9,7 +9,7 @@ from contextlib import closing
 import numpy as np
 import pytest
 
-from rfflms.cli import _summary_lines, main
+from rfflms.cli import _override_filters, _summary_lines, main
 from rfflms.config import (
     ExperimentConfig,
     FilterSpec,
@@ -481,3 +481,135 @@ def test_sweep_bytes_do_not_depend_on_the_workers(tmp_path, capsys, monkeypatch)
             for tree in ("w2", "alone"):
                 assert filecmp.cmp(tmp_path / "w1" / point / name,
                                    tmp_path / tree / point / name, shallow=False), (tree, name)
+
+
+def assert_same_files(a, b) -> None:
+    for name in FILES:
+        assert filecmp.cmp(a / name, b / name, shallow=False), (a, b, name)
+
+
+def record_builds(monkeypatch) -> list:
+    """Record the spec of every filter that ``build_filter`` builds."""
+    built = []
+    build = runner.build_filter
+
+    def recording_build(spec, input_dim, bank_seeds):
+        built.append(spec)
+        return build(spec, input_dim, bank_seeds)
+
+    monkeypatch.setattr(runner, "build_filter", recording_build)
+    return built
+
+
+def test_an_n_features_sweep_builds_coherence_klms_for_its_first_config_only(monkeypatch):
+    # 2 batches of each 3-run config
+    monkeypatch.setattr(runner, "MAX_BATCH_RUNS", 2)
+    built = record_builds(monkeypatch)
+    held = []  # the call's units and their count as each config's reduction starts
+    aggregate = runner._aggregate
+
+    def noting_aggregate(cfg, batches, results, units):
+        held.append((units, len(units)))
+        return aggregate(cfg, batches, results, units)
+
+    monkeypatch.setattr(runner, "_aggregate", noting_aggregate)
+    cfgs = [_override_filters(tiny_config(), "n_features", d) for d in (8, 16, 24)]
+    assert len(list(run_experiments(cfgs))) == 3
+    # only coherence-klms's reduction outlives its first config, up to the last
+    assert [n for _, n in held] == [0, 1, 1] and held[0][0] == {}
+    assert [(f.kind, f.n_features) for f in built] == [
+        ("coherence-klms", 0), ("rff", 8), ("adaptive-rff", 8),
+        ("coherence-klms", 0), ("rff", 8), ("adaptive-rff", 8),
+        *[(kind, d) for d in (16, 24) for _ in range(2) for kind in ("rff", "adaptive-rff")],
+    ]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_each_config_of_a_call_writes_the_bytes_it_writes_alone(workers, tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool even on one core
+    base = tiny_config()
+    cfgs = [
+        *(_override_filters(base, "n_features", d) for d in (8, 16)),
+        *(_override_filters(base, "coherence_threshold", t) for t in (0.6, 0.8)),
+        dataclasses.replace(base, name="twin"),  # shares every unit with the first
+        dataclasses.replace(base, seed=78),
+    ]
+    for i, art in enumerate(run_experiments(cfgs, workers=workers)):
+        export_artifacts(art, tmp_path / "call" / str(i))
+    for i, cfg in enumerate(cfgs):
+        export_artifacts(run_experiment(cfg), tmp_path / "alone" / str(i))
+        assert_same_files(tmp_path / "call" / str(i), tmp_path / "alone" / str(i))
+
+
+@pytest.mark.parametrize("change", [
+    dict(seed=78), dict(steady_window=40), dict(runs=4), dict(horizon=201),
+    dict(plant=PlantConfig(kind="stationary", snr_db=20.0, rho=0.5)),
+    dict(plant=PlantConfig(kind="stationary", snr_db=15.0, rho=0.4)),
+])
+def test_configs_that_differ_outside_their_filters_share_no_unit(change, monkeypatch):
+    built = record_builds(monkeypatch)
+    cfg = tiny_config()
+    assert len(list(run_experiments([cfg, tiny_config(**change)]))) == 2
+    assert built == [*cfg.filters, *cfg.filters]  # one batch each
+
+
+# coherence-klms at a rate where runs 3 and 6 of 12 diverge, one in each
+# batch of a two-worker call; rff is usable on every run
+PARTLY_DIVERGING = tiny_config(
+    name="partly-diverging",
+    filters=(
+        FilterSpec(kind="coherence-klms", lr_weights=0.65, bandwidth=0.95,
+                   coherence_threshold=0.7),
+        FilterSpec(kind="rff", lr_weights=0.01, n_features=8, bandwidth=0.95),
+    ),
+    horizon=2000, runs=12, seed=12345, steady_window=500, max_divergence_fraction=1.0,
+)
+
+
+def test_a_shared_partly_diverged_unit_meets_each_configs_fraction(monkeypatch):
+    built = record_builds(monkeypatch)
+    lenient = PARTLY_DIVERGING
+    # 2 of 12 runs are bad, over a fraction of 0.1
+    strict = dataclasses.replace(lenient, max_divergence_fraction=0.1)
+    arts = run_experiments([lenient, strict])
+    assert next(arts).diverged == {"coherence-klms": [3, 6], "rff": []}
+    n_built = len(built)
+    with pytest.raises(ExperimentError, match="2 of 12 runs diverged"):
+        next(arts)
+    assert len(built) == n_built  # the strict config ran no batch
+
+
+def test_configs_sharing_a_unit_do_not_alias_their_artifacts():
+    cfg = PARTLY_DIVERGING
+    a, b = run_experiments([cfg, dataclasses.replace(cfg, name="twin")])
+    alone = run_experiment(cfg)
+    a.diverged["coherence-klms"].append(11)
+    a.emse["rff"][:] = 0
+    a.model_size["rff"][:] = 0
+    a.snapshots["rff"]["initial"][:] = 0
+    assert b.diverged == alone.diverged == {"coherence-klms": [3, 6], "rff": []}
+    assert np.array_equal(b.emse["rff"], alone.emse["rff"])
+    assert np.array_equal(b.model_size["rff"], alone.model_size["rff"])
+    assert np.array_equal(b.snapshots["rff"]["initial"], alone.snapshots["rff"]["initial"])
+
+
+def test_a_partly_diverged_filter_keeps_its_bytes_across_batchings(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool even on one core
+    cfg = PARTLY_DIVERGING
+    art = run_experiment(cfg)
+    assert art.diverged == {"coherence-klms": [3, 6], "rff": []}
+    export_artifacts(art, tmp_path / "serial")
+    # batches [0, 6) and [6, 12): usable and diverged runs in each
+    assert runner._plan_batches([cfg.runs], 2)[1] == [[range(0, 6), range(6, 12)]]
+    export_artifacts(run_experiment(cfg, workers=2), tmp_path / "workers-2")
+    assert_same_files(tmp_path / "serial", tmp_path / "workers-2")
+    # a unit shared by a sweep: cfg's coherence-klms comes from the first point
+    built = record_builds(monkeypatch)
+    *_, shared = run_experiments([_override_filters(cfg, "n_features", 16), cfg])
+    assert [f.kind for f in built] == ["coherence-klms", "rff", "rff"]
+    export_artifacts(shared, tmp_path / "shared")
+    assert_same_files(tmp_path / "serial", tmp_path / "shared")
+    # six batches of two runs
+    monkeypatch.setattr(runner, "MAX_BATCH_RUNS", 2)
+    export_artifacts(run_experiment(cfg), tmp_path / "capped")
+    assert_same_files(tmp_path / "serial", tmp_path / "capped")
