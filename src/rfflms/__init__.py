@@ -11,12 +11,7 @@ from .config import (
     preset,
 )
 from .features import FeatureBank, sample_feature_bank
-from .filters import (
-    AdaptiveRffLms,
-    CoherenceKlms,
-    DivergenceError,
-    StepOutcome,
-)
+from .filters import AdaptiveRffLms, CoherenceKlms
 from .metrics import steady_state_emse, to_db
 from .runner import (
     ExperimentError,
@@ -34,7 +29,6 @@ __all__ = [
     "AdaptiveRffLms",
     "CoherenceKlms",
     "ConfigError",
-    "DivergenceError",
     "ExperimentConfig",
     "ExperimentError",
     "FeatureBank",
@@ -42,7 +36,6 @@ __all__ = [
     "PlantConfig",
     "RunArtifacts",
     "SampleStream",
-    "StepOutcome",
     "derive_seed",
     "export_artifacts",
     "gen_nonstationary_stream",

@@ -183,9 +183,12 @@ class ExperimentConfig:
     def validate(self) -> None:
         _check_types(self, "")
         # export writes to results/<name> unless out_dir is set; both path
-        # separators are refused, so a config validates on every platform
-        if self.name in ("", ".", "..") or "/" in self.name or "\\" in self.name:
+        # separators are refused, so a config validates on every platform,
+        # and so is a NUL byte, which no path can hold
+        if self.name in ("", ".", "..") or any(c in self.name for c in "/\\\0"):
             raise ConfigError(f"name must be one plain directory name, got {self.name!r}")
+        if self.out_dir is not None and "\0" in self.out_dir:
+            raise ConfigError(f"out_dir must not hold a NUL byte, got {self.out_dir!r}")
         if self.runs < 1:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
         if self.horizon < 1:

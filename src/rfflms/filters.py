@@ -3,9 +3,9 @@
 Two classes implement the three filter kinds. ``AdaptiveRffLms`` runs
 both RFF kinds: ``rff`` is ``AdaptiveRffLms`` with zero frequency and
 phase step sizes. ``CoherenceKlms`` runs ``coherence-klms``. Both share
-one step contract: consume a sample (x, y), return the pre-update
-prediction and error, then update their state by one stochastic gradient
-step on the squared error. A step with zero error leaves the state
+one step contract: consume a sample (x, y), predict y from x, then
+update their state by one stochastic gradient step on the squared error
+of that pre-update prediction. A step with zero error leaves the state
 untouched, and any learning rate may be zero to freeze the corresponding
 update.
 
@@ -23,7 +23,8 @@ stream is checked for shape and finiteness once per call, not once per
 step. The state carries over between calls, so running a stream in
 pieces gives bit-for-bit what one call over the whole stream gives.
 ``step(x, y)`` is the online form for a filter of one run: ``run`` over a
-stream of length 1, returning a ``StepOutcome``.
+stream of length 1, returning its two outputs as scalars, ``(prediction,
+model_size)``.
 
 Divergence. A run diverges at its first step whose prediction is not
 finite; steps are global and 1-based, counted over every step the filter
@@ -40,9 +41,9 @@ goes to ``diverged_at`` (0 for a live run) and it is stepped on with the
 other runs, whose bits it cannot touch, until every run of the batch has
 diverged; the call then takes no further step. Its state after that step
 is not defined. At the end of the call its predictions from that step on
-are set to NaN and its model sizes to 0. ``run`` reports divergence only
-through ``diverged_at``; ``step`` raises ``DivergenceError`` with the
-step instead. Overflow on the way there raises no numpy warning.
+are set to NaN and its model sizes to 0. ``diverged_at`` is the only
+report of divergence: neither ``run`` nor ``step`` raises for it, and
+overflow on the way there raises no numpy warning.
 
 ``AdaptiveRffLms`` additionally descends on the feature frequencies and
 phases. Within one step every right-hand side uses the pre-update state
@@ -78,8 +79,6 @@ downstream are float64 throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # phase_angles, coherence_admit and kernelized_input stay importable from
@@ -103,23 +102,6 @@ _BLOCK = 32
 # smallest positive one (a subnormal), below which a value rounds to 0
 F32_MAX = float(np.finfo(np.float32).max)  # about 3.4e38
 F32_TINY = float(np.finfo(np.float32).smallest_subnormal)  # about 1.4e-45
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    """Pre-update prediction, its error against the observation, model size."""
-
-    prediction: float
-    error: float
-    model_size: int
-
-
-class DivergenceError(RuntimeError):
-    """A prediction left the finite range; carries the 1-based step index."""
-
-    def __init__(self, step: int):
-        super().__init__(f"filter prediction at step {step} is not finite")
-        self.step = step
 
 
 def check_rate(name: str, value: float) -> float:
@@ -183,17 +165,11 @@ class _StreamFilter:
                              f"range is +-{np.finfo(dtype).max:.4g}")
         return xs, ys
 
-    def step(self, x, y) -> StepOutcome:
-        """``run`` over the one-step stream (x, y) of a single-run filter;
-        raises ``DivergenceError`` once the run has diverged."""
-        if self.n_runs != 1:
-            raise ValueError(f"step takes a sample of a single-run filter, not of "
-                             f"{self.n_runs} runs; run() takes their streams")
+    def step(self, x, y) -> tuple[float, int]:
+        """``run`` over the one-sample stream (x, y) of a single-run filter:
+        the prediction and the model size, as scalars."""
         predictions, sizes = self.run(np.asarray(x)[None, None], [[y]])
-        if self.diverged_at[0]:
-            raise DivergenceError(int(self.diverged_at[0]))
-        prediction = float(predictions[0, 0])
-        return StepOutcome(prediction, float(y) - prediction, int(sizes[0, 0]))
+        return float(predictions[0, 0]), int(sizes[0, 0])
 
     @np.errstate(all="ignore")
     def run(self, inputs, targets) -> tuple[np.ndarray, np.ndarray]:

@@ -38,19 +38,16 @@ D_INIT = (0.1, 0.1)
 
 @dataclass
 class SampleStream:
-    """Per-step inputs, noisy targets, noiseless targets, and the noise itself."""
+    """Per-step inputs, noisy targets and noiseless targets."""
 
     inputs: np.ndarray
     targets: np.ndarray
     clean: np.ndarray
-    noise: np.ndarray
 
     def __post_init__(self):
         n = self.inputs.shape[0]
-        if not (self.targets.shape == self.clean.shape == self.noise.shape == (n,)):
-            raise ValueError("inputs, targets, clean and noise lengths disagree")
-        if not np.array_equal(self.targets, self.clean + self.noise):
-            raise ValueError("targets must equal clean + noise exactly")
+        if not (self.targets.shape == self.clean.shape == (n,)):
+            raise ValueError("inputs, targets and clean lengths disagree")
         if not all(np.all(np.isfinite(a)) for a in (self.inputs, self.targets)):
             raise ValueError("stream inputs and targets must be finite")
 
@@ -139,7 +136,7 @@ def gen_stationary_stream(plant: PlantConfig, horizon: int, seed: int) -> Sample
     inputs = np.stack([x, lagged], axis=1)
     clean = kernel_plant_response(inputs)
     z = calibrate_noise(clean, plant.snr_db, derive_seed(seed, "noise"))
-    return SampleStream(inputs, clean + z, clean, z)
+    return SampleStream(inputs, clean + z, clean)
 
 
 def gen_nonstationary_stream(plant: PlantConfig, horizon: int, seed: int) -> SampleStream:
@@ -151,4 +148,4 @@ def gen_nonstationary_stream(plant: PlantConfig, horizon: int, seed: int) -> Sam
     lag2 = np.concatenate([[d1, d0], d[:-2]])
     inputs = np.stack([lag1, lag2], axis=1)
     z = calibrate_noise(d, plant.snr_db, derive_seed(seed, "noise"))
-    return SampleStream(inputs, d + z, d, z)
+    return SampleStream(inputs, d + z, d)

@@ -12,7 +12,6 @@ PUBLIC = [
     "AdaptiveRffLms",
     "CoherenceKlms",
     "ConfigError",
-    "DivergenceError",
     "ExperimentConfig",
     "ExperimentError",
     "FeatureBank",
@@ -20,7 +19,6 @@ PUBLIC = [
     "PlantConfig",
     "RunArtifacts",
     "SampleStream",
-    "StepOutcome",
     "derive_seed",
     "export_artifacts",
     "gen_nonstationary_stream",

@@ -248,22 +248,47 @@ def test_validate_rejects_a_bandwidth_whose_kernel_scale_overflows(tmp_path, cap
     assert "filter.bandwidth" in capsys.readouterr().err
 
 
-# a name that export would not make one directory under results/, and a
-# label that would repeat the curve CSVs' step column "n"
+# a name that export would not make one directory under results/, a NUL
+# byte that no path can hold, and a label that would repeat the curve CSVs'
+# step column "n"
 @pytest.mark.parametrize("field, value", [
     ("name", ""), ("name", "."), ("name", ".."), ("name", "/tmp/x"), ("name", "../x"),
-    ("name", "a\\b"), ("filter.label", "n"),
+    ("name", "a\\b"), ("name", "a\u0000b"), ("name", "\u0000"), ("out_dir", "res\u0000x"),
+    ("filter.label", "n"),
 ])
 def test_validate_rejects_a_name_export_would_misplace(tmp_path, capsys, field, value):
     path = rff_config(tmp_path)
     payload = json.loads(path.read_text())
-    if field == "name":
-        payload["name"] = value
-    else:
+    if field == "filter.label":
         payload["filters"][0]["label"] = value
+    else:
+        payload[field] = value
     path.write_text(json.dumps(payload))
     assert main(["validate", "--config", str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {field} must")
+
+
+# a JSON config's path field, and --out, which overrides out_dir
+@pytest.mark.parametrize("field, option", [("name", None), ("out_dir", None),
+                                           ("out_dir", "--out")])
+def test_run_rejects_a_nul_byte_in_a_path_before_the_first_batch(tmp_path, capsys, monkeypatch,
+                                                                 field, option):
+    def no_batch(*args, **kwargs):
+        raise AssertionError("a batch ran")
+
+    monkeypatch.setattr(runner, "_run_batch", no_batch)
+    monkeypatch.chdir(tmp_path)  # where results/<name> would go
+    path = rff_config(tmp_path)
+    argv = ["run", "--config", str(path)]
+    if option:
+        argv += [option, str(tmp_path / "res\0x")]
+    else:
+        payload = json.loads(path.read_text())
+        payload[field] = "res\0x"
+        path.write_text(json.dumps(payload))
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field} must")
+    assert os.listdir(tmp_path) == [path.name]
 
 
 def test_validate_rejects_mistyped_values(tmp_path, capsys):

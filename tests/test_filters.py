@@ -12,7 +12,7 @@ from oracles import kernel_eval, klms_reference, loss, predict, rff_reference
 from rfflms import filters
 from rfflms.config import preset
 from rfflms.features import FeatureBank, sample_feature_bank
-from rfflms.filters import F32_MAX, F32_TINY, AdaptiveRffLms, CoherenceKlms, DivergenceError
+from rfflms.filters import F32_MAX, F32_TINY, AdaptiveRffLms, CoherenceKlms
 from rfflms.metrics import steady_state_emse, to_db
 from rfflms.runner import make_stream, run_experiment
 from rfflms.seeding import derive_seed
@@ -41,14 +41,14 @@ def random_state(seed, n_features=8, input_dim=2):
 def test_zero_weights_predict_zero():
     bank = sample_feature_bank(1.0, 6, 2, seed=1)
     f = AdaptiveRffLms([bank], 0.01, 0.01, 0.01)
-    assert f.step(np.array([0.7, -2.0]), 1.0).prediction == 0.0
+    assert f.step(np.array([0.7, -2.0]), 1.0) == (0.0, 6)
 
 
 def test_predict_is_a_dot_product():
     # 2 * cos(acos(0.5)) in float32, the phase rounded to float32 first
     f = AdaptiveRffLms([scalar_bank(freq=0.0, phase=math.acos(0.5))], 0.1, 0.0, 0.0)
     f.weights[:] = 2.0
-    assert f.step(np.array([123.0]), 0.0).prediction == F32(2.0) * np.cos(F32(math.acos(0.5)))
+    assert f.step(np.array([123.0]), 0.0)[0] == F32(2.0) * np.cos(F32(math.acos(0.5)))
 
 
 def float64_state(f):
@@ -70,14 +70,13 @@ def test_prediction_invariant_under_phase_wrap():
     wrapped64.phases[0, 3] += 2.0 * math.pi
     assert math.isclose(predict(wrapped64, x), predict(state, x), rel_tol=0, abs_tol=1e-12)
     expected = predict(wrapped, x)  # before the step updates the state
-    assert wrapped.step(x, 0.0).prediction == expected
+    assert wrapped.step(x, 0.0)[0] == expected
 
 
 def test_one_step_hand_oracle():
     f = AdaptiveRffLms([scalar_bank()], lr_weights=0.1, lr_freqs=1.0, lr_phases=1.0)
-    out = f.step(np.array([1.0]), 1.0)
-    assert out.prediction == 0.0
-    assert out.error == 1.0
+    prediction, size = f.step(np.array([1.0]), 1.0)
+    assert (prediction, size) == (0.0, 1)
     assert f.weights[0, 0] == ONE_STEP_WEIGHT
     assert f.freqs[0, 0, 0] == 1.0
     assert f.phases[0, 0] == 0.0
@@ -90,8 +89,8 @@ def test_zero_error_is_a_fixed_point(seed):
     x = rng.normal(size=2)
     y = predict(f, x)
     w0, fr0, ph0 = f.weights.copy(), f.freqs.copy(), f.phases.copy()
-    out = f.step(x, y)
-    assert out.error == 0.0
+    prediction, _ = f.step(x, y)
+    assert y - prediction == 0.0
     assert np.array_equal(f.weights, w0)
     assert np.array_equal(f.freqs, fr0)
     assert np.array_equal(f.phases, ph0)
@@ -107,10 +106,7 @@ def test_frozen_feature_updates_match_rff_bit_for_bit():
     for _ in range(2000):
         x = rng.normal(size=2)
         y = float(rng.normal())
-        a = arff.step(x, y)
-        b = rff.step(x, y)
-        assert a.prediction == b.prediction
-        assert a.error == b.error
+        assert arff.step(x, y) == rff.step(x, y)
     assert np.array_equal(arff.weights, rff.weights)
     assert np.array_equal(arff.freqs, rff.freqs)
     assert np.array_equal(arff.phases, rff.phases)
@@ -137,9 +133,7 @@ def test_rff_first_step_from_zero_weights():
     x = np.array([0.2, -0.7])
     # in float32, as the filter computes
     z = np.cos(bank.freqs.astype(F32) @ x.astype(F32) + bank.phases.astype(F32))
-    out = f.step(x, 2.0)
-    assert out.prediction == 0.0
-    assert out.error == 2.0
+    assert f.step(x, 2.0) == (0.0, 4)
     assert np.array_equal(f.weights[0], (F32(2.0) * F32(0.05)) * z)
 
 
@@ -173,9 +167,10 @@ def test_error_equals_target_minus_prediction():
     x = rng.normal(size=2)
     y = 1.7
     pred = predict(f, x)
-    out = f.step(x, y)
-    assert out.error == y - out.prediction
-    assert out.prediction == pred
+    # the error is y - prediction, so step returns the pre-update prediction
+    prediction, size = f.step(x, y)
+    assert prediction == pred
+    assert type(prediction) is float and (type(size), size) == (int, 8)
 
 
 def test_instantaneous_loss():
@@ -183,13 +178,13 @@ def test_instantaneous_loss():
     # reproduces without stepping
     f, rng = random_state(8)
     x = rng.normal(size=2)
-    y = copy.deepcopy(f).step(x, 0.0).prediction
+    y, _ = copy.deepcopy(f).step(x, 0.0)
     w0 = f.weights.copy()
     assert loss(f, x, y) == 0.0 and loss(f, x, 1.0) == (1.0 - y) ** 2
     assert np.array_equal(f.weights, w0)
-    assert f.step(x, y).error ** 2 == 0.0
+    assert (y - f.step(x, y)[0]) ** 2 == 0.0
     g = AdaptiveRffLms([FeatureBank(f.freqs[0], f.phases[0])], 0.1, 0.1, 0.1)  # zero weights
-    assert g.step(x, 3.0).error ** 2 == 9.0
+    assert (3.0 - g.step(x, 3.0)[0]) ** 2 == 9.0
 
 
 def test_update_directions_are_loss_gradients():
@@ -258,14 +253,17 @@ def test_non_finite_input_is_a_stream_error():
         f.step(np.zeros(3), 1.0)
 
 
-def test_divergence_raises_with_step_index():
+def test_divergence_shows_in_diverged_at_and_nan_predictions():
+    # step raises nothing: from the diverging step on, its prediction is NaN
+    # and its model size 0, as in run
     bank = sample_feature_bank(1.0, 4, 2, seed=0)
     f = AdaptiveRffLms([bank], 1e30, 1e30, 1e30)
     rng = np.random.default_rng(0)
-    with pytest.raises(DivergenceError) as err:
-        for _ in range(50):
-            f.step(rng.normal(size=2), float(rng.normal()))
-    assert 1 <= err.value.step <= 50
+    preds, sizes = zip(*(f.step(rng.normal(size=2), float(rng.normal())) for _ in range(50)))
+    step = int(f.diverged_at[0])
+    assert 1 <= step <= 50
+    assert np.isfinite(preds[:step - 1]).all() and set(sizes[:step - 1]) <= {4}
+    assert np.isnan(preds[step - 1:]).all() and set(sizes[step - 1:]) == {0}
 
 
 def test_negative_rates_rejected():
@@ -298,26 +296,23 @@ def test_filters_do_not_alias_the_given_bank():
 
 def test_klms_first_sample_is_admitted():
     f = CoherenceKlms(0.95, 0.7, 0.2, input_dim=2)
-    out = f.step(np.array([0.3, 0.4]), 1.5)
-    assert out.prediction == 0.0
-    assert out.model_size == 1
+    assert f.step(np.array([0.3, 0.4]), 1.5) == (0.0, 1)
     assert math.isclose(f.weights[0][0], 0.2 * 1.5 * 1.0, rel_tol=1e-15)
 
 
 def test_klms_repeated_input_never_grows_the_dictionary():
     f = CoherenceKlms(1.0, 0.9, 0.1, input_dim=2)
     x = np.array([1.0, -1.0])
-    for k in range(200):
-        out = f.step(x, 0.5)
-    assert out.model_size == 1
+    sizes = {f.step(x, 0.5)[1] for _ in range(200)}
+    assert sizes == {1}
 
 
 def test_klms_weights_track_dictionary_size():
     f = CoherenceKlms(0.5, 0.5, 0.05, input_dim=2)
     rng = np.random.default_rng(12)
     for _ in range(300):
-        out = f.step(rng.normal(size=2) * 2, float(rng.normal()))
-        assert len(f.weights[0]) == out.model_size == len(f.centers[0])
+        _, size = f.step(rng.normal(size=2) * 2, float(rng.normal()))
+        assert len(f.weights[0]) == size == len(f.centers[0])
     c = f.centers[0]
     for i in range(len(c)):
         for j in range(i + 1, len(c)):
@@ -333,8 +328,8 @@ def test_klms_zero_error_fixed_point():
     y = predict(f, x)
     size_before = int(f.model_size[0])
     w_before = f.weights[0].copy()
-    out = f.step(x, y)
-    assert out.error == 0.0
+    prediction, _ = f.step(x, y)
+    assert y - prediction == 0.0
     # admission may still grow the dictionary; the active weights stay put
     assert np.array_equal(f.weights[0][:size_before], w_before)
     assert np.all(f.weights[0][size_before:] == 0.0)
@@ -379,9 +374,10 @@ def assert_same_state(a, b):
 
 
 def step_loop(f, inputs, targets):
-    outcomes = [f.step(x, y) for x, y in zip(inputs, targets)]
-    return (np.array([o.prediction for o in outcomes]),
-            np.array([o.model_size for o in outcomes]))
+    """What ``f.run(inputs[None], targets[None])`` returns, one ``step`` at
+    a time: (1, T) predictions and model sizes."""
+    preds, sizes = zip(*(f.step(x, y) for x, y in zip(inputs, targets)))
+    return np.array([preds]), np.array([sizes])
 
 
 @pytest.mark.parametrize("kind", sorted(MAKERS))
@@ -390,9 +386,9 @@ def test_run_matches_the_step_loop_bit_for_bit(kind):
     a, b = MAKERS[kind](), MAKERS[kind]()
     preds, sizes = a.run(inputs[None], targets[None])
     step_preds, step_sizes = step_loop(b, inputs, targets)
-    assert preds.shape == sizes.shape == (1, 2000)
-    assert np.array_equal(preds[0], step_preds)
-    assert np.array_equal(sizes[0], step_sizes)
+    assert preds.shape == sizes.shape == step_preds.shape == (1, 2000)
+    assert np.array_equal(preds, step_preds)
+    assert np.array_equal(sizes, step_sizes)
     assert_same_state(a, b)
     assert a.n_steps == 2000
 
@@ -428,10 +424,10 @@ def test_coherence_klms_run_matches_the_admit_then_kernelize_reference():
 
 @pytest.mark.parametrize("kind", sorted(DIVERGENT))
 def test_divergence_step_is_global_across_run_split_run_and_step_loop(kind):
-    # run reports the step in diverged_at, step raises it
+    # diverged_at holds the step in all three, and the outputs agree
     inputs, targets = smooth_stream()
     whole = DIVERGENT[kind]()
-    whole.run(inputs[None], targets[None])
+    preds, sizes = whole.run(inputs[None], targets[None])
     step = int(whole.diverged_at[0])
     assert 1 < step < 2000
     # cut halfway, and just before the diverging step so that it is the
@@ -442,9 +438,12 @@ def test_divergence_step_is_global_across_run_split_run_and_step_loop(kind):
         assert f.diverged_at[0] == 0
         f.run(inputs[None, cut:], targets[None, cut:])
         assert f.diverged_at[0] == step
-    with pytest.raises(DivergenceError) as looped:
-        step_loop(DIVERGENT[kind](), inputs, targets)
-    assert looped.value.step == step
+    looped = DIVERGENT[kind]()
+    step_preds, step_sizes = step_loop(looped, inputs, targets)
+    assert looped.diverged_at[0] == step
+    assert np.isnan(step_preds[0, step - 1:]).all()
+    assert np.array_equal(step_preds, preds, equal_nan=True)
+    assert np.array_equal(step_sizes, sizes)
 
 
 @pytest.mark.parametrize("kind", sorted(MAKERS))
@@ -542,7 +541,7 @@ def run_rows(kind, subset, cuts=()):
 
 
 @pytest.mark.parametrize("kind", sorted(MAKERS))
-def test_batched_run_flags_each_row_at_the_step_its_step_loop_raises(kind):
+def test_batched_run_flags_each_row_at_the_step_its_step_loop_flags(kind):
     f, preds, sizes = run_rows(kind, range(ROWS))
     assert preds.shape == sizes.shape == (ROWS, 200)
     assert list(f.diverged_at) == [0, 3, 61, 0]
@@ -552,17 +551,15 @@ def test_batched_run_flags_each_row_at_the_step_its_step_loop_raises(kind):
         assert len(f.centers[1]) > 64 >= max(len(f.centers[0]), len(f.centers[3]))
     for r, (x, y, bank) in enumerate(batch_rows(kind)):
         step = int(f.diverged_at[r])
+        alone = make_filter(kind, [bank])
+        step_preds, step_sizes = step_loop(alone, x, y)
+        assert alone.diverged_at[0] == step
+        assert np.array_equal(preds[r], step_preds[0], equal_nan=True)
+        assert np.array_equal(sizes[r], step_sizes[0])
         if step == 0:
-            alone = make_filter(kind, [bank])
-            step_preds, step_sizes = step_loop(alone, x, y)
-            assert np.array_equal(preds[r], step_preds)
-            assert np.array_equal(sizes[r], step_sizes)
             for a, b in zip(row_state(f, r), row_state(alone, 0), strict=True):
                 assert np.array_equal(a, b)
             continue
-        with pytest.raises(DivergenceError) as looped:
-            step_loop(make_filter(kind, [bank]), x, y)
-        assert looped.value.step == step
         before = make_filter(kind, [bank])
         assert np.array_equal(preds[r, :step - 1],
                               before.run(x[None, :step - 1], y[None, :step - 1])[0][0])
@@ -705,7 +702,8 @@ def test_state_dtype_and_run_output_contract(kind):
     dtype = np.float64 if kind == "coherence-klms" else F32
     assert {a.dtype for a in row_state(f, 0)} == {np.dtype(dtype)}
     assert preds.dtype == np.float64 and sizes.dtype.kind == "i"
-    assert type(f.step(inputs[0], targets[0]).prediction) is float
+    prediction, size = f.step(inputs[0], targets[0])
+    assert type(prediction) is float and type(size) is int
 
 
 @pytest.mark.parametrize("value", [1e39, -1e39, F32_MAX * 1.0000001])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import stream_to_csv
 from rfflms import systems
 from rfflms.config import ConfigError, PlantConfig
+from rfflms.seeding import derive_seed
 from rfflms.systems import (
     SampleStream,
     calibrate_noise,
@@ -94,13 +95,12 @@ def test_kernel_plant_response_matches_scalar_oracle():
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("noise", np.zeros(3), "inputs, targets, clean and noise lengths disagree"),
-    ("targets", np.full(4, 2.0), r"targets must equal clean \+ noise"),
+    ("clean", np.zeros(3), "inputs, targets and clean lengths disagree"),
     ("inputs", np.full((4, 2), np.nan), "inputs and targets must be finite"),
+    ("targets", np.full(4, np.inf), "inputs and targets must be finite"),
 ])
 def test_sample_stream_rejects_inconsistent_arrays(field, value, message):
-    arrays = dict(inputs=np.zeros((4, 2)), targets=np.ones(4), clean=np.ones(4),
-                  noise=np.zeros(4))
+    arrays = dict(inputs=np.zeros((4, 2)), targets=np.ones(4), clean=np.ones(4))
     arrays[field] = value
     with pytest.raises(ValueError, match=message):
         SampleStream(**arrays)
@@ -111,7 +111,8 @@ def test_stationary_stream_structure():
     assert s.inputs.shape == (400, 2)
     assert s.inputs[0, 1] == 0.0  # lagged coordinate warm-starts at zero
     assert np.array_equal(s.inputs[1:, 1], s.inputs[:-1, 0])
-    assert np.array_equal(s.targets, s.clean + s.noise)
+    noise = calibrate_noise(s.clean, 15.0, derive_seed(11, "noise"))
+    assert np.array_equal(s.targets, s.clean + noise)
     assert np.array_equal(s.clean, kernel_plant_response(s.inputs))
 
 
@@ -128,12 +129,12 @@ def test_stationary_stream_zero_weights(monkeypatch):
     noiseless = PlantConfig(kind="stationary", snr_db=math.inf, rho=0.5)
     s = gen_stationary_stream(noiseless, 100, seed=0)
     assert np.array_equal(s.clean, np.zeros(100))
-    assert np.array_equal(s.targets, s.noise)
+    assert np.array_equal(s.targets, s.clean)
 
 
 def test_stationary_stream_realized_snr():
     s = gen_stationary_stream(STATIONARY, 2 * 10**5, seed=21)
-    snr = 10.0 * math.log10(np.mean(s.clean**2) / np.mean(s.noise**2))
+    snr = 10.0 * math.log10(np.mean(s.clean**2) / np.mean((s.targets - s.clean)**2))
     assert abs(snr - 15.0) <= 0.3
 
 
@@ -186,14 +187,15 @@ def test_nonstationary_stream_structure():
     assert np.array_equal(s.inputs[1], [d[0], 0.1])
     assert np.array_equal(s.inputs[2:, 0], d[1:-1])
     assert np.array_equal(s.inputs[2:, 1], d[:-2])
-    assert np.array_equal(s.targets, s.clean + s.noise)
+    noise = calibrate_noise(d, 25.0, derive_seed(13, "noise"))
+    assert np.array_equal(s.targets, s.clean + noise)
 
 
 def test_piecewise_trajectory_is_shared_and_read_only():
     a = gen_nonstationary_stream(nonstationary(50), 120, seed=13)
     b = gen_nonstationary_stream(nonstationary(50), 120, seed=14)
     assert a.clean.tobytes() == b.clean.tobytes()
-    assert not np.array_equal(a.noise, b.noise)
+    assert not np.array_equal(a.targets - a.clean, b.targets - b.clean)
     d = piecewise_trajectory(change_step=50, horizon=120)
     with pytest.raises(ValueError):
         d[0] = 0.0
@@ -202,7 +204,6 @@ def test_piecewise_trajectory_is_shared_and_read_only():
 def test_nonstationary_noise_off():
     s = gen_nonstationary_stream(nonstationary(10, snr_db=math.inf), 30, seed=1)
     assert np.array_equal(s.targets, s.clean)
-    assert np.all(s.noise == 0.0)
 
 
 def test_noise_spec_domain():
