@@ -10,7 +10,7 @@ from .config import (
     load_config,
     preset,
 )
-from .features import FeatureBank, sample_feature_bank
+from .features import sample_feature_bank
 from .filters import AdaptiveRffLms, CoherenceKlms
 from .metrics import steady_state_emse, to_db
 from .runner import (
@@ -21,7 +21,7 @@ from .runner import (
     run_experiments,
 )
 from .seeding import derive_seed
-from .systems import SampleStream, gen_nonstationary_stream, gen_stationary_stream
+from .systems import gen_nonstationary_stream, gen_stationary_stream
 
 __version__ = "0.1.0"
 
@@ -31,11 +31,9 @@ __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "ExperimentError",
-    "FeatureBank",
     "FilterSpec",
     "PlantConfig",
     "RunArtifacts",
-    "SampleStream",
     "derive_seed",
     "export_artifacts",
     "gen_nonstationary_stream",

@@ -91,9 +91,14 @@ def _summary_lines(art) -> list[str]:
 
 
 def _check_out_dir(out_dir: Path) -> None:
-    """Raise ``ConfigError`` unless export can make ``out_dir``: its nearest
-    existing path must be a directory."""
-    nearest = next(path for path in (out_dir, *out_dir.parents) if path.exists())
+    """Raise ``ConfigError`` unless export can make ``out_dir``: the OS must
+    accept it and each name to create, and its nearest existing path must be a directory."""
+    try:
+        nearest = next(path for path in (out_dir, *out_dir.parents) if path.exists())
+        for name in out_dir.relative_to(nearest).parts:
+            (nearest / name).exists()  # raises for a name too long, say
+    except OSError as exc:
+        raise ConfigError(f"output directory {out_dir}: {exc.strerror or exc}") from None
     if not nearest.is_dir():
         raise ConfigError(f"--out {out_dir}: {nearest} is not a directory")
 

@@ -11,9 +11,9 @@ update.
 
 Runs. A filter holds the state of R >= 1 independent runs that share
 their step sizes and advance in lockstep: ``AdaptiveRffLms`` is built
-from one feature bank per run, ``CoherenceKlms`` from ``n_runs``. Every
-computation is per run, so a run's results are bit-for-bit the same
-whichever runs share its batch.
+from one feature bank per run, whose shapes it checks once,
+``CoherenceKlms`` from ``n_runs``. Every computation is per run, so a
+run's results are bit-for-bit the same whichever runs share its batch.
 
 Both classes step through streams with one method, ``run(inputs,
 targets)``. It takes one stream per run, inputs (R, T, L) and targets
@@ -83,7 +83,7 @@ import numpy as np
 
 # phase_angles, coherence_admit and kernelized_input stay importable from
 # this module: perfbench/tracing.py patches them under these names
-from .features import FeatureBank, phase_angles  # noqa: F401
+from .features import phase_angles  # noqa: F401
 from .kernels import coherence_admit, kernelized_input  # noqa: F401
 from .kernels import check_bandwidth, check_threshold
 
@@ -206,10 +206,12 @@ class AdaptiveRffLms(_StreamFilter):
         freqs[m] -=  lr_freqs  * e * weights[m] * sin(theta_m) * x
         phases[m]-=  lr_phases * e * weights[m] * sin(theta_m)
 
-    Run r starts from a float32 copy of ``banks[r]`` and zero weights; the
-    banks share D and L, and each must be finite once cast. The filter
-    keeps ``freqs`` (R, D, L), ``phases`` (R, D) and ``weights`` (R, D) as
-    plain float32 arrays, and its step sizes pass ``check_rff_rate`` (see
+    Run r starts from a float32 copy of its bank, ``freqs[r]`` (D, L) and
+    ``phases[r]`` (D,), and zero weights. ``freqs`` and ``phases`` hold one
+    bank per run, as sequences or as stacked (R, D, L) and (R, D) arrays;
+    the banks share D >= 1 and L >= 1, and each must be finite once cast.
+    The filter keeps ``freqs``, ``phases`` and ``weights`` (R, D) as plain
+    float32 arrays, and its step sizes pass ``check_rff_rate`` (see
     the module docstring's precision paragraph). The joint objective is not
     convex in the frequencies and phases, so a bad step size can blow the
     state up; see the module docstring for how that is caught and
@@ -217,11 +219,15 @@ class AdaptiveRffLms(_StreamFilter):
     and the features of a whole time chunk are computed at once.
     """
 
-    def __init__(self, banks: list[FeatureBank], lr_weights: float,
-                 lr_freqs: float, lr_phases: float):
+    def __init__(self, freqs, phases, lr_weights: float, lr_freqs: float,
+                 lr_phases: float):
         with np.errstate(over="ignore"):  # an entry past F32_MAX casts to inf
-            self.freqs = np.stack([b.freqs for b in banks], dtype=np.float32)
-            self.phases = np.stack([b.phases for b in banks], dtype=np.float32)
+            self.freqs = np.stack(freqs, dtype=np.float32)
+            self.phases = np.stack(phases, dtype=np.float32)
+        if (self.freqs.ndim != 3 or 0 in self.freqs.shape
+                or self.phases.shape != self.freqs.shape[:2]):
+            raise ValueError(f"expected freqs of shape (R, D, L) and phases of shape (R, D), "
+                             f"none of them 0, got {self.freqs.shape} and {self.phases.shape}")
         if not (np.isfinite(self.freqs).all() and np.isfinite(self.phases).all()):
             raise ValueError(f"feature bank entries must be finite in float32, whose range "
                              f"is +-{F32_MAX:.4g}")

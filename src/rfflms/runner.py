@@ -43,11 +43,12 @@ that the filter flags as diverged (see the divergence paragraph of
 ``rfflms.filters``), a run whose prediction stays finite while its
 squared error overflows, and a finite run that does worse than
 predicting 0. Run 0's ``change`` and ``final`` bank snapshots are taken
-only of a finite bank. An unusable run of a filter is listed in
-``RunArtifacts.diverged`` and left out of that filter's mean curves,
-while the other filters' curves of the same run, and the other runs of
-the batch, still count. The experiment raises ``ExperimentError`` in
-exactly two cases:
+only of a finite bank: ``change`` if the filter has not flagged run 0 by
+the change step, ``final`` if run 0 is usable. An unusable run of a filter
+is listed in ``RunArtifacts.diverged`` and left out of that filter's mean
+curves, while the other filters' curves of the same run, and the other
+runs of the batch, still count. The experiment raises ``ExperimentError``
+in exactly two cases:
 
 - more than ``max_divergence_fraction * runs`` runs are bad, where a run
   is bad if any of its filters diverged;
@@ -80,7 +81,7 @@ from .features import sample_feature_bank
 from .filters import AdaptiveRffLms, CoherenceKlms
 from .metrics import steady_state_emse, to_db
 from .seeding import derive_seed
-from .systems import SampleStream, gen_nonstationary_stream, gen_stationary_stream
+from .systems import gen_nonstationary_stream, gen_stationary_stream
 
 SNAPSHOT_STAGES = ("initial", "change", "final")
 # the summary values of a filter with a usable run, as summary.csv names them
@@ -128,7 +129,8 @@ class RunArtifacts:
         return rows
 
 
-def make_stream(cfg: ExperimentConfig, stream_seed: int) -> SampleStream:
+def make_stream(cfg: ExperimentConfig, stream_seed: int) -> tuple[np.ndarray, ...]:
+    """One run's ``(inputs, targets, clean)`` from the config's plant."""
     gen = gen_stationary_stream if cfg.plant.kind == "stationary" else gen_nonstationary_stream
     return gen(cfg.plant, cfg.horizon, stream_seed)
 
@@ -144,7 +146,7 @@ def build_filter(spec: FilterSpec, input_dim: int, bank_seeds):
     # freezes the banks
     banks = [sample_feature_bank(spec.bandwidth, spec.n_features, input_dim, seed)
              for seed in bank_seeds]
-    return AdaptiveRffLms(banks, spec.lr_weights, spec.lr_freqs, spec.lr_phases)
+    return AdaptiveRffLms(*zip(*banks), spec.lr_weights, spec.lr_freqs, spec.lr_phases)
 
 
 def _run_batch(cfg: ExperimentConfig, runs: range):
@@ -157,11 +159,8 @@ def _run_batch(cfg: ExperimentConfig, runs: range):
     batch holds run 0 and the filter has a bank).
     """
     streams = [make_stream(cfg, derive_seed(cfg.seed, r, "stream")) for r in runs]
-    # (R, T, ...) views of time-major arrays, which run() steps through
-    # without copying
-    inputs = np.stack([s.inputs for s in streams], axis=1).transpose(1, 0, 2)
-    targets = np.stack([s.targets for s in streams], axis=1).T
-    clean = np.stack([s.clean for s in streams], axis=1).T
+    # (R, T, ...) views of time-major arrays, which run() steps through without copying
+    inputs, targets, clean = (np.stack(a, axis=1).swapaxes(0, 1) for a in zip(*streams))
     del streams
     # the steady-window EMSE of predicting 0, which a usable run must not exceed
     clean_power = (clean[:, -cfg.steady_window:] ** 2).mean(axis=1)

@@ -6,16 +6,17 @@ input, and a piecewise recurrent plant whose coefficients switch abruptly
 at a configured step. The kernel expansion (``PLANT_WEIGHTS``,
 ``PLANT_CENTERS``, ``PLANT_BANDWIDTH``) and the recurrent plant's initial
 state ``D_INIT`` are fixed by the scenarios, so they are module constants.
-Both plants expose their noiseless output, so filters can be scored on
-excess error above the noise floor, and both calibrate their observation
-noise to a target SNR from the realized clean signal power of each run.
+A generator returns a run's stream as finite float64 arrays (inputs (T, 2),
+targets (T,), clean (T,)). ``clean`` is the noiseless output, so filters can
+be scored on excess error above the noise floor, and both plants calibrate
+their observation noise to a target SNR from the realized clean signal
+power of each run; at +inf SNR ``targets`` is ``clean``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,25 +35,6 @@ PLANT_CENTERS = np.array([
 PLANT_BANDWIDTH = 0.95
 # d_{-1} = d_{-2} of the recurrent plant
 D_INIT = (0.1, 0.1)
-
-
-@dataclass
-class SampleStream:
-    """Per-step inputs, noisy targets and noiseless targets."""
-
-    inputs: np.ndarray
-    targets: np.ndarray
-    clean: np.ndarray
-
-    def __post_init__(self):
-        n = self.inputs.shape[0]
-        if not (self.targets.shape == self.clean.shape == (n,)):
-            raise ValueError("inputs, targets and clean lengths disagree")
-        if not all(np.all(np.isfinite(a)) for a in (self.inputs, self.targets)):
-            raise ValueError("stream inputs and targets must be finite")
-
-    def __len__(self) -> int:
-        return self.inputs.shape[0]
 
 
 def kernel_plant_response(inputs: np.ndarray) -> np.ndarray:
@@ -128,7 +110,7 @@ def _check_plant(plant: PlantConfig, kind: str, horizon: int) -> None:
     plant.validate(horizon)
 
 
-def gen_stationary_stream(plant: PlantConfig, horizon: int, seed: int) -> SampleStream:
+def gen_stationary_stream(plant: PlantConfig, horizon: int, seed: int) -> tuple[np.ndarray, ...]:
     """Kernel-expansion plant fed by stacked AR(1) pairs x_n = (x_n, x_{n-1})."""
     _check_plant(plant, "stationary", horizon)
     x = gen_ar1(plant.rho, horizon, derive_seed(seed, "input"))
@@ -136,10 +118,11 @@ def gen_stationary_stream(plant: PlantConfig, horizon: int, seed: int) -> Sample
     inputs = np.stack([x, lagged], axis=1)
     clean = kernel_plant_response(inputs)
     z = calibrate_noise(clean, plant.snr_db, derive_seed(seed, "noise"))
-    return SampleStream(inputs, clean + z, clean)
+    return inputs, clean + z, clean
 
 
-def gen_nonstationary_stream(plant: PlantConfig, horizon: int, seed: int) -> SampleStream:
+def gen_nonstationary_stream(plant: PlantConfig, horizon: int,
+                             seed: int) -> tuple[np.ndarray, ...]:
     """Piecewise recurrent plant; inputs are the delayed outputs (d_{n-1}, d_{n-2})."""
     _check_plant(plant, "nonstationary", horizon)
     d = piecewise_trajectory(plant.change_step, horizon)
@@ -148,4 +131,4 @@ def gen_nonstationary_stream(plant: PlantConfig, horizon: int, seed: int) -> Sam
     lag2 = np.concatenate([[d1, d0], d[:-2]])
     inputs = np.stack([lag1, lag2], axis=1)
     z = calibrate_noise(d, plant.snr_db, derive_seed(seed, "noise"))
-    return SampleStream(inputs, d + z, d)
+    return inputs, d + z, d

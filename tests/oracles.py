@@ -15,11 +15,11 @@ from pathlib import Path
 import numpy as np
 
 from rfflms.config import preset
-from rfflms.features import FeatureBank, phase_angles
+from rfflms.features import phase_angles
 from rfflms.filters import AdaptiveRffLms, CoherenceKlms
 from rfflms.kernels import coherence_admit, kernelized_input
 from rfflms.seeding import derive_seed
-from rfflms.systems import SampleStream, gen_stationary_stream
+from rfflms.systems import gen_stationary_stream
 
 
 @dataclass
@@ -66,37 +66,40 @@ def aggregate_runs(curves: list[LearningCurve]) -> np.ndarray:
     return np.mean(np.stack([c.values for c in curves]), axis=0)
 
 
-def _check_input(bank: FeatureBank, x) -> np.ndarray:
+def _check_input(freqs: np.ndarray, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if x.shape != (bank.input_dim,):
-        raise ValueError(f"expected input of shape ({bank.input_dim},), got {x.shape}")
+    if x.shape != freqs.shape[1:]:
+        raise ValueError(f"expected input of shape {freqs.shape[1:]}, got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("input vector must be finite")
     return x
 
 
-def feature_map(bank: FeatureBank, x) -> np.ndarray:
-    """Evaluate all D features at x. Every component lies in [-1, 1]."""
-    x = _check_input(bank, x)
-    return np.cos(phase_angles(bank, x))
+def feature_map(freqs: np.ndarray, phases: np.ndarray, x) -> np.ndarray:
+    """Evaluate all D features of the bank (freqs (D, L), phases (D,)) at x.
+    Every component lies in [-1, 1]."""
+    x = _check_input(freqs, x)
+    return np.cos(phase_angles(freqs, phases, x))
 
 
-def kernel_estimate(bank: FeatureBank, x, x2) -> float:
+def kernel_estimate(freqs: np.ndarray, phases: np.ndarray, x, x2) -> float:
     """Monte Carlo kernel estimate (2/D) z(x).z(x2) of the unit-amplitude map."""
-    return 2.0 / bank.n_features * float(feature_map(bank, x) @ feature_map(bank, x2))
+    return 2.0 / len(phases) * float(feature_map(freqs, phases, x)
+                                     @ feature_map(freqs, phases, x2))
 
 
-def feature_partials(bank: FeatureBank, x, m: int) -> tuple[np.ndarray, float]:
+def feature_partials(freqs: np.ndarray, phases: np.ndarray, x,
+                     m: int) -> tuple[np.ndarray, float]:
     """Exact partials of feature m (0-based) at x.
 
     Returns (d z_m / d freqs[m], d z_m / d phases[m]); both carry the factor
     -sin(freqs[m] @ x + phases[m]), the frequency partial additionally
     multiplies by x.
     """
-    x = _check_input(bank, x)
-    if not 0 <= m < bank.n_features:
-        raise IndexError(f"feature index {m} out of range [0, {bank.n_features})")
-    s = -math.sin(float(bank.freqs[m] @ x + bank.phases[m]))
+    x = _check_input(freqs, x)
+    if not 0 <= m < len(phases):
+        raise IndexError(f"feature index {m} out of range [0, {len(phases)})")
+    s = -math.sin(float(freqs[m] @ x + phases[m]))
     return s * x, s
 
 
@@ -115,17 +118,18 @@ def make_rng(root: int, *path: int | str) -> np.random.Generator:
     return np.random.default_rng(derive_seed(root, *path))
 
 
-def stream_to_csv(stream: SampleStream, path) -> None:
-    """Columns: n, one column per input coordinate, clean, y."""
-    dim = stream.inputs.shape[1]
+def stream_to_csv(stream, path) -> None:
+    """Columns of a generator's (inputs, targets, clean): n, one column per
+    input coordinate, clean, y."""
+    inputs, targets, clean = stream
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["n"] + [f"x{i}" for i in range(dim)] + ["clean", "y"])
-        for n in range(len(stream)):
+        writer.writerow(["n"] + [f"x{i}" for i in range(inputs.shape[1])] + ["clean", "y"])
+        for n in range(len(inputs)):
             writer.writerow(
                 [n]
-                + [f"{v:.12g}" for v in stream.inputs[n]]
-                + [f"{stream.clean[n]:.12g}", f"{stream.targets[n]:.12g}"]
+                + [f"{v:.12g}" for v in inputs[n]]
+                + [f"{clean[n]:.12g}", f"{targets[n]:.12g}"]
             )
 
 
@@ -221,7 +225,7 @@ def span_plant(filt: AdaptiveRffLms, w_star: np.ndarray, noise_var: float,
     plant = preset("stationary-paper").plant
     inputs, targets, clean, trace = [], [], [], []
     for r in range(filt.n_runs):
-        x = gen_stationary_stream(plant, horizon, derive_seed(seed, r, "input")).inputs
+        x, _, _ = gen_stationary_stream(plant, horizon, derive_seed(seed, r, "input"))
         z = np.cos(x @ filt.freqs[r].T + filt.phases[r])
         d = z @ w_star[r]
         v = math.sqrt(noise_var) * make_rng(seed, r, "noise").standard_normal(horizon)

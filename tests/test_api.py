@@ -14,11 +14,9 @@ PUBLIC = [
     "ConfigError",
     "ExperimentConfig",
     "ExperimentError",
-    "FeatureBank",
     "FilterSpec",
     "PlantConfig",
     "RunArtifacts",
-    "SampleStream",
     "derive_seed",
     "export_artifacts",
     "gen_nonstationary_stream",
@@ -47,8 +45,8 @@ def test_rff_filter_is_the_adaptive_core_with_frozen_features():
     assert type(f) is rfflms.AdaptiveRffLms
     assert (f.lr_freqs, f.lr_phases) == (0, 0)
     freqs, phases = f.freqs.tobytes(), f.phases.tobytes()
-    stream = rfflms.gen_stationary_stream(cfg.plant, 300, seed=3)
-    f.run(np.stack([stream.inputs] * 2), np.stack([stream.targets] * 2))
+    inputs, targets, _ = rfflms.gen_stationary_stream(cfg.plant, 300, seed=3)
+    f.run(np.stack([inputs] * 2), np.stack([targets] * 2))
     assert f.weights.any() and not f.diverged_at.any()
     assert (f.freqs.tobytes(), f.phases.tobytes()) == (freqs, phases)
 

@@ -291,6 +291,32 @@ def test_run_rejects_a_nul_byte_in_a_path_before_the_first_batch(tmp_path, capsy
     assert os.listdir(tmp_path) == [path.name]
 
 
+# a path component longer than the OS allows: the config's name, which
+# export makes a directory under results/, or an --out component
+@pytest.mark.parametrize("option", [None, "--out"])
+def test_run_rejects_an_output_path_the_os_refuses_before_the_first_batch(
+        tmp_path, capsys, monkeypatch, option):
+    def no_batch(*args, **kwargs):
+        raise AssertionError("a batch ran")
+
+    monkeypatch.setattr(runner, "_run_batch", no_batch)
+    monkeypatch.chdir(tmp_path)  # where results/<name> would go
+    path = rff_config(tmp_path)
+    long = "x" * 300
+    argv = ["run", "--config", str(path)]
+    if option:
+        argv += [option, str(tmp_path / long / "res")]
+    else:
+        payload = json.loads(path.read_text())
+        payload["name"] = long
+        path.write_text(json.dumps(payload))
+        assert main(["validate", "--config", str(path)]) == 0  # no OS is asked
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: output directory") and long in err
+    assert os.listdir(tmp_path) == [path.name]
+
+
 def test_validate_rejects_mistyped_values(tmp_path, capsys):
     path = rff_config(tmp_path, n_features="8")
     assert main(["validate", "--config", str(path)]) == 2

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from oracles import kernel_eval, klms_reference, loss, predict, rff_reference
 from rfflms import filters
 from rfflms.config import preset
-from rfflms.features import FeatureBank, sample_feature_bank
+from rfflms.features import sample_feature_bank
 from rfflms.filters import F32_MAX, F32_TINY, AdaptiveRffLms, CoherenceKlms
 from rfflms.metrics import steady_state_emse, to_db
 from rfflms.runner import make_stream, run_experiment
@@ -26,27 +26,30 @@ F32 = np.float32
 ONE_STEP_WEIGHT = float((F32(0.1) * F32(1.0)) * np.cos(F32(1.0)))
 
 
+# a bank is (freqs, phases); AdaptiveRffLms(*zip(*banks), ...) builds a
+# filter of one run per bank, as runner.build_filter does, and
+# AdaptiveRffLms(*zip(bank), ...) one of a single run
 def scalar_bank(freq=1.0, phase=0.0):
-    return FeatureBank(np.array([[freq]]), np.array([phase]))
+    return np.array([[freq]]), np.array([phase])
 
 
 def random_state(seed, n_features=8, input_dim=2):
     rng = np.random.default_rng(seed)
     bank = sample_feature_bank(1.0, n_features, input_dim, seed=int(rng.integers(2**31)))
-    f = AdaptiveRffLms([bank], 0.1, 0.2, 0.3)
+    f = AdaptiveRffLms(*zip(bank), 0.1, 0.2, 0.3)
     f.weights[0] = rng.normal(size=n_features)
     return f, rng
 
 
 def test_zero_weights_predict_zero():
     bank = sample_feature_bank(1.0, 6, 2, seed=1)
-    f = AdaptiveRffLms([bank], 0.01, 0.01, 0.01)
+    f = AdaptiveRffLms(*zip(bank), 0.01, 0.01, 0.01)
     assert f.step(np.array([0.7, -2.0]), 1.0) == (0.0, 6)
 
 
 def test_predict_is_a_dot_product():
     # 2 * cos(acos(0.5)) in float32, the phase rounded to float32 first
-    f = AdaptiveRffLms([scalar_bank(freq=0.0, phase=math.acos(0.5))], 0.1, 0.0, 0.0)
+    f = AdaptiveRffLms(*zip(scalar_bank(freq=0.0, phase=math.acos(0.5))), 0.1, 0.0, 0.0)
     f.weights[:] = 2.0
     assert f.step(np.array([123.0]), 0.0)[0] == F32(2.0) * np.cos(F32(math.acos(0.5)))
 
@@ -74,7 +77,7 @@ def test_prediction_invariant_under_phase_wrap():
 
 
 def test_one_step_hand_oracle():
-    f = AdaptiveRffLms([scalar_bank()], lr_weights=0.1, lr_freqs=1.0, lr_phases=1.0)
+    f = AdaptiveRffLms(*zip(scalar_bank()), lr_weights=0.1, lr_freqs=1.0, lr_phases=1.0)
     prediction, size = f.step(np.array([1.0]), 1.0)
     assert (prediction, size) == (0.0, 1)
     assert f.weights[0, 0] == ONE_STEP_WEIGHT
@@ -100,8 +103,8 @@ def test_frozen_feature_updates_match_rff_bit_for_bit():
     # feature step sizes of one float32 subnormal take the general loop,
     # whose bank updates then round away; zero ones take rff's frozen loop
     bank = sample_feature_bank(0.95, 48, 2, seed=77)
-    arff = AdaptiveRffLms([bank], 0.01, F32_TINY, F32_TINY)
-    rff = AdaptiveRffLms([bank], 0.01, 0.0, 0.0)
+    arff = AdaptiveRffLms(*zip(bank), 0.01, F32_TINY, F32_TINY)
+    rff = AdaptiveRffLms(*zip(bank), 0.01, 0.0, 0.0)
     rng = np.random.default_rng(3)
     for _ in range(2000):
         x = rng.normal(size=2)
@@ -118,8 +121,8 @@ def test_frozen_feature_updates_match_rff_bit_for_bit():
     inputs = np.stack([x for x, _ in streams])
     targets = np.stack([y for _, y in streams])
     assert inputs.shape[1] > 3 * (filters._CHUNK // (3 * 48))
-    arff = AdaptiveRffLms(banks, 0.01, F32_TINY, F32_TINY)
-    rff = AdaptiveRffLms(banks, 0.01, 0.0, 0.0)
+    arff = AdaptiveRffLms(*zip(*banks), 0.01, F32_TINY, F32_TINY)
+    rff = AdaptiveRffLms(*zip(*banks), 0.01, 0.0, 0.0)
     assert np.array_equal(arff.run(inputs, targets)[0], rff.run(inputs, targets)[0])
     assert np.array_equal(arff.weights, rff.weights)
     assert np.array_equal(arff.freqs, rff.freqs)
@@ -129,17 +132,18 @@ def test_frozen_feature_updates_match_rff_bit_for_bit():
 
 def test_rff_first_step_from_zero_weights():
     bank = sample_feature_bank(1.0, 4, 2, seed=9)
-    f = AdaptiveRffLms([bank], 0.05, 0.0, 0.0)
+    f = AdaptiveRffLms(*zip(bank), 0.05, 0.0, 0.0)
     x = np.array([0.2, -0.7])
     # in float32, as the filter computes
-    z = np.cos(bank.freqs.astype(F32) @ x.astype(F32) + bank.phases.astype(F32))
+    freqs, phases = bank
+    z = np.cos(freqs.astype(F32) @ x.astype(F32) + phases.astype(F32))
     assert f.step(x, 2.0) == (0.0, 4)
     assert np.array_equal(f.weights[0], (F32(2.0) * F32(0.05)) * z)
 
 
 def test_rff_zero_targets_keep_zero_state():
     bank = sample_feature_bank(1.0, 4, 2, seed=10)
-    f = AdaptiveRffLms([bank], 0.5, 0.0, 0.0)
+    f = AdaptiveRffLms(*zip(bank), 0.5, 0.0, 0.0)
     rng = np.random.default_rng(1)
     for _ in range(100):
         f.step(rng.normal(size=2), 0.0)
@@ -156,7 +160,7 @@ def test_rff_three_steps_match_scalar_recursion():
         z = np.cos(F32(freq) * F32(x) + F32(phase))
         e = F32(y) - w * z
         w = w + (e * F32(lr)) * z
-    f = AdaptiveRffLms([scalar_bank(freq, phase)], lr, 0.0, 0.0)
+    f = AdaptiveRffLms(*zip(scalar_bank(freq, phase)), lr, 0.0, 0.0)
     for x, y in zip(xs, ys):
         f.step(np.array([x]), y)
     assert f.weights[0, 0] == w
@@ -183,7 +187,7 @@ def test_instantaneous_loss():
     assert loss(f, x, y) == 0.0 and loss(f, x, 1.0) == (1.0 - y) ** 2
     assert np.array_equal(f.weights, w0)
     assert (y - f.step(x, y)[0]) ** 2 == 0.0
-    g = AdaptiveRffLms([FeatureBank(f.freqs[0], f.phases[0])], 0.1, 0.1, 0.1)  # zero weights
+    g = AdaptiveRffLms(f.freqs, f.phases, 0.1, 0.1, 0.1)  # zero weights
     assert (3.0 - g.step(x, 3.0)[0]) ** 2 == 9.0
 
 
@@ -257,7 +261,7 @@ def test_divergence_shows_in_diverged_at_and_nan_predictions():
     # step raises nothing: from the diverging step on, its prediction is NaN
     # and its model size 0, as in run
     bank = sample_feature_bank(1.0, 4, 2, seed=0)
-    f = AdaptiveRffLms([bank], 1e30, 1e30, 1e30)
+    f = AdaptiveRffLms(*zip(bank), 1e30, 1e30, 1e30)
     rng = np.random.default_rng(0)
     preds, sizes = zip(*(f.step(rng.normal(size=2), float(rng.normal())) for _ in range(50)))
     step = int(f.diverged_at[0])
@@ -269,11 +273,11 @@ def test_divergence_shows_in_diverged_at_and_nan_predictions():
 def test_negative_rates_rejected():
     bank = sample_feature_bank(1.0, 4, 2, seed=0)
     with pytest.raises(ValueError):
-        AdaptiveRffLms([bank], -0.1, 0.0, 0.0)
+        AdaptiveRffLms(*zip(bank), -0.1, 0.0, 0.0)
     with pytest.raises(ValueError):
-        AdaptiveRffLms([bank], 0.1, -0.1, 0.0)
+        AdaptiveRffLms(*zip(bank), 0.1, -0.1, 0.0)
     with pytest.raises(ValueError):
-        AdaptiveRffLms([bank], 0.1, 0.0, -0.1)
+        AdaptiveRffLms(*zip(bank), 0.1, 0.0, -0.1)
     with pytest.raises(ValueError):
         CoherenceKlms(1.0, 0.5, -0.1, 2)
 
@@ -287,11 +291,11 @@ def test_coherence_klms_needs_an_input_coordinate_and_a_run(field):
 
 def test_filters_do_not_alias_the_given_bank():
     bank = sample_feature_bank(1.0, 4, 2, seed=0)
-    f = AdaptiveRffLms([bank], 0.1, 0.5, 0.5)
+    f = AdaptiveRffLms(*zip(bank), 0.1, 0.5, 0.5)
     f.weights[:] = 1.0
     f.step(np.ones(2), 5.0)
     fresh = sample_feature_bank(1.0, 4, 2, seed=0)
-    assert np.array_equal(bank.freqs, fresh.freqs)
+    assert np.array_equal(bank[0], fresh[0]) and np.array_equal(bank[1], fresh[1])
 
 
 def test_klms_first_sample_is_admitted():
@@ -349,14 +353,14 @@ STREAM_BANK = sample_feature_bank(0.95, 48, 2, seed=77)
 # per kind: a stable filter, and ones whose state overflows mid-stream
 # (the adaptive ones through the weights and through the bank)
 MAKERS = {
-    "rff": lambda: AdaptiveRffLms([STREAM_BANK], 0.05, 0.0, 0.0),
-    "adaptive-rff": lambda: AdaptiveRffLms([STREAM_BANK], 0.05, 0.5, 0.5),
+    "rff": lambda: AdaptiveRffLms(*zip(STREAM_BANK), 0.05, 0.0, 0.0),
+    "adaptive-rff": lambda: AdaptiveRffLms(*zip(STREAM_BANK), 0.05, 0.5, 0.5),
     "coherence-klms": lambda: CoherenceKlms(0.5, 0.5, 0.2, input_dim=2),
 }
 DIVERGENT = {
-    "rff": lambda: AdaptiveRffLms([STREAM_BANK], 1.0, 0.0, 0.0),
-    "adaptive-rff": lambda: AdaptiveRffLms([STREAM_BANK], 1.0, 0.5, 0.5),
-    "adaptive-rff-bank": lambda: AdaptiveRffLms([STREAM_BANK], 0.3, 1e38, 1e38),
+    "rff": lambda: AdaptiveRffLms(*zip(STREAM_BANK), 1.0, 0.0, 0.0),
+    "adaptive-rff": lambda: AdaptiveRffLms(*zip(STREAM_BANK), 1.0, 0.5, 0.5),
+    "adaptive-rff-bank": lambda: AdaptiveRffLms(*zip(STREAM_BANK), 0.3, 1e38, 1e38),
     "coherence-klms": lambda: CoherenceKlms(0.5, 0.5, 1e3, input_dim=2),
 }
 
@@ -485,7 +489,7 @@ def test_predict_rejects_a_bad_input_before_and_after_training(kind):
 
 BIG = 1.7e308  # past half the float64 range, for the float64 coherence-klms
 BIG32 = 3e38  # past half the float32 range, for the float32 RFF engine
-ZERO_BANK = FeatureBank(np.zeros((48, 2)), np.zeros(48))  # every feature is 1
+ZERO_BANK = np.zeros((48, 2)), np.zeros(48)  # every feature is 1
 ROWS = 4
 
 
@@ -525,8 +529,8 @@ def make_filter(kind, banks):
     if kind == "coherence-klms":
         return CoherenceKlms(0.5, 0.5, 0.2, input_dim=2, n_runs=len(banks))
     if kind == "rff":
-        return AdaptiveRffLms(banks, 0.05, 0.0, 0.0)
-    return AdaptiveRffLms(banks, 0.05, 0.5, 0.5)
+        return AdaptiveRffLms(*zip(*banks), 0.05, 0.0, 0.0)
+    return AdaptiveRffLms(*zip(*banks), 0.05, 0.5, 0.5)
 
 
 def run_rows(kind, subset, cuts=()):
@@ -728,13 +732,12 @@ def test_rff_run_rejects_a_stream_value_beyond_float32(value):
 
 def test_a_bank_beyond_float32_is_refused():
     good = sample_feature_bank(1.0, 4, 2, seed=0)
-    for bank in [FeatureBank(np.full((4, 2), 1e39), good.phases),
-                 FeatureBank(good.freqs, np.full(4, -1e39))]:
+    for bank in [(np.full((4, 2), 1e39), good[1]), (good[0], np.full(4, -1e39))]:
         with pytest.raises(ValueError, match="float32"):
-            AdaptiveRffLms([good, bank], 0.1, 0.1, 0.1)
+            AdaptiveRffLms(*zip(good, bank), 0.1, 0.1, 0.1)
     # float32's largest value is held
-    edge = FeatureBank(np.full((4, 2), F32_MAX), good.phases)
-    assert AdaptiveRffLms([edge], 0.1, 0.0, 0.0).freqs.max() == F32_MAX
+    edge = np.full((4, 2), F32_MAX), good[1]
+    assert AdaptiveRffLms(*zip(edge), 0.1, 0.0, 0.0).freqs.max() == F32_MAX
 
 
 @pytest.mark.parametrize("name", ["lr_weights", "lr_freqs", "lr_phases"])
@@ -743,9 +746,9 @@ def test_rff_rates_that_float32_cannot_hold_are_refused(name):
     rates = {"lr_weights": 0.1, "lr_freqs": 0.1, "lr_phases": 0.1}
     for value in (1e39, F32_TINY / 2, 5e-324):
         with pytest.raises(ValueError, match=f"{name} .*float32"):
-            AdaptiveRffLms([bank], **{**rates, name: value})
+            AdaptiveRffLms(*zip(bank), **{**rates, name: value})
     for value in (0.0, F32_TINY, F32_MAX):
-        assert getattr(AdaptiveRffLms([bank], **{**rates, name: value}), name) == value
+        assert getattr(AdaptiveRffLms(*zip(bank), **{**rates, name: value}), name) == value
     # coherence-klms's float64 step size has no float32 bound
     assert CoherenceKlms(1.0, 0.5, 1e39, 2).lr_weights == 1e39
 
@@ -757,18 +760,15 @@ def test_float32_engine_agrees_with_the_float64_oracle_at_steady_state(name):
     cfg = dataclasses.replace(preset(name), runs=4)
     summary = run_experiment(cfg).summary()
     streams = [make_stream(cfg, derive_seed(cfg.seed, r, "stream")) for r in range(cfg.runs)]
-    inputs = np.stack([s.inputs for s in streams])
-    clean = np.stack([s.clean for s in streams])
+    inputs, targets, clean = (np.stack(a) for a in zip(*streams))
     for spec in cfg.filters:
         if spec.kind == "coherence-klms":
             continue  # float64 in both
         banks = [sample_feature_bank(spec.bandwidth, spec.n_features, 2,
                                      derive_seed(cfg.seed, r, "bank")) for r in range(cfg.runs)]
-        freqs = np.stack([b.freqs for b in banks])
-        phases = np.stack([b.phases for b in banks])
+        freqs, phases = (np.stack(a) for a in zip(*banks))
         preds, *_ = rff_reference(freqs, phases, np.zeros(phases.shape), spec.lr_weights,
-                                  spec.lr_freqs, spec.lr_phases, inputs,
-                                  np.stack([s.targets for s in streams]))
+                                  spec.lr_freqs, spec.lr_phases, inputs, targets)
         emse = np.mean((clean - preds) ** 2, axis=0)
         oracle_db = to_db(steady_state_emse(emse, cfg.steady_window))
         assert summary[spec.column]["runs_used"] == cfg.runs

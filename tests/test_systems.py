@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,6 @@ from rfflms import systems
 from rfflms.config import ConfigError, PlantConfig
 from rfflms.seeding import derive_seed
 from rfflms.systems import (
-    SampleStream,
     calibrate_noise,
     gen_ar1,
     gen_nonstationary_stream,
@@ -30,6 +30,18 @@ STATIONARY = PlantConfig(kind="stationary", snr_db=15.0, rho=0.5)
 
 def nonstationary(change_step, snr_db=25.0):
     return PlantConfig(kind="nonstationary", snr_db=snr_db, change_step=change_step)
+
+
+def check_stream(stream, horizon, snr_db):
+    """What a filter needs of a generator's stream: (T, 2) inputs, (T,)
+    targets and clean, all finite, and no noise at +inf SNR."""
+    inputs, targets, clean = stream
+    assert inputs.shape == (horizon, 2)
+    assert targets.shape == clean.shape == (horizon,)
+    assert all(np.isfinite(a).all() for a in stream)
+    if snr_db == math.inf:
+        assert np.array_equal(targets, clean)
+    return stream
 
 
 def test_ar1_spec_domain():
@@ -94,32 +106,23 @@ def test_kernel_plant_response_matches_scalar_oracle():
         assert math.isclose(got[n], expected, rel_tol=1e-12)
 
 
-@pytest.mark.parametrize("field, value, message", [
-    ("clean", np.zeros(3), "inputs, targets and clean lengths disagree"),
-    ("inputs", np.full((4, 2), np.nan), "inputs and targets must be finite"),
-    ("targets", np.full(4, np.inf), "inputs and targets must be finite"),
-])
-def test_sample_stream_rejects_inconsistent_arrays(field, value, message):
-    arrays = dict(inputs=np.zeros((4, 2)), targets=np.ones(4), clean=np.ones(4))
-    arrays[field] = value
-    with pytest.raises(ValueError, match=message):
-        SampleStream(**arrays)
-
-
-def test_stationary_stream_structure():
-    s = gen_stationary_stream(STATIONARY, horizon=400, seed=11)
-    assert s.inputs.shape == (400, 2)
-    assert s.inputs[0, 1] == 0.0  # lagged coordinate warm-starts at zero
-    assert np.array_equal(s.inputs[1:, 1], s.inputs[:-1, 0])
-    noise = calibrate_noise(s.clean, 15.0, derive_seed(11, "noise"))
-    assert np.array_equal(s.targets, s.clean + noise)
-    assert np.array_equal(s.clean, kernel_plant_response(s.inputs))
+@pytest.mark.parametrize("snr_db", [15.0, math.inf])
+@pytest.mark.parametrize("seed", [0, 11, 2**31 - 1])
+def test_stationary_stream_structure(seed, snr_db):
+    plant = dataclasses.replace(STATIONARY, snr_db=snr_db)
+    inputs, targets, clean = check_stream(
+        gen_stationary_stream(plant, horizon=400, seed=seed), 400, snr_db)
+    assert inputs[0, 1] == 0.0  # lagged coordinate warm-starts at zero
+    assert np.array_equal(inputs[1:, 1], inputs[:-1, 0])
+    noise = calibrate_noise(clean, snr_db, derive_seed(seed, "noise"))
+    assert np.array_equal(targets, clean + noise)
+    assert np.array_equal(clean, kernel_plant_response(inputs))
 
 
 def test_stationary_stream_deterministic():
     a = gen_stationary_stream(STATIONARY, 200, seed=5)
     b = gen_stationary_stream(STATIONARY, 200, seed=5)
-    assert np.array_equal(a.targets, b.targets)
+    assert np.array_equal(a[1], b[1])
 
 
 def test_stationary_stream_zero_weights(monkeypatch):
@@ -127,14 +130,14 @@ def test_stationary_stream_zero_weights(monkeypatch):
     with pytest.raises(ValueError):
         gen_stationary_stream(STATIONARY, 100, seed=0)
     noiseless = PlantConfig(kind="stationary", snr_db=math.inf, rho=0.5)
-    s = gen_stationary_stream(noiseless, 100, seed=0)
-    assert np.array_equal(s.clean, np.zeros(100))
-    assert np.array_equal(s.targets, s.clean)
+    _, targets, clean = gen_stationary_stream(noiseless, 100, seed=0)
+    assert np.array_equal(clean, np.zeros(100))
+    assert np.array_equal(targets, clean)
 
 
 def test_stationary_stream_realized_snr():
-    s = gen_stationary_stream(STATIONARY, 2 * 10**5, seed=21)
-    snr = 10.0 * math.log10(np.mean(s.clean**2) / np.mean((s.targets - s.clean)**2))
+    _, targets, clean = gen_stationary_stream(STATIONARY, 2 * 10**5, seed=21)
+    snr = 10.0 * math.log10(np.mean(clean**2) / np.mean((targets - clean)**2))
     assert abs(snr - 15.0) <= 0.3
 
 
@@ -179,31 +182,34 @@ def test_piecewise_trajectory_is_bounded():
     assert np.max(np.abs(d)) < 10.0
 
 
-def test_nonstationary_stream_structure():
-    s = gen_nonstationary_stream(nonstationary(50), 120, seed=13)
+@pytest.mark.parametrize("snr_db", [25.0, math.inf])
+@pytest.mark.parametrize("seed", [0, 13, 2**31 - 1])
+def test_nonstationary_stream_structure(seed, snr_db):
+    inputs, targets, clean = check_stream(
+        gen_nonstationary_stream(nonstationary(50, snr_db), 120, seed=seed), 120, snr_db)
     d = piecewise_trajectory(change_step=50, horizon=120)
-    assert np.array_equal(s.clean, d)
-    assert np.array_equal(s.inputs[0], [0.1, 0.1])
-    assert np.array_equal(s.inputs[1], [d[0], 0.1])
-    assert np.array_equal(s.inputs[2:, 0], d[1:-1])
-    assert np.array_equal(s.inputs[2:, 1], d[:-2])
-    noise = calibrate_noise(d, 25.0, derive_seed(13, "noise"))
-    assert np.array_equal(s.targets, s.clean + noise)
+    assert np.array_equal(clean, d)
+    assert np.array_equal(inputs[0], [0.1, 0.1])
+    assert np.array_equal(inputs[1], [d[0], 0.1])
+    assert np.array_equal(inputs[2:, 0], d[1:-1])
+    assert np.array_equal(inputs[2:, 1], d[:-2])
+    noise = calibrate_noise(d, snr_db, derive_seed(seed, "noise"))
+    assert np.array_equal(targets, clean + noise)
 
 
 def test_piecewise_trajectory_is_shared_and_read_only():
-    a = gen_nonstationary_stream(nonstationary(50), 120, seed=13)
-    b = gen_nonstationary_stream(nonstationary(50), 120, seed=14)
-    assert a.clean.tobytes() == b.clean.tobytes()
-    assert not np.array_equal(a.targets - a.clean, b.targets - b.clean)
+    _, a_targets, a_clean = gen_nonstationary_stream(nonstationary(50), 120, seed=13)
+    _, b_targets, b_clean = gen_nonstationary_stream(nonstationary(50), 120, seed=14)
+    assert a_clean.tobytes() == b_clean.tobytes()
+    assert not np.array_equal(a_targets - a_clean, b_targets - b_clean)
     d = piecewise_trajectory(change_step=50, horizon=120)
     with pytest.raises(ValueError):
         d[0] = 0.0
 
 
 def test_nonstationary_noise_off():
-    s = gen_nonstationary_stream(nonstationary(10, snr_db=math.inf), 30, seed=1)
-    assert np.array_equal(s.targets, s.clean)
+    _, targets, clean = gen_nonstationary_stream(nonstationary(10, snr_db=math.inf), 30, seed=1)
+    assert np.array_equal(targets, clean)
 
 
 def test_noise_spec_domain():
@@ -238,13 +244,14 @@ def test_calibrate_noise_rejects_zero_clean():
 
 
 def test_stream_csv_dump(tmp_path):
-    s = gen_stationary_stream(STATIONARY, 25, seed=8)
+    stream = gen_stationary_stream(STATIONARY, 25, seed=8)
     path = tmp_path / "stream.csv"
-    stream_to_csv(s, path)
+    stream_to_csv(stream, path)
+    inputs, targets, _ = stream
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "n,x0,x1,clean,y"
     assert len(lines) == 26
     first = lines[1].split(",")
     assert first[0] == "0"
-    assert math.isclose(float(first[1]), s.inputs[0, 0], rel_tol=1e-10)
-    assert math.isclose(float(first[4]), s.targets[0], rel_tol=1e-10)
+    assert math.isclose(float(first[1]), inputs[0, 0], rel_tol=1e-10)
+    assert math.isclose(float(first[4]), targets[0], rel_tol=1e-10)

@@ -27,7 +27,7 @@ HORIZON, WINDOW = 8000, 4000
 @pytest.mark.parametrize("mu", [0.01, 0.03])
 def test_steady_state_emse_matches_lms_misadjustment(mu):
     banks = [sample_feature_bank(BANDWIDTH, FEATURES, 2, seed=1000 + r) for r in range(RUNS)]
-    filt = AdaptiveRffLms(banks, mu, 0.0, 0.0)
+    filt = AdaptiveRffLms(*zip(*banks), mu, 0.0, 0.0)
     w_star = make_rng(7, "w_star").standard_normal((RUNS, FEATURES)) / math.sqrt(FEATURES)
     filt.weights[:] = w_star
     inputs, targets, clean, trace = span_plant(filt, w_star, NOISE_VAR, HORIZON, seed=11)
