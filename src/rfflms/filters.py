@@ -85,7 +85,7 @@ import numpy as np
 # this module: perfbench/tracing.py patches them under these names
 from .features import phase_angles  # noqa: F401
 from .kernels import coherence_admit, kernelized_input  # noqa: F401
-from .kernels import check_bandwidth, check_threshold
+from .kernels import check_bandwidth, check_threshold, kernel_rows
 
 # the steps between two tests of the predictions, which flag divergence,
 # form a time chunk of _CHUNK // (weight entries of the batch) steps, and
@@ -289,21 +289,6 @@ class AdaptiveRffLms(_StreamFilter):
             w += multiply(multiply(e, lr_weights, out=e), z, out=dw)
 
 
-def _kernel_rows(centers: np.ndarray, xs: np.ndarray, scale: float) -> np.ndarray:
-    """Gaussian kernel of each input in ``xs`` (..., R, L) against its run's
-    centers, stored coordinate-major as (R, L, C): rows (..., R, C). The
-    +inf padding gives exactly 0. The squares are added over L one
-    coordinate at a time, so an entry's bits do not depend on C or on the
-    leading shape."""
-    diff = centers - xs[..., None]
-    diff *= diff
-    k = diff[..., 0, :].copy()
-    for i in range(1, diff.shape[-2]):
-        k += diff[..., i, :]
-    k /= -scale
-    return np.exp(k, out=k)
-
-
 class CoherenceKlms(_StreamFilter):
     """Gaussian kernel LMS over a dictionary grown online by the coherence rule.
 
@@ -314,12 +299,12 @@ class CoherenceKlms(_StreamFilter):
     an admitted center's own entry is exactly 1.0.
 
     The kernel vectors do not depend on the weights, and the dictionary
-    changes only on admission, so they are computed for a whole time block
-    at once, with their peaks. An admission writes the new center's
-    column into the block's later rows and raises their peaks to it; the
-    step loop itself only checks for admission, predicts and updates. Each
-    kernel entry takes the same operations whatever the block, so the
-    block length changes no bit.
+    changes only on admission, so ``kernels.kernel_rows`` computes them for
+    a whole time block at once, with their peaks. An admission writes the
+    new center's column, a second ``kernel_rows`` call, into the block's
+    later rows and raises their peaks to it; the step loop itself only
+    checks for admission, predicts and updates. Each kernel entry takes the
+    same operations whatever the block, so the block length changes no bit.
 
     Each run's centers fill the leading columns of an (L, capacity) buffer
     padded with +inf, whose kernel value is exactly 0, and its weights the
@@ -368,7 +353,6 @@ class CoherenceKlms(_StreamFilter):
     def _steps(self, xs, ys, predictions, sizes) -> None:
         w, centers, size = self._weights, self._centers, self.sizes
         threshold, lr = self.coherence_threshold, self.lr_weights
-        scale = 2.0 * self.bandwidth**2
         add, multiply, subtract = np.add.reduce, np.multiply, np.subtract
         horizon, n_runs, dim = xs.shape
         # e (R, 1) holds the error, then lr * e, and wk w * k, then (lr * e) * k
@@ -378,7 +362,7 @@ class CoherenceKlms(_StreamFilter):
         while start < horizon:
             stop = min(horizon, start + max(1, min(_BLOCK, _CHUNK // (n_runs * dim * w.shape[1]))))
             block = xs[start:stop]
-            ks = _kernel_rows(centers, block, scale)
+            ks = kernel_rows(centers, block, self.bandwidth)
             peaks = np.maximum.reduce(ks, axis=2)
             # a step flagged here may admit: a later admission can only raise
             # its peaks, and then it need not
@@ -403,7 +387,7 @@ class CoherenceKlms(_StreamFilter):
                     sizes[t:stop] = size
                     if j + 1 < stop - start:
                         # the new center's column for the block's later steps
-                        column = _kernel_rows(x[:, :, None], block[j + 1:, admit], scale)[..., 0]
+                        column = kernel_rows(x[:, :, None], block[j + 1:, admit], self.bandwidth)[..., 0]
                         ks[j + 1:, admit, slot] = column
                         later = peaks[j + 1:]
                         later[:, admit] = np.maximum(later[:, admit], column)

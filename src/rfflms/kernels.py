@@ -1,14 +1,13 @@
-"""Exact Gaussian kernel and the coherence admission rule.
+"""The Gaussian kernel and the coherence admission rule.
 
 The Gaussian kernel exp(-||x - x'||^2 / (2 * bandwidth^2)) is given by its
-bandwidth alone, a plain positive number. ``kernelized_input`` and
-``coherence_admit`` are the reference forms of the kernel vector and the
-admission rule, over plain centers: a (C, L) array-like, which
-``coherence_admit`` grows as a list. ``CoherenceKlms`` inlines both over
-its own padded per-run center buffers: it computes the kernel vectors of a
-whole time block at once, for the admission test and the prediction alike,
-and on an admission only the new center's column for the block's later
-steps.
+bandwidth alone, a plain positive number. ``kernel_rows`` is the library's
+one evaluation of it, over centers stored coordinate-major: the stationary
+plant's response and ``CoherenceKlms``'s kernel vectors both call it.
+``kernelized_input`` and ``coherence_admit`` are independent reference
+forms of the kernel vector and the admission rule over plain (C, L)
+centers, which ``coherence_admit`` grows as a list; the tests compare the
+engine with them.
 """
 
 from __future__ import annotations
@@ -36,6 +35,21 @@ def check_threshold(threshold: float) -> float:
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"coherence_threshold must lie in (0, 1), got {threshold}")
     return threshold
+
+
+def kernel_rows(centers: np.ndarray, xs: np.ndarray, bandwidth: float) -> np.ndarray:
+    """Gaussian kernel of each input in ``xs`` (..., L) against ``centers``
+    stored coordinate-major as (..., L, C), whose leading shape broadcasts
+    against the inputs': rows (..., C). A +inf center gives exactly 0. The
+    squares are added over L one coordinate at a time, so an entry's bits
+    depend on neither C nor the leading shape. ``bandwidth`` is not checked."""
+    diff = centers - xs[..., None]
+    diff *= diff
+    k = diff[..., 0, :].copy()
+    for i in range(1, diff.shape[-2]):
+        k += diff[..., i, :]
+    k /= -(2.0 * bandwidth**2)
+    return np.exp(k, out=k)
 
 
 def kernelized_input(bandwidth: float, centers, x) -> np.ndarray:

@@ -21,6 +21,7 @@ import math
 import numpy as np
 
 from .config import ConfigError, PlantConfig
+from .kernels import kernel_rows
 from .seeding import derive_seed
 
 PLANT_WEIGHTS = np.array([0.756, -1.384, -0.101, 0.445, -0.565, 0.134])
@@ -38,11 +39,10 @@ D_INIT = (0.1, 0.1)
 
 
 def kernel_plant_response(inputs: np.ndarray) -> np.ndarray:
-    """Noiseless stationary-plant output for a batch of input vectors (n, 2):
-    sum_j PLANT_WEIGHTS[j] * exp(-||x - PLANT_CENTERS[j]||^2 / (2 PLANT_BANDWIDTH^2))."""
+    """Noiseless stationary-plant output for a batch of input vectors (n, 2): their
+    ``kernel_rows`` against PLANT_CENTERS at PLANT_BANDWIDTH, times PLANT_WEIGHTS."""
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    d2 = ((inputs[:, None, :] - PLANT_CENTERS[None, :, :]) ** 2).sum(axis=2)
-    return np.exp(-d2 / (2.0 * PLANT_BANDWIDTH**2)) @ PLANT_WEIGHTS
+    return kernel_rows(PLANT_CENTERS.T, inputs, PLANT_BANDWIDTH) @ PLANT_WEIGHTS
 
 
 @functools.lru_cache(maxsize=4)
