@@ -90,6 +90,11 @@ def _summary_lines(art) -> list[str]:
     return lines
 
 
+def _out_dir(cfg: ExperimentConfig) -> Path:
+    """Where export writes ``cfg``'s artifacts: its ``out_dir``, else results/<name>."""
+    return Path(cfg.out_dir) if cfg.out_dir is not None else Path("results") / cfg.name
+
+
 def _check_out_dir(out_dir: Path) -> None:
     """Raise ``ConfigError`` unless export can make ``out_dir``: the OS must
     accept it and each name to create, and its nearest existing path must be a directory."""
@@ -100,14 +105,14 @@ def _check_out_dir(out_dir: Path) -> None:
     except OSError as exc:
         raise ConfigError(f"output directory {out_dir}: {exc.strerror or exc}") from None
     if not nearest.is_dir():
-        raise ConfigError(f"--out {out_dir}: {nearest} is not a directory")
+        raise ConfigError(f"output directory {out_dir}: {nearest} is not a directory")
 
 
 def _cmd_run(args) -> int:
     if args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     cfg = _resolve_config(args)
-    out_dir = Path(cfg.out_dir) if cfg.out_dir else Path("results") / cfg.name
+    out_dir = _out_dir(cfg)
     # a single experiment is the one-point grid [cfg], exported to out_dir
     grid, subs = [cfg], [out_dir]
     headers = [f"runs={cfg.runs} horizon={cfg.horizon} seed={cfg.seed}"]
@@ -141,6 +146,7 @@ def _cmd_list_presets(_args) -> int:
 
 def _cmd_validate(args) -> int:
     cfg = load_config(args.config)
+    _check_out_dir(_out_dir(cfg))
     print(f"{args.config}: OK ({cfg.name}: {len(cfg.filters)} filters, "
           f"runs={cfg.runs}, horizon={cfg.horizon})")
     return 0
@@ -169,7 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
     list_p = sub.add_parser("list-presets", help="print the built-in preset names")
     list_p.set_defaults(func=_cmd_list_presets)
 
-    val_p = sub.add_parser("validate", help="check a config file against the schema")
+    val_p = sub.add_parser("validate", help="check a config file against the schema, and that "
+                           "its output directory can be made")
     val_p.add_argument("--config", type=Path, required=True)
     val_p.set_defaults(func=_cmd_validate)
     return parser

@@ -187,8 +187,9 @@ class ExperimentConfig:
         # and so is a NUL byte, which no path can hold
         if self.name in ("", ".", "..") or any(c in self.name for c in "/\\\0"):
             raise ConfigError(f"name must be one plain directory name, got {self.name!r}")
-        if self.out_dir is not None and "\0" in self.out_dir:
-            raise ConfigError(f"out_dir must not hold a NUL byte, got {self.out_dir!r}")
+        if self.out_dir is not None and (self.out_dir == "" or "\0" in self.out_dir):
+            raise ConfigError(f"out_dir must be a nonempty path with no NUL byte, "
+                              f"got {self.out_dir!r}")
         if self.runs < 1:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
         if self.horizon < 1:

@@ -176,27 +176,38 @@ def rff_config(tmp_path, **filter_fields):
 SWEEP = ["--sweep", "n_features=4:8:4"]
 
 
-# "res" holds a file in place of the sweep's second point directory
+# "res" holds a file in place of the sweep's second point directory; with no
+# --out, a file named "results" stands where results/<name> would go
 @pytest.mark.parametrize("out, sweep", [
     ("taken", []), ("taken/res", []), ("taken", SWEEP), ("taken/res", SWEEP), ("res", SWEEP),
+    (None, []), (None, SWEEP),
 ])
 def test_run_rejects_an_out_that_cannot_be_a_directory(tmp_path, capsys, monkeypatch,
                                                         out, sweep):
     (tmp_path / "taken").write_text("a file\n")
     (tmp_path / "res").mkdir()
     (tmp_path / "res" / "sweep_n_features=8").write_text("a file\n")
+    (tmp_path / "results").write_text("a file\n")
+    monkeypatch.chdir(tmp_path)
 
     def no_run(*args, **kwargs):
         raise AssertionError("a batch ran")
 
     monkeypatch.setattr(cli, "run_experiments", no_run)
     monkeypatch.setattr(cli, "run_experiment", no_run)
-    code = main(["run", "--config", str(rff_config(tmp_path)),
-                 "--out", str(tmp_path / out), *sweep])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: --out") and "is not a directory" in err
+    path = rff_config(tmp_path)
+    argvs = [["run", "--config", str(path), *sweep]]
+    if out is None:
+        argvs.append(["validate", "--config", str(path)])
+    else:
+        argvs[0] += ["--out", str(tmp_path / out)]
+    for argv in argvs:
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: output directory") and "is not a directory" in err
+        assert "--out" not in err
     assert (tmp_path / "taken").read_text() == "a file\n"
+    assert (tmp_path / "results").read_text() == "a file\n"
 
 
 @pytest.mark.parametrize("override, field", [(["--runs", "0"], "runs"),
@@ -254,7 +265,7 @@ def test_validate_rejects_a_bandwidth_whose_kernel_scale_overflows(tmp_path, cap
 @pytest.mark.parametrize("field, value", [
     ("name", ""), ("name", "."), ("name", ".."), ("name", "/tmp/x"), ("name", "../x"),
     ("name", "a\\b"), ("name", "a\u0000b"), ("name", "\u0000"), ("out_dir", "res\u0000x"),
-    ("filter.label", "n"),
+    ("out_dir", ""), ("filter.label", "n"),
 ])
 def test_validate_rejects_a_name_export_would_misplace(tmp_path, capsys, field, value):
     path = rff_config(tmp_path)
@@ -310,7 +321,9 @@ def test_run_rejects_an_output_path_the_os_refuses_before_the_first_batch(
         payload = json.loads(path.read_text())
         payload["name"] = long
         path.write_text(json.dumps(payload))
-        assert main(["validate", "--config", str(path)]) == 0  # no OS is asked
+        assert main(["validate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: output directory") and long in err
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: output directory") and long in err

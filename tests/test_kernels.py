@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import kernel_eval
 from rfflms.filters import CoherenceKlms
-from rfflms.kernels import coherence_admit, kernelized_input
+from rfflms.kernels import coherence_admit, kernel_rows, kernelized_input
 
 # exp(-1 / (2 * 0.95**2)), scalar exponential oracle
 KERNEL_AT_DIST1_BW095 = 0.5746370697554741
@@ -86,6 +86,47 @@ def test_kernelized_input_against_scalar_oracle():
         expected = math.exp(-float(np.sum((x - c) ** 2)) / (2.0 * 0.95**2))
         assert math.isclose(vec[j], expected, rel_tol=1e-12)
     assert np.all((vec > 0.0) & (vec <= 1.0))
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# kernel_rows's callers: the stationary plant ((n, L) inputs against (L, C)
+# centers), CoherenceKlms's block rows ((n, R, L) against (R, L, C)) and an
+# admission's column ((n, R, L) against (R, L, 1))
+@pytest.mark.parametrize("centers_shape, xs_shape", [
+    ((2, 6), (7, 2)), ((3, 2, 5), (4, 3, 2)), ((3, 2, 1), (4, 3, 2)),
+], ids=["plant", "engine", "column"])
+def test_kernel_rows_keep_their_bits_however_they_are_called(centers_shape, xs_shape):
+    rng = np.random.default_rng(11)
+    bandwidth = 0.95
+    centers = 1.5 * rng.standard_normal(centers_shape)
+    xs = 1.5 * rng.standard_normal(xs_shape)
+    rows = kernel_rows(centers, xs, bandwidth)
+    width = centers.shape[-1]
+    assert rows.shape == (*xs.shape[:-1], width)
+    # an input's run indexes the centers' leading axes, if any
+    n_run_axes = centers.ndim - 2
+    for index in np.ndindex(xs.shape[:-1]):
+        run = centers[index[len(index) - n_run_axes:]]
+        assert same_bits(kernel_rows(run, xs[index], bandwidth), rows[index])
+        np.testing.assert_allclose(rows[index], kernelized_input(bandwidth, run.T, xs[index]),
+                                   rtol=0, atol=1e-12)
+    for c in range(width):
+        assert same_bits(kernel_rows(centers[..., c:c + 1], xs, bandwidth)[..., 0],
+                         rows[..., c])
+    subset = [0, 2]
+    if n_run_axes:
+        assert same_bits(kernel_rows(centers[subset], xs[:, subset], bandwidth),
+                         rows[:, subset])
+    else:
+        assert same_bits(kernel_rows(centers, xs[subset], bandwidth), rows[subset])
+    padding = np.full((*centers.shape[:-1], 3), np.inf)
+    padded = kernel_rows(np.concatenate([centers, padding], axis=-1), xs, bandwidth)
+    assert same_bits(padded[..., :width], rows)
+    assert (padded[..., width:] == 0.0).all()
 
 
 def test_kernelized_input_empty_dictionary():

@@ -396,6 +396,32 @@ def test_export_layout(tmp_path):
     assert len(snap_lines) == 1 + 2 * 3 * 96
 
 
+def test_labels_that_need_csv_quoting_read_back_exactly(tmp_path):
+    rff_label, klms_label = 'rff, "fixed"\nD=8', "klms, 0.7"
+    cfg = tiny_nonstationary(filters=(
+        FilterSpec(kind="rff", label=rff_label, lr_weights=0.01, n_features=8, bandwidth=0.95),
+        FilterSpec(kind="coherence-klms", label=klms_label, lr_weights=0.2,
+                   bandwidth=0.95, coherence_threshold=0.7),
+    ))
+    export_artifacts(run_experiment(cfg), tmp_path)
+
+    def rows(name):
+        with (tmp_path / name).open(newline="") as fh:
+            return list(csv.reader(fh))
+
+    for name in ("emse.csv", "model_size.csv"):
+        table = rows(name)
+        assert table[0] == ["n", rff_label, klms_label], name
+        assert len(table) == 1 + cfg.horizon and {len(row) for row in table} == {3}, name
+    assert [row[0] for row in rows("summary.csv")[1:]] == [rff_label, klms_label]
+    snapshots = rows("omega_snapshots.csv")[1:]
+    # one rff filter x 3 stages x 8 features, the change stage included
+    assert len(snapshots) == 3 * 8
+    assert {row[0] for row in snapshots} == {rff_label}
+    assert {row[1] for row in snapshots} == {"initial", "change", "final"}
+    assert {len(row) for row in snapshots} == {5}
+
+
 def test_fully_diverged_filter_is_exported_without_nan(tmp_path):
     cfg = tiny_config(
         filters=(
