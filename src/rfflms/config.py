@@ -5,9 +5,9 @@ step sizes and feature/kernel settings, a horizon, a Monte Carlo run
 count, one root seed, and a steady-state window. Configs come from the
 built-in presets or from a JSON file validated against this schema:
 unknown keys, mistyped or non-finite values, nonzero parameters that a
-filter's kind does not read, and RFF step sizes and bandwidths outside
-the float32 bounds of ``rfflms.filters`` are rejected, and errors name
-the field.
+filter's kind does not read, and step sizes and bandwidths outside the
+range of the filter engine's dtype are rejected, and errors name the
+field.
 """
 
 from __future__ import annotations
@@ -18,7 +18,9 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .filters import check_rate, check_rff_bandwidth, check_rff_rate
+import numpy as np
+
+from .filters import check_rate
 from .kernels import check_bandwidth, check_threshold
 
 
@@ -99,17 +101,14 @@ class FilterSpec:
         _check_types(self, "filter.")
         reads = FILTER_FIELDS[self.kind]
         _check_unread(self, "filter.", reads)
-        try:
-            if self.kind == "coherence-klms":
-                check_rate("lr_weights", self.lr_weights)
-                check_bandwidth(self.bandwidth)
+        # the engine's dtype: the RFF kinds compute in float32 (see rfflms.filters)
+        dtype = np.float64 if self.kind == "coherence-klms" else np.float32
+        try:  # an unread step size is 0, which every dtype holds
+            for name in ("lr_weights", "lr_freqs", "lr_phases"):
+                check_rate(name, getattr(self, name), dtype)
+            check_bandwidth(self.bandwidth, dtype)
+            if "coherence_threshold" in reads:
                 check_threshold(self.coherence_threshold)
-            else:
-                # the RFF kinds compute in float32 (see rfflms.filters), so
-                # their step sizes and bandwidth have float32 bounds
-                for name in ("lr_weights", "lr_freqs", "lr_phases"):
-                    check_rff_rate(name, getattr(self, name))
-                check_rff_bandwidth(self.bandwidth)
         except ValueError as exc:
             raise ConfigError(f"filter.{exc}") from None
         if "n_features" in reads and self.n_features < 1:
@@ -142,7 +141,8 @@ class PlantConfig:
         if self.kind not in PLANT_KINDS:
             raise ConfigError(f"plant.kind must be one of {PLANT_KINDS}, got {self.kind!r}")
         _check_types(self, "plant.", infinite_ok=("snr_db",))
-        _check_unread(self, "plant.", PLANT_FIELDS[self.kind])
+        reads = PLANT_FIELDS[self.kind]
+        _check_unread(self, "plant.", reads)
         try:  # the noise variance factor of systems.calibrate_noise
             10.0 ** (-self.snr_db / 10.0)
         except OverflowError:
@@ -150,9 +150,9 @@ class PlantConfig:
                 f"plant.snr_db must be large enough that 10**(-snr_db/10) fits in a "
                 f"float, got {self.snr_db}"
             ) from None
-        if self.kind == "stationary" and not abs(self.rho) < 1:
+        if "rho" in reads and not abs(self.rho) < 1:
             raise ConfigError(f"plant.rho must satisfy |rho| < 1, got {self.rho}")
-        if self.kind == "nonstationary" and not 0 < self.change_step < horizon:
+        if "change_step" in reads and not 0 < self.change_step < horizon:
             raise ConfigError(
                 f"plant.change_step must lie in (0, horizon), got {self.change_step}"
             )

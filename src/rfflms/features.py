@@ -19,8 +19,8 @@ over R runs takes one bank per run and stacks them itself (see
 Banks are drawn and held in float64, so a bank depends only on its seed.
 ``AdaptiveRffLms`` checks the banks' shapes when it stacks them, casts
 them to float32, and refuses one that is not finite once cast;
-``check_rff_bandwidth`` in ``rfflms.filters`` bounds the bandwidths whose
-drawn banks always fit.
+``check_bandwidth`` in float32 bounds the bandwidths whose drawn banks
+always fit.
 """
 
 from __future__ import annotations

@@ -67,10 +67,10 @@ sines of the feature angles, and float32 ``np.cos`` and ``np.sin`` cost a
 small fraction of the float64 ones; at the presets' step sizes the
 steady-state EMSE is within 0.01 dB of float64's. What float32 cannot hold is
 refused at the boundary, never met inside a run: a stream value beyond
-``F32_MAX`` (``run`` raises ``ValueError``), a bank that is not finite once
+its range (``run`` raises ``ValueError``), a bank that is not finite once
 cast (the constructor raises), a step size that float32 would round to 0
-or inf (``check_rff_rate``) and, at config validation, a bandwidth whose
-sampled bank would not fit (``check_rff_bandwidth``). ``CoherenceKlms``
+or inf (``check_rate``) and, at config validation, a bandwidth whose
+sampled bank would not fit (``kernels.check_bandwidth``). ``CoherenceKlms``
 stays float64: its admission test compares kernel peaks with the
 threshold, and rounding them would change which inputs it admits. Both
 return float64 predictions, so the EMSE, the aggregation and the export
@@ -98,43 +98,18 @@ _CHUNK = 1 << 16
 _MIN_CHUNK = 64
 _BLOCK = 32
 
-# the float32 range of the RFF engine: its largest finite value, and its
-# smallest positive one (a subnormal), below which a value rounds to 0
-F32_MAX = float(np.finfo(np.float32).max)  # about 3.4e38
-F32_TINY = float(np.finfo(np.float32).smallest_subnormal)  # about 1.4e-45
 
-
-def check_rate(name: str, value: float) -> float:
-    """A step size as a float; raises ValueError unless it is finite and >= 0."""
-    value = float(value)
-    if not (np.isfinite(value) and value >= 0.0):
-        raise ValueError(f"{name} must be finite and >= 0, got {value}")
-    return value
-
-
-def check_rff_rate(name: str, value: float) -> float:
-    """A step size of ``AdaptiveRffLms`` as a float: finite, >= 0, and held
-    by float32, that is 0 or within [F32_TINY, F32_MAX]. A smaller one would
+def check_rate(name: str, value: float, dtype=np.float64) -> float:
+    """A step size as a float; raises ValueError unless the engine's ``dtype``
+    holds it: 0 or within [smallest subnormal, max]. A smaller one would
     round to 0 and freeze its update, a larger one to inf."""
-    value = check_rate(name, value)
-    if value > F32_MAX or 0.0 < value < F32_TINY:
-        raise ValueError(f"{name} must be 0 or within float32's range "
-                         f"[{F32_TINY:.4g}, {F32_MAX:.4g}], got {value}")
+    value = float(value)
+    info = np.finfo(dtype)
+    tiny, big = float(info.smallest_subnormal), float(info.max)
+    if not (value == 0.0 or tiny <= value <= big):
+        raise ValueError(f"{name} must be 0 or within {info.dtype}'s range "
+                         f"[{tiny:.4g}, {big:.4g}], got {value}")
     return value
-
-
-def check_rff_bandwidth(bandwidth: float) -> float:
-    """A bandwidth of the RFF kinds as a float: ``check_bandwidth``'s rule,
-    held by float32 (at most F32_MAX), and at least 16 / F32_MAX (about
-    4.7e-38). ``sample_feature_bank`` draws frequencies as standard normal
-    values over the bandwidth, and numpy's ziggurat draws stay below 13.8 in
-    magnitude, so above that floor every frequency stays finite once
-    ``AdaptiveRffLms`` casts the bank to float32."""
-    bandwidth = check_bandwidth(bandwidth)
-    if not 16.0 / F32_MAX <= bandwidth <= F32_MAX:
-        raise ValueError(f"bandwidth must lie within [{16.0 / F32_MAX:.4g}, {F32_MAX:.4g}] "
-                         f"for the float32 RFF kinds, got {bandwidth}")
-    return bandwidth
 
 
 class _StreamFilter:
@@ -211,7 +186,7 @@ class AdaptiveRffLms(_StreamFilter):
     bank per run, as sequences or as stacked (R, D, L) and (R, D) arrays;
     the banks share D >= 1 and L >= 1, and each must be finite once cast.
     The filter keeps ``freqs``, ``phases`` and ``weights`` (R, D) as plain
-    float32 arrays, and its step sizes pass ``check_rff_rate`` (see
+    float32 arrays, and its step sizes pass ``check_rate`` in float32 (see
     the module docstring's precision paragraph). The joint objective is not
     convex in the frequencies and phases, so a bad step size can blow the
     state up; see the module docstring for how that is caught and
@@ -221,7 +196,7 @@ class AdaptiveRffLms(_StreamFilter):
 
     def __init__(self, freqs, phases, lr_weights: float, lr_freqs: float,
                  lr_phases: float):
-        with np.errstate(over="ignore"):  # an entry past F32_MAX casts to inf
+        with np.errstate(over="ignore"):  # an entry past float32's max casts to inf
             self.freqs = np.stack(freqs, dtype=np.float32)
             self.phases = np.stack(phases, dtype=np.float32)
         if (self.freqs.ndim != 3 or 0 in self.freqs.shape
@@ -230,11 +205,11 @@ class AdaptiveRffLms(_StreamFilter):
                              f"none of them 0, got {self.freqs.shape} and {self.phases.shape}")
         if not (np.isfinite(self.freqs).all() and np.isfinite(self.phases).all()):
             raise ValueError(f"feature bank entries must be finite in float32, whose range "
-                             f"is +-{F32_MAX:.4g}")
+                             f"is +-{np.finfo(np.float32).max:.4g}")
         self.weights = np.zeros(self.phases.shape, dtype=np.float32)
-        self.lr_weights = check_rff_rate("lr_weights", lr_weights)
-        self.lr_freqs = check_rff_rate("lr_freqs", lr_freqs)
-        self.lr_phases = check_rff_rate("lr_phases", lr_phases)
+        self.lr_weights = check_rate("lr_weights", lr_weights, np.float32)
+        self.lr_freqs = check_rate("lr_freqs", lr_freqs, np.float32)
+        self.lr_phases = check_rate("lr_phases", lr_phases, np.float32)
         self.n_runs, n_features, self.input_dim = self.freqs.shape
         self.model_size = np.full(self.n_runs, n_features)
         self.n_steps = 0

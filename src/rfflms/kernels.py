@@ -17,15 +17,22 @@ import math
 import numpy as np
 
 
-def check_bandwidth(bandwidth: float) -> float:
-    """``bandwidth`` as a float; raises ValueError unless it is positive and
-    the kernel's scale 2 * bandwidth^2 is a positive finite float, which
-    holds from about 1.6e-162 to 9.4e153."""
+def check_bandwidth(bandwidth: float, dtype=np.float64) -> float:
+    """``bandwidth`` as a float; raises ValueError unless it is positive, the
+    kernel's scale 2 * bandwidth^2 is a positive finite float, which holds
+    from about 1.6e-162 to 9.4e153, and it lies within [16 / max, max] of the
+    engine's ``dtype``. ``sample_feature_bank`` draws frequencies as standard
+    normal values over the bandwidth, and numpy's ziggurat draws stay below
+    13.8 in magnitude, so above that floor a bank stays finite in ``dtype``."""
     bandwidth = float(bandwidth)
+    big = float(np.finfo(dtype).max)
     # a float product, which overflows to inf where ** would raise
     if not (bandwidth > 0 and 0 < 2.0 * (bandwidth * bandwidth) < math.inf):
         raise ValueError(f"bandwidth must be positive, with 2 * bandwidth**2 a "
                          f"positive finite float, got {bandwidth}")
+    if not 16.0 / big <= bandwidth <= big:
+        raise ValueError(f"bandwidth must lie within [{16.0 / big:.4g}, {big:.4g}] in "
+                         f"{np.dtype(dtype)}, got {bandwidth}")
     return bandwidth
 
 

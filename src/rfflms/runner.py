@@ -31,8 +31,8 @@ already done. With 2 workers, a call of 9 batches whose first one fails
 runs 5 or 6 of them. Within a batch each filter is built once for all
 of its runs and consumes their stacked streams, (R, T, L) inputs and
 (R, T) targets, in one ``run`` call (see ``rfflms.filters``): time is the
-only sequential axis. The batch that holds run 0 of a nonstationary
-experiment splits an RFF-family filter's call at the change step to
+only sequential axis. On a plant that reads ``change_step``, the batch
+that holds run 0 splits an RFF-family filter's call at the change step to
 record run 0's frequency bank there. The EMSE curves are then computed at
 once from the clean targets and the returned predictions.
 
@@ -76,7 +76,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, FilterSpec, config_to_dict
+from .config import PLANT_FIELDS, ExperimentConfig, FilterSpec, config_to_dict
 from .features import sample_feature_bank
 from .filters import AdaptiveRffLms, CoherenceKlms
 from .metrics import steady_state_emse, to_db
@@ -166,14 +166,14 @@ def _run_batch(cfg: ExperimentConfig, runs: range):
     clean_power = (clean[:, -cfg.steady_window:] ** 2).mean(axis=1)
     bank_seeds = [derive_seed(cfg.seed, r, "bank") for r in runs]
     take_snapshots = runs[0] == 0
-    change_step = cfg.plant.change_step if cfg.plant.kind == "nonstationary" else None
+    change_step = cfg.plant.change_step if "change_step" in PLANT_FIELDS[cfg.plant.kind] else None
 
     for spec in cfg.filters:
         filt = build_filter(spec, inputs.shape[2], bank_seeds)
         snapshots = None
         if take_snapshots and isinstance(filt, AdaptiveRffLms):
             snapshots = {"initial": filt.freqs[0].copy()}
-        # the batch of run 0 stops at the regime change to record its bank there
+        # the batch of run 0 stops at the change step to record its bank there
         split = change_step if snapshots is not None else None
         if split is None:
             preds, sizes = filt.run(inputs, targets)

@@ -12,12 +12,15 @@ from oracles import kernel_eval, klms_reference, loss, predict, rff_reference
 from rfflms import filters
 from rfflms.config import preset
 from rfflms.features import sample_feature_bank
-from rfflms.filters import F32_MAX, F32_TINY, AdaptiveRffLms, CoherenceKlms
+from rfflms.filters import AdaptiveRffLms, CoherenceKlms
 from rfflms.metrics import steady_state_emse, to_db
 from rfflms.runner import make_stream, run_experiment
 from rfflms.seeding import derive_seed
 
 F32 = np.float32
+# float32's largest finite value and its smallest positive one (a subnormal)
+F32_MAX = float(np.finfo(F32).max)
+F32_TINY = float(np.finfo(F32).smallest_subnormal)
 
 # hand-computed single step from weights=0, D=1, L=1, freq=1, phase=0,
 # x=1, y=1, lr_weights=0.1, in float32: z=cos(1), e=1, weights ->
