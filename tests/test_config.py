@@ -3,16 +3,22 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfflms.config import (
+    FILTER_FIELDS,
     ConfigError,
+    FilterSpec,
     config_from_dict,
     config_to_dict,
     list_presets,
     load_config,
     preset,
 )
+from rfflms.runner import build_filter
 
 
 def good_payload():
@@ -291,6 +297,48 @@ def test_rff_bandwidth_and_rates_that_float32_cannot_hold_are_rejected(kind):
     payload["filters"] = [{"kind": "coherence-klms", "bandwidth": 4e-38,
                            **KIND_FIELDS["coherence-klms"], "lr_weights": 1e39}]
     assert config_from_dict(payload).filters[0].lr_weights == 1e39
+
+
+F32_MAX = float(np.finfo(np.float32).max)
+F32_TINY = float(np.finfo(np.float32).smallest_subnormal)
+# the edges of the float32 and float64 rules for step sizes, bandwidths
+# (the ziggurat floor 16 / F32_MAX, the kernel scale's 1.6e-162 and
+# 9.4e153) and thresholds
+EDGES = [0.0, -0.0, 5e-324, 1e-320, F32_TINY, 1e-40, 16.0 / F32_MAX, 1.6e-162, 9.4e153,
+         F32_MAX, 1.0, -1.0, math.inf, -math.inf, math.nan]
+# a value of each range-checked field that every kind accepts
+GOOD = {"lr_weights": 0.01, "lr_freqs": 0.5, "lr_phases": 0.5, "bandwidth": 0.95,
+        "coherence_threshold": 0.7}
+
+
+def _ulps(value: float, n: int) -> float:
+    for _ in range(abs(n)):
+        value = math.nextafter(value, math.copysign(math.inf, n))
+    return value
+
+
+# an edge times 2**k, |k| <= 6, then up to 3 floats away
+NEAR_EDGES = st.builds(lambda v, k, n: _ulps(v * 2.0 ** k, n), st.sampled_from(EDGES),
+                       st.sampled_from(range(-6, 7)), st.sampled_from(range(-3, 4)))
+
+
+@pytest.mark.parametrize("kind, name", [(kind, name) for kind in sorted(KIND_FIELDS)
+                                        for name in GOOD if name in FILTER_FIELDS[kind]])
+@settings(max_examples=50, deadline=None)
+@given(values=st.lists(NEAR_EDGES, min_size=8, max_size=8))
+def test_a_filter_that_validates_builds_its_engine(kind, name, values):
+    # the converse does not hold: the RFF bandwidth floor is a worst case,
+    # and a small bank may build below it
+    reads = FILTER_FIELDS[kind]
+    fields = {field: good for field, good in GOOD.items() if field in reads}
+    for value in values:
+        spec = FilterSpec(kind=kind, n_features=8 if "n_features" in reads else 0,
+                          **{**fields, name: value})
+        try:
+            spec.validate()
+        except ConfigError:
+            continue
+        build_filter(spec, 2, [0, 1])
 
 
 @pytest.mark.parametrize("snr_db", [-4000.0, -3083.0])
