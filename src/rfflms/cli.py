@@ -119,11 +119,13 @@ def _cmd_run(args) -> int:
     if args.sweep:
         name, values = _parse_sweep(args.sweep)
         # names keep _parse_sweep's 12 significant digits
-        grid = [_override_filters(cfg, name, value) for value in values]
         headers = [f"{name}={value:.12g}" for value in values]
         if len(set(headers)) != len(headers):
             raise ConfigError(f"--sweep grid points share a directory name: {headers}")
         subs = [out_dir / f"sweep_{header}" for header in headers]
+        # each point's config, echoed in its manifest, names its own directory
+        grid = [dataclasses.replace(_override_filters(cfg, name, value), out_dir=str(sub))
+                for value, sub in zip(values, subs)]
     for sub in subs:
         _check_out_dir(sub)
     # run_experiments checks every config before the first batch; closing()

@@ -109,6 +109,23 @@ def test_run_sweep(tmp_path):
         assert manifest["config"]["filters"][0]["bandwidth"] == float(v)
 
 
+def test_a_sweep_point_echoes_its_own_directory_and_reruns_into_it(tmp_path, capsys):
+    out = tmp_path / "sw"
+    assert main(["run", "--config", str(rff_config(tmp_path)), "--out", str(out),
+                 "--sweep", "n_features=4:8:4"]) == 0
+    subs = [out / "sweep_n_features=4", out / "sweep_n_features=8"]
+    for sub in subs:
+        written = {f: (sub / f).read_bytes() for f in FILES}
+        config = json.loads(written["manifest.json"])["config"]
+        assert config["out_dir"] == str(sub)
+        # the echoed config, run with no --out, rewrites the same bytes there
+        echo = tmp_path / "echo.json"
+        echo.write_text(json.dumps(config))
+        assert main(["run", "--config", str(echo)]) == 0
+        assert {f: (sub / f).read_bytes() for f in FILES} == written
+    assert sorted(out.iterdir()) == subs
+
+
 def test_sweep_grid_counts_steps_with_a_relative_tolerance():
     # steps far below 1e-12 keep their own values and stop at STOP
     assert _parse_sweep("lr_weights=1e-13:5e-13:1e-13") == (
