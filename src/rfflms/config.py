@@ -47,6 +47,10 @@ PLANT_FIELDS = {
 }
 PLANT_KINDS = tuple(PLANT_FIELDS)
 
+# the runs of a config, and of one run_experiments call, at most: planning
+# the batches of far more would exhaust memory before the first batch ran
+MAX_RUNS = 10**6
+
 
 # annotation -> accepted Python types; bool is never accepted
 _FIELD_TYPES = {"int": int, "float": (int, float), "str": str, "str | None": (str, type(None))}
@@ -190,8 +194,8 @@ class ExperimentConfig:
         if self.out_dir is not None and (self.out_dir == "" or "\0" in self.out_dir):
             raise ConfigError(f"out_dir must be a nonempty path with no NUL byte, "
                               f"got {self.out_dir!r}")
-        if self.runs < 1:
-            raise ConfigError(f"runs must be >= 1, got {self.runs}")
+        if not 1 <= self.runs <= MAX_RUNS:
+            raise ConfigError(f"runs must lie in [1, {MAX_RUNS}], got {self.runs}")
         if self.horizon < 1:
             raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
         if not 1 <= self.steady_window <= self.horizon:

@@ -76,7 +76,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import PLANT_FIELDS, ExperimentConfig, FilterSpec, config_to_dict
+from .config import (MAX_RUNS, PLANT_FIELDS, ConfigError, ExperimentConfig, FilterSpec,
+                     config_to_dict)
 from .features import sample_feature_bank
 from .filters import AdaptiveRffLms, CoherenceKlms
 from .metrics import steady_state_emse, to_db
@@ -271,11 +272,12 @@ def run_experiments(cfgs: list[ExperimentConfig], workers: int = 1) -> Iterator[
     """Run every config's Monte Carlo runs; yield each config's artifacts,
     in config order, as soon as its last batch is reduced.
 
-    Every config is validated before the first batch runs. Each filter
-    unit (a ``FilterSpec`` with the config's plant, horizon, seed, runs
-    and steady window) is computed once per call, by the first config that
-    has it: a config's batches run only its filters with a new unit, and a
-    config with none runs no batch. Each config still applies its own
+    Every config is validated, and their runs must sum to at most
+    ``MAX_RUNS``, before the first batch runs. Each filter unit (a
+    ``FilterSpec`` with the config's plant, horizon, seed, runs and steady
+    window) is computed once per call, by the first config that has it: a
+    config's batches run only its filters with a new unit, and a config
+    with none runs no batch. Each config still applies its own
     ``max_divergence_fraction``. The batches are planned and executed as
     the module docstring says: with ``workers`` > 1 they share one process
     pool, so later configs run while earlier ones are reduced and
@@ -291,6 +293,9 @@ def run_experiments(cfgs: list[ExperimentConfig], workers: int = 1) -> Iterator[
         raise ValueError(f"workers must be >= 1, got {workers}")
     for cfg in cfgs:
         cfg.validate()
+    if (total := sum(cfg.runs for cfg in cfgs)) > MAX_RUNS:
+        raise ConfigError(f"runs must sum to at most {MAX_RUNS} over one call's configs, "
+                          f"got {total}")
     workers, plans = _plan_batches([cfg.runs for cfg in cfgs], workers)
     # the indices of the configs that read each unit: the first computes it,
     # and its reduction is dropped after the last

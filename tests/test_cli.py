@@ -244,6 +244,28 @@ def test_run_rejects_a_bad_override_before_the_first_batch(tmp_path, capsys, mon
     assert not out.exists()
 
 
+# one config past the ceiling, and a sweep whose points sum past it
+@pytest.mark.parametrize("override", [["--runs", "100000000000"], ["--runs", "1000000", *SWEEP]])
+def test_run_refuses_runs_past_the_ceiling_before_planning_a_batch(tmp_path, capsys,
+                                                                   monkeypatch, override):
+    def no_plan(*args, **kwargs):
+        raise AssertionError("batches were planned")
+
+    monkeypatch.setattr(runner, "_plan_batches", no_plan)
+    out = tmp_path / "res"
+    code = main(["run", "--config", str(rff_config(tmp_path)), "--out", str(out), *override])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: runs must")
+    assert not out.exists()
+
+
+def test_validate_refuses_runs_past_the_ceiling(tmp_path, capsys):
+    path = rff_config(tmp_path)
+    path.write_text(json.dumps({**json.loads(path.read_text()), "runs": 1000001}))
+    assert main(["validate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: runs must")
+
+
 def test_sweep_rejects_non_integer_n_features(tmp_path, capsys):
     out = tmp_path / "res"
     code = main(["run", "--config", str(rff_config(tmp_path)), "--out", str(out),

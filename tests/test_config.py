@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from rfflms.config import (
     FILTER_FIELDS,
+    MAX_RUNS,
     ConfigError,
     FilterSpec,
     config_from_dict,
@@ -117,6 +118,15 @@ def test_unreadable_config_file_is_a_config_error(tmp_path, monkeypatch):
 def test_zero_runs_rejected():
     payload = good_payload()
     payload["runs"] = 0
+    with pytest.raises(ConfigError, match="runs"):
+        config_from_dict(payload)
+
+
+def test_runs_past_the_ceiling_rejected():
+    payload = good_payload()
+    payload["runs"] = MAX_RUNS
+    assert config_from_dict(payload).runs == MAX_RUNS
+    payload["runs"] = MAX_RUNS + 1
     with pytest.raises(ConfigError, match="runs"):
         config_from_dict(payload)
 

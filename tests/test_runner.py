@@ -11,6 +11,9 @@ import pytest
 
 from rfflms.cli import _override_filters, _summary_lines, main
 from rfflms.config import (
+    MAX_RUNS,
+    PLANT_FIELDS,
+    ConfigError,
     ExperimentConfig,
     FilterSpec,
     PlantConfig,
@@ -245,6 +248,24 @@ def test_snapshot_shapes_and_stages():
 def test_stationary_snapshots_have_no_change_stage():
     art = run_experiment(tiny_config())
     assert set(art.snapshots["adaptive-rff"]) == {"initial", "final"}
+
+
+def test_any_plant_that_reads_a_change_step_gets_a_change_snapshot(monkeypatch):
+    monkeypatch.setitem(PLANT_FIELDS, "stationary", ("snr_db", "rho", "change_step"))
+    cfg = tiny_config(plant=PlantConfig(kind="stationary", snr_db=15.0, change_step=100))
+    art = run_experiment(cfg)
+    assert set(art.snapshots["adaptive-rff"]) == {"initial", "change", "final"}
+
+
+def test_a_call_whose_runs_sum_past_the_ceiling_plans_no_batch(monkeypatch):
+    def no_plan(*args, **kwargs):
+        raise AssertionError("batches were planned")
+
+    monkeypatch.setattr(runner, "_plan_batches", no_plan)
+    cfg = tiny_config(runs=MAX_RUNS // 2 + 1)
+    cfg.validate()
+    with pytest.raises(ConfigError, match="runs"):
+        next(run_experiments([cfg, dataclasses.replace(cfg, name="other")]))
 
 
 def test_model_size_curves():
