@@ -306,7 +306,8 @@ PRESETS = {
         horizon=10000,
         runs=200,
         seed=12345,
-        steady_window=5000,
+        # steps [8000, 10000): the window opens 3000 steps after the change
+        steady_window=2000,
     ),
 }
 

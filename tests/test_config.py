@@ -72,6 +72,9 @@ def test_nonstationary_preset_values():
     assert cfg.horizon == 10000
     assert cfg.plant.change_step == 5000
     assert cfg.plant.snr_db == 25.0
+    # the steady window, steps [8000, 10000), opens after the regime change
+    assert cfg.steady_window == 2000
+    assert cfg.horizon - cfg.steady_window > cfg.plant.change_step
 
 
 def test_unknown_preset():
