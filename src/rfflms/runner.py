@@ -20,21 +20,23 @@ the batch count is the smallest multiple of ``share`` that allows this,
 capped at the config's run count. A single experiment thus gets a
 multiple of the worker count, and a sweep of small experiments one batch
 each. With one worker the batches run one after the other in this
-process. Otherwise ``pool.map`` submits every batch of the call at once to
-one pool of that many processes, which lives for the whole call, and the
-results are still reduced in task order: a finished batch waits in this
-process until its turn. A call that fails or is closed early cancels
-every batch that no worker has taken yet. Besides the batches they run,
-the workers hold up to ``workers + 1`` taken ones in the pool's queue,
-and these still finish: up to ``2 * workers + 1`` batches past those
-already done. With 2 workers, a call of 9 batches whose first one fails
-runs 5 or 6 of them. Within a batch each filter is built once for all
-of its runs and consumes their stacked streams, (R, T, L) inputs and
-(R, T) targets, in one ``run`` call (see ``rfflms.filters``): time is the
-only sequential axis. On a plant that reads ``change_step``, the batch
-that holds run 0 splits an RFF-family filter's call at the change step to
-record run 0's frequency bank there. The EMSE curves are then computed at
-once from the clean targets and the returned predictions.
+process, and no pool code is imported: ``import rfflms`` and a serial call
+load neither ``concurrent.futures`` nor ``multiprocessing``. Otherwise
+``pool.map`` submits every batch of the call at once to one pool of that
+many processes, which lives for the whole call, and the results are still
+reduced in task order: a finished batch waits in this process until its
+turn. A call that fails or is closed early cancels every batch that no
+worker has taken yet. Besides the batches they run, the workers hold up
+to ``workers + 1`` taken ones in the pool's queue, and these still finish:
+up to ``2 * workers + 1`` batches past those already done. With 2 workers,
+a call of 9 batches whose first one fails runs 5 or 6 of them. Within a
+batch each filter is built once for all of its runs and consumes their
+stacked streams, (R, T, L) inputs and (R, T) targets, in one ``run`` call
+(see ``rfflms.filters``): time is the only sequential axis. On a plant
+that reads ``change_step``, the batch that holds run 0 splits an
+RFF-family filter's call at the change step to record run 0's frequency
+bank there. The EMSE curves are then computed at once from the clean
+targets and the returned predictions.
 
 Divergence policy. A filter's run is usable iff its EMSE curve is finite
 at every step and its mean EMSE over the steady window is at most the
@@ -70,7 +72,6 @@ import io
 import json
 import os
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -310,7 +311,11 @@ def run_experiments(cfgs: list[ExperimentConfig], workers: int = 1) -> Iterator[
             plans[i] = []
         tasks += [(dataclasses.replace(cfg, filters=new), runs) for runs in plans[i]]
     units = {}
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = None
+    if workers > 1:
+        # imported here: a serial call loads no pool code
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(max_workers=workers)
     try:
         if pool is None:
             # batch by batch, and a filter's curves are summed before the next

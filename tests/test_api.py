@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -62,3 +63,27 @@ def test_import_loads_no_scipy():
     path, loaded = out.stdout.splitlines()
     assert Path(path).resolve() == Path(rfflms.__file__).resolve()
     assert loaded == "[]"
+
+
+def test_a_serial_run_loads_no_pool_code():
+    # the pool stack is imported only by a call that builds a pool, so a
+    # serial process pays for none of it
+    src = str(Path(rfflms.__file__).resolve().parents[1])
+    code = textwrap.dedent("""
+        import dataclasses, os, sys
+        import rfflms
+        def pool_modules():
+            return sorted(m for m in sys.modules
+                          if m.split('.')[0] in ('concurrent', 'multiprocessing'))
+        print(pool_modules())
+        cfg = dataclasses.replace(rfflms.preset('stationary-paper'), horizon=100,
+                                  steady_window=10, runs=2)
+        rfflms.run_experiment(cfg)
+        print(pool_modules())
+        os.cpu_count = lambda: 2  # a pool even on one core
+        list(rfflms.run_experiments([cfg], workers=2))
+        print('concurrent.futures.process' in pool_modules())
+    """)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.splitlines() == ["[]", "[]", "True"]

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import dataclasses
 import filecmp
@@ -113,7 +114,7 @@ def test_workers_are_capped_at_the_cpu_count(cpus, tmp_path, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was built")
 
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     export_artifacts(run_experiment(tiny_config(runs=5), workers=64), tmp_path / "capped")
     for name in FILES:
         assert filecmp.cmp(tmp_path / "serial" / name, tmp_path / "capped" / name,
@@ -152,7 +153,7 @@ def test_batch_plan(monkeypatch):
     assert list(run_experiments([], workers=2)) == []
 
 
-class CountingPool(runner.ProcessPoolExecutor):
+class CountingPool(concurrent.futures.ProcessPoolExecutor):
     """The real pool, recording every instance and the futures it made."""
 
     built = []
@@ -171,7 +172,7 @@ class CountingPool(runner.ProcessPoolExecutor):
 @pytest.fixture
 def counting_pool(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool even on one core
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     monkeypatch.setattr(CountingPool, "built", [])
     return CountingPool.built
 
