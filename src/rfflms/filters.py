@@ -275,10 +275,11 @@ class CoherenceKlms(_StreamFilter):
 
     The kernel vectors do not depend on the weights, and the dictionary
     changes only on admission, so ``kernels.kernel_rows`` computes them for
-    a whole time block at once, with their peaks. An admission writes the
-    new center's column, a second ``kernel_rows`` call, into the block's
-    later rows and raises their peaks to it; the step loop itself only
-    checks for admission, predicts and updates. Each kernel entry takes the
+    a whole time block at once, with their peaks, over the columns of the
+    block's widest dictionary; the columns past it are zero. An admission
+    writes the new center's column, a second ``kernel_rows`` call, into the
+    block's later rows and raises their peaks to it; the step loop itself
+    only checks for admission, predicts and updates. Each kernel entry takes the
     same operations whatever the block, so the block length changes no bit.
 
     Each run's centers fill the leading columns of an (L, capacity) buffer
@@ -337,8 +338,13 @@ class CoherenceKlms(_StreamFilter):
         while start < horizon:
             stop = min(horizon, start + max(1, min(_BLOCK, _CHUNK // (n_runs * dim * w.shape[1]))))
             block = xs[start:stop]
-            ks = kernel_rows(centers, block, self.bandwidth)
-            peaks = np.maximum.reduce(ks, axis=2)
+            # rows over the live columns, the widest run's centers; the
+            # +inf padding past them would give exact zeros
+            live = size.max()
+            rows = kernel_rows(centers[..., :live], block, self.bandwidth)
+            peaks = np.maximum.reduce(rows, axis=2, initial=0.0)
+            ks = np.zeros((stop - start, n_runs, w.shape[1]))
+            ks[..., :live] = rows
             # a step flagged here may admit: a later admission can only raise
             # its peaks, and then it need not
             flagged = (~(peaks > threshold)).any(axis=1).tolist()

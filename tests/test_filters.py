@@ -669,6 +669,25 @@ def test_coherence_klms_admissions_on_a_blocks_first_and_last_step(monkeypatch):
         assert np.array_equal(f.centers[r], ref_centers)
 
 
+def test_coherence_klms_live_columns_where_runs_differ():
+    # one run repeats one point and keeps 1 center, the other spreads past
+    # 16 centers, so the batch doubles its capacity while the first run's
+    # live columns stay far fewer than the block's widest
+    inputs, targets = smooth_stream()
+    inputs = np.stack([np.broadcast_to(inputs[0], inputs.shape), inputs])
+    targets = np.stack([targets, targets])
+    f = CoherenceKlms(0.5, 0.5, 0.2, input_dim=inputs.shape[2], n_runs=2)
+    preds, sizes = f.run(inputs, targets)
+    assert sizes[0, -1] == 1 and sizes[1, -1] > 16
+    for r in range(2):
+        ref_preds, ref_sizes, ref_weights, ref_centers = klms_reference(
+            0.5, 0.5, 0.2, inputs[r], targets[r])
+        assert np.array_equal(preds[r], ref_preds)
+        assert np.array_equal(sizes[r], ref_sizes)
+        assert np.array_equal(f.weights[r], ref_weights)
+        assert np.array_equal(f.centers[r], ref_centers)
+
+
 def test_batched_filters_take_streams_only():
     f = make_filter("rff", [STREAM_BANK, STREAM_BANK])
     inputs, targets = smooth_stream(steps=10)
