@@ -50,6 +50,14 @@ PLANT_KINDS = tuple(PLANT_FIELDS)
 # the runs of a config, and of one run_experiments call, at most: planning
 # the batches of far more would exhaust memory before the first batch ran
 MAX_RUNS = 10**6
+# the steps of a config, and the features of an RFF filter, at most, so
+# that one run fits in 1 GiB and a larger value fails here, not in the
+# first batch: generating a run's stream peaks at about 180 bytes a step
+# (the stationary plant's (T, 2, 6) kernel differences beside the stream),
+# and an rff run at about 280 bytes a feature (its float64 bank, its
+# float32 state and a time chunk's (64, D) cosines)
+MAX_HORIZON = 2**22
+MAX_FEATURES = 2**21
 
 
 # annotation -> accepted Python types; bool is never accepted
@@ -115,8 +123,9 @@ class FilterSpec:
                 check_threshold(self.coherence_threshold)
         except ValueError as exc:
             raise ConfigError(f"filter.{exc}") from None
-        if "n_features" in reads and self.n_features < 1:
-            raise ConfigError(f"filter.n_features must be >= 1, got {self.n_features}")
+        if "n_features" in reads and not 1 <= self.n_features <= MAX_FEATURES:
+            raise ConfigError(f"filter.n_features must lie in [1, {MAX_FEATURES}], "
+                              f"got {self.n_features}")
         if self.column == "n":  # the step column of emse.csv and model_size.csv
             raise ConfigError("filter.label must not be 'n', the curve CSVs' step column")
 
@@ -196,8 +205,8 @@ class ExperimentConfig:
                               f"got {self.out_dir!r}")
         if not 1 <= self.runs <= MAX_RUNS:
             raise ConfigError(f"runs must lie in [1, {MAX_RUNS}], got {self.runs}")
-        if self.horizon < 1:
-            raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
+        if not 1 <= self.horizon <= MAX_HORIZON:
+            raise ConfigError(f"horizon must lie in [1, {MAX_HORIZON}], got {self.horizon}")
         if not 1 <= self.steady_window <= self.horizon:
             raise ConfigError(
                 f"steady_window must lie in [1, horizon], got {self.steady_window}"

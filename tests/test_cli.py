@@ -266,6 +266,33 @@ def test_validate_refuses_runs_past_the_ceiling(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: runs must")
 
 
+# a stream of 10**12 steps or a bank of 10**12 features would need 7.28 or
+# 14.6 TiB in the first batch
+@pytest.mark.parametrize("field", ["horizon", "n_features"])
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_validate_and_run_refuse_a_stream_or_bank_past_its_ceiling(tmp_path, capsys,
+                                                                    monkeypatch, field,
+                                                                    workers):
+    def no_plan(*args, **kwargs):
+        raise AssertionError("batches were planned")
+
+    monkeypatch.setattr(runner, "_plan_batches", no_plan)
+    path = rff_config(tmp_path)
+    payload = json.loads(path.read_text())
+    if field == "horizon":
+        payload["horizon"] = 10**12
+    else:
+        payload["filters"][0]["n_features"] = 10**12
+    path.write_text(json.dumps(payload))
+    prefix = "error: filter." if field == "n_features" else "error: "
+    assert main(["validate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"{prefix}{field} must")
+    out = tmp_path / "res"
+    assert main(["run", "--config", str(path), "--out", str(out), "--workers", workers]) == 2
+    assert capsys.readouterr().err.startswith(f"{prefix}{field} must")
+    assert not out.exists()
+
+
 def test_sweep_rejects_non_integer_n_features(tmp_path, capsys):
     out = tmp_path / "res"
     code = main(["run", "--config", str(rff_config(tmp_path)), "--out", str(out),

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from rfflms.config import (
     FILTER_FIELDS,
+    MAX_FEATURES,
+    MAX_HORIZON,
     MAX_RUNS,
     ConfigError,
     FilterSpec,
@@ -132,6 +134,26 @@ def test_runs_past_the_ceiling_rejected():
     payload["runs"] = MAX_RUNS + 1
     with pytest.raises(ConfigError, match="runs"):
         config_from_dict(payload)
+
+
+def test_horizon_and_n_features_past_their_ceilings_rejected():
+    payload = good_payload()
+    payload["horizon"] = MAX_HORIZON
+    payload["filters"][0]["n_features"] = MAX_FEATURES
+    cfg = config_from_dict(payload)
+    assert (cfg.horizon, cfg.filters[0].n_features) == (MAX_HORIZON, MAX_FEATURES)
+    for value in (MAX_HORIZON + 1, 10**12):
+        payload = good_payload()
+        payload["horizon"] = value
+        with pytest.raises(ConfigError, match=f"^horizon must lie in \\[1, {MAX_HORIZON}\\], "
+                                              f"got {value}$"):
+            config_from_dict(payload)
+    for value in (MAX_FEATURES + 1, 10**12):
+        payload = good_payload()
+        payload["filters"][1]["n_features"] = value
+        with pytest.raises(ConfigError, match=f"^filter.n_features must lie in "
+                                              f"\\[1, {MAX_FEATURES}\\], got {value}$"):
+            config_from_dict(payload)
 
 
 def test_window_must_fit_horizon():
