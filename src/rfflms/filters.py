@@ -273,13 +273,14 @@ class CoherenceKlms(_StreamFilter):
     The admission test's kernel vector is the one the step predicts with:
     an admitted center's own entry is exactly 1.0.
 
-    The kernel vectors do not depend on the weights, and the dictionary
-    changes only on admission, so ``kernels.kernel_rows`` computes them for
-    a whole time block at once, with their peaks, over the columns of the
-    block's widest dictionary; the columns past it are zero. An admission
+    The kernel vectors and the admissions do not depend on the weights, and
+    the dictionary changes only on admission, so ``kernels.kernel_rows``
+    computes the vectors for a whole time block at once, with their peaks,
+    over the columns of the block's widest dictionary; the columns past it
+    are zero. A block first settles its admissions, in step order: each
     writes the new center's column, a second ``kernel_rows`` call, into the
-    block's later rows and raises their peaks to it; the step loop itself
-    only checks for admission, predicts and updates. Each kernel entry takes the
+    block's later rows and raises their peaks to it. Then the block steps,
+    predicting and updating with no branch. Each kernel entry takes the
     same operations whatever the block, so the block length changes no bit.
 
     Each run's centers fill the leading columns of an (L, capacity) buffer
@@ -289,7 +290,7 @@ class CoherenceKlms(_StreamFilter):
     fills it. The prediction sums ``weights * kernel`` over the whole
     buffer; numpy's pairwise sum over a power-of-two length adds the padding
     in whole blocks of zeros, so a run's prediction is the same bits
-    whatever capacity its batch needs. ``sizes`` holds each run's
+    whatever capacity its batch needs. ``model_size`` holds each run's
     dictionary size, and ``weights`` and ``centers`` the active parts as
     lists of per-run arrays.
     """
@@ -307,16 +308,12 @@ class CoherenceKlms(_StreamFilter):
         self.n_runs = n_runs
         self._centers = np.full((n_runs, input_dim, 16), np.inf)
         self._weights = np.zeros((n_runs, 16))
-        self.sizes = np.zeros(n_runs, dtype=int)
+        self.model_size = np.zeros(n_runs, dtype=int)
         self.n_steps = 0
         self.diverged_at = np.zeros(n_runs, dtype=int)
 
     def _active(self, buffer: np.ndarray) -> list[np.ndarray]:
-        return [buffer[r, :size] for r, size in enumerate(self.sizes.tolist())]
-
-    @property
-    def model_size(self) -> np.ndarray:
-        return self.sizes.copy()
+        return [buffer[r, :size] for r, size in enumerate(self.model_size.tolist())]
 
     @property
     def weights(self) -> list[np.ndarray]:
@@ -327,7 +324,7 @@ class CoherenceKlms(_StreamFilter):
         return self._active(self._centers.transpose(0, 2, 1))
 
     def _steps(self, xs, ys, predictions, sizes) -> None:
-        w, centers, size = self._weights, self._centers, self.sizes
+        w, centers, size = self._weights, self._centers, self.model_size
         threshold, lr = self.coherence_threshold, self.lr_weights
         add, multiply, subtract = np.add.reduce, np.multiply, np.subtract
         horizon, n_runs, dim = xs.shape
@@ -345,35 +342,36 @@ class CoherenceKlms(_StreamFilter):
             peaks = np.maximum.reduce(rows, axis=2, initial=0.0)
             ks = np.zeros((stop - start, n_runs, w.shape[1]))
             ks[..., :live] = rows
-            # a step flagged here may admit: a later admission can only raise
-            # its peaks, and then it need not
-            flagged = (~(peaks > threshold)).any(axis=1).tolist()
             sizes[start:stop] = size
-            for j in range(stop - start):
-                t = start + j
-                if flagged[j] and (admit := np.flatnonzero(~(peaks[j] > threshold))).size:
-                    if size[admit].max() == w.shape[1]:
-                        # double the buffers
-                        cap = w.shape[1]
-                        w = self._weights = np.pad(w, ((0, 0), (0, cap)))
-                        centers = self._centers = np.pad(centers, ((0, 0), (0, 0), (0, cap)),
-                                                         constant_values=np.inf)
-                        ks = np.pad(ks, ((0, 0), (0, 0), (0, cap)))
-                        wk = np.empty(w.shape)
-                    slot = size[admit]
-                    x = block[j, admit]
-                    centers[admit, :, slot] = x
-                    ks[j, admit, slot] = 1.0
-                    size[admit] += 1
-                    sizes[t:stop] = size
-                    if j + 1 < stop - start:
-                        # the new center's column for the block's later steps
-                        column = kernel_rows(x[:, :, None], block[j + 1:, admit], self.bandwidth)[..., 0]
-                        ks[j + 1:, admit, slot] = column
-                        later = peaks[j + 1:]
-                        later[:, admit] = np.maximum(later[:, admit], column)
-                k, p = ks[j], predictions[t]
+            # admissions first: they read the inputs and the dictionary, never
+            # a weight. A step novel at block start may admit; a later
+            # admission can only raise its peaks, and then it need not
+            for j in np.flatnonzero((~(peaks > threshold)).any(axis=1)).tolist():
+                if not (admit := np.flatnonzero(~(peaks[j] > threshold))).size:
+                    continue
+                if size[admit].max() == w.shape[1]:
+                    # double the buffers
+                    cap = w.shape[1]
+                    w = self._weights = np.pad(w, ((0, 0), (0, cap)))
+                    centers = self._centers = np.pad(centers, ((0, 0), (0, 0), (0, cap)),
+                                                     constant_values=np.inf)
+                    ks = np.pad(ks, ((0, 0), (0, 0), (0, cap)))
+                    wk = np.empty(w.shape)
+                slot = size[admit]
+                x = block[j, admit]
+                centers[admit, :, slot] = x
+                ks[j, admit, slot] = 1.0
+                size[admit] += 1
+                sizes[start + j:stop] = size
+                # the new center's column for the block's later steps
+                column = kernel_rows(x[:, :, None], block[j + 1:, admit], self.bandwidth)[..., 0]
+                ks[j + 1:, admit, slot] = column
+                later = peaks[j + 1:]
+                later[:, admit] = np.maximum(later[:, admit], column)
+            # then the LMS steps, over buffers that a doubling above may have
+            # widened before a step that came earlier: capacity changes no bit
+            for k, y, p in zip(ks, ys[start:stop], predictions[start:stop]):
                 add(multiply(w, k, out=wk), axis=1, out=p)
-                multiply(subtract(ys[t], p, out=err), lr, out=err)
+                multiply(subtract(y, p, out=err), lr, out=err)
                 w += multiply(e, k, out=wk)
             start = stop
