@@ -68,7 +68,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import io
 import json
 import os
 from collections.abc import Iterator
@@ -387,18 +386,10 @@ def export_artifacts(art: RunArtifacts, out_dir) -> dict:
         dim = max((s["initial"].shape[1] for s in art.snapshots.values()), default=0)
         writer.writerow(["filter", "stage", "feature"] + [f"coord{i}" for i in range(dim)])
         for lab, snaps in art.snapshots.items():
-            # csv.writer's cells, so that a label holding a comma is quoted
-            cells = io.StringIO()
-            csv.writer(cells, lineterminator="").writerow([lab])
             for stage in SNAPSHOT_STAGES:
-                freqs = snaps.get(stage)
-                if freqs is None:
-                    continue
-                # one %-format per row, as in _write_curve_csv
-                row = "%d" + ",%.12g" * freqs.shape[1] + "\r\n"
-                prefix = f"{cells.getvalue()},{stage},"
-                fh.writelines(prefix + row % (m, *values)
-                              for m, values in enumerate(freqs.tolist()))
+                if (freqs := snaps.get(stage)) is not None:
+                    writer.writerows([lab, stage, m, *map(_fmt, values)]
+                                     for m, values in enumerate(freqs.tolist()))
 
     manifest = {
         "config": config_to_dict(art.config),

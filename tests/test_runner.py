@@ -418,8 +418,10 @@ def test_export_layout(tmp_path):
     assert len(snap_lines) == 1 + 2 * 3 * 96
 
 
-def test_labels_that_need_csv_quoting_read_back_exactly(tmp_path):
-    rff_label, klms_label = 'rff, "fixed"\nD=8', "klms, 0.7"
+@pytest.mark.parametrize("rff_label", ['rff, "fixed"\nD=8', "rff\nD=8"],
+                         ids=["comma-quote-newline", "newline-only"])
+def test_labels_that_need_csv_quoting_read_back_exactly(tmp_path, rff_label):
+    klms_label = "klms, 0.7"
     cfg = tiny_nonstationary(filters=(
         FilterSpec(kind="rff", label=rff_label, lr_weights=0.01, n_features=8, bandwidth=0.95),
         FilterSpec(kind="coherence-klms", label=klms_label, lr_weights=0.2,
