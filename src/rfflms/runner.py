@@ -15,7 +15,8 @@ no batch; the other filters reuse the earlier config's reduction. So a
 sweep's points share every filter that the swept field does not touch.
 The call's worker count is capped at the total run count and the CPU
 count. Each config's runs are split evenly into contiguous batches of at
-most ``MAX_BATCH_RUNS`` runs: with ``share = ceil(workers / configs)``,
+most ``MAX_BATCH_RUNS`` runs and ``MAX_HORIZON`` run-steps, one run at
+least: with ``share = ceil(workers / configs)``,
 the batch count is the smallest multiple of ``share`` that allows this,
 capped at the config's run count. A single experiment thus gets a
 multiple of the worker count, and a sweep of small experiments one batch
@@ -76,8 +77,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (MAX_RUNS, PLANT_FIELDS, ConfigError, ExperimentConfig, FilterSpec,
-                     config_to_dict)
+from .config import (MAX_HORIZON, MAX_RUNS, PLANT_FIELDS, ConfigError, ExperimentConfig,
+                     FilterSpec, config_to_dict)
 from .features import sample_feature_bank
 from .filters import AdaptiveRffLms, CoherenceKlms
 from .metrics import steady_state_emse, to_db
@@ -201,15 +202,19 @@ def _batch_results(cfg: ExperimentConfig, runs: range) -> list[tuple]:
     return list(_run_batch(cfg, runs))
 
 
-def _plan_batches(runs: list[int], workers: int) -> tuple[int, list[list[range]]]:
-    """The pool size and each config's batches for one call over configs of
-    ``runs`` runs each, by the rule in the module docstring."""
+def _plan_batches(cfgs: list[ExperimentConfig], workers: int) -> tuple[int, list[list[range]]]:
+    """The pool size and each config's batches for one call over ``cfgs``,
+    by the rule in the module docstring."""
     # a process per core at most: the bytes do not depend on the count
-    workers = min(workers, sum(runs), os.cpu_count() or 1)
-    share = -(-workers // max(len(runs), 1))
+    workers = min(workers, sum(cfg.runs for cfg in cfgs), os.cpu_count() or 1)
+    share = -(-workers // max(len(cfgs), 1))
     plans = []
-    for n_runs in runs:
-        n_batches = min(share * -(-n_runs // (share * MAX_BATCH_RUNS)), n_runs)
+    for cfg in cfgs:
+        n_runs = cfg.runs
+        # a batch holds its runs' streams at once: MAX_HORIZON run-steps at
+        # most, the steps that config.py lets one run hold
+        cap = min(MAX_BATCH_RUNS, max(1, MAX_HORIZON // cfg.horizon))
+        n_batches = min(share * -(-n_runs // (share * cap)), n_runs)
         bounds = [n_runs * b // n_batches for b in range(n_batches + 1)]
         plans.append([range(lo, hi) for lo, hi in zip(bounds, bounds[1:])])
     return workers, plans
@@ -296,7 +301,7 @@ def run_experiments(cfgs: list[ExperimentConfig], workers: int = 1) -> Iterator[
     if (total := sum(cfg.runs for cfg in cfgs)) > MAX_RUNS:
         raise ConfigError(f"runs must sum to at most {MAX_RUNS} over one call's configs, "
                           f"got {total}")
-    workers, plans = _plan_batches([cfg.runs for cfg in cfgs], workers)
+    workers, plans = _plan_batches(cfgs, workers)
     # the indices of the configs that read each unit: the first computes it,
     # and its reduction is dropped after the last
     readers = {}

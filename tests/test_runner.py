@@ -12,6 +12,7 @@ import pytest
 
 from rfflms.cli import _override_filters, _summary_lines, main
 from rfflms.config import (
+    MAX_HORIZON,
     MAX_RUNS,
     PLANT_FIELDS,
     ConfigError,
@@ -133,8 +134,9 @@ def test_workers_are_capped_at_the_cpu_count(cpus, tmp_path, monkeypatch):
 def test_batch_plan(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
 
-    def sizes(runs, workers):
-        n_workers, plans = runner._plan_batches(runs, workers)
+    def sizes(runs, workers, horizon=200):
+        cfgs = [tiny_config(runs=n, horizon=horizon) for n in runs]
+        n_workers, plans = runner._plan_batches(cfgs, workers)
         for n_runs, batches in zip(runs, plans):  # contiguous, in run-index order
             assert [r for runs in batches for r in runs] == list(range(n_runs))
         return n_workers, [[len(runs) for runs in batches] for batches in plans]
@@ -150,6 +152,11 @@ def test_batch_plan(monkeypatch):
     # share = ceil(6 / 2) batches at least, capped at a config's run count
     assert sizes([1, 5], 6) == (6, [[1], [1, 2, 2]])
     assert sizes([], 2) == (0, [])
+    # MAX_HORIZON run-steps per batch at most, and one run at least
+    assert sizes([32], 1, MAX_HORIZON) == (1, [[1] * 32])
+    assert sizes([32], 2, MAX_HORIZON // 4) == (2, [[4] * 8])
+    assert sizes([65], 1, MAX_HORIZON // 20) == (1, [[16, 16, 16, 17]])
+    assert sizes([200], 2, 20000) == (2, [[25] * 8])  # the presets' longest horizon
     assert list(run_experiments([], workers=2)) == []
 
 
@@ -650,7 +657,7 @@ def test_a_partly_diverged_filter_keeps_its_bytes_across_batchings(tmp_path, mon
     assert art.diverged == {"coherence-klms": [3, 6], "rff": []}
     export_artifacts(art, tmp_path / "serial")
     # batches [0, 6) and [6, 12): usable and diverged runs in each
-    assert runner._plan_batches([cfg.runs], 2)[1] == [[range(0, 6), range(6, 12)]]
+    assert runner._plan_batches([cfg], 2)[1] == [[range(0, 6), range(6, 12)]]
     export_artifacts(run_experiment(cfg, workers=2), tmp_path / "workers-2")
     assert_same_files(tmp_path / "serial", tmp_path / "workers-2")
     # a unit shared by a sweep: cfg's coherence-klms comes from the first point
