@@ -54,5 +54,6 @@ def sample_feature_bank(bandwidth: float, n_features: int, input_dim: int,
 
 
 def phase_angles(freqs: np.ndarray, phases: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Per-feature angles freqs @ x + phases; shared by the map and its gradients."""
+    """Per-feature angles freqs @ x + phases. The filters compute their angles
+    inline in the time loop; only the tests and perfbench's tracer call this."""
     return freqs @ x + phases

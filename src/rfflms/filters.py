@@ -368,8 +368,8 @@ class CoherenceKlms(_StreamFilter):
                 ks[j + 1:, admit, slot] = column
                 later = peaks[j + 1:]
                 later[:, admit] = np.maximum(later[:, admit], column)
-            # then the LMS steps, over buffers that a doubling above may have
-            # widened before a step that came earlier: capacity changes no bit
+            # then the LMS steps; a doubling above widened the buffers for the
+            # steps before its admission too, which changes no bit
             for k, y, p in zip(ks, ys[start:stop], predictions[start:stop]):
                 add(multiply(w, k, out=wk), axis=1, out=p)
                 multiply(subtract(y, p, out=err), lr, out=err)

@@ -16,15 +16,15 @@ sweep's points share every filter that the swept field does not touch.
 The call's worker count is capped at the total run count and the CPU
 count. Each config's runs are split evenly into contiguous batches of at
 most ``MAX_BATCH_RUNS`` runs and ``MAX_HORIZON`` run-steps, one run at
-least: with ``share = ceil(workers / configs)``,
-the batch count is the smallest multiple of ``share`` that allows this,
-capped at the config's run count. A single experiment thus gets a
-multiple of the worker count, and a sweep of small experiments one batch
-each. With one worker the batches run one after the other in this
-process, and no pool code is imported: ``import rfflms`` and a serial call
-load neither ``concurrent.futures`` nor ``multiprocessing``. Otherwise
-``pool.map`` submits every batch of the call at once to one pool of that
-many processes, which lives for the whole call, and the results are still
+least: with ``share = ceil(workers / configs)``, the batch count is the
+smallest multiple of ``share`` that allows this, capped at the config's
+run count. A single experiment thus gets a multiple of the worker count,
+and a sweep of small experiments one batch each. With one worker the
+batches run one after the other in this process, and no pool code is
+imported: ``import rfflms`` and a serial call load neither
+``concurrent.futures`` nor ``multiprocessing``. Otherwise ``pool.map``
+submits every batch of the call at once to one pool of that many
+processes, which lives for the whole call, and the results are still
 reduced in task order: a finished batch waits in this process until its
 turn. A call that fails or is closed early cancels every batch that no
 worker has taken yet. Besides the batches they run, the workers hold up
@@ -351,8 +351,9 @@ def _fmt(value: float) -> str:
 
 
 def _write_curve_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    # one %-format per row: the cells read as _fmt writes them, with
-    # csv.writer's \r\n line ending
+    # one %-format per row, under half of csv.writer's time on a long
+    # curve: the cells read as _fmt writes them, with csv.writer's \r\n
+    # line ending
     row = "%d" + ",%.12g" * len(columns) + "\r\n"
     cells = zip(range(columns[0].shape[0]), *(col.tolist() for col in columns))
     with path.open("w", newline="") as fh:
