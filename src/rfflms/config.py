@@ -18,9 +18,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from .filters import check_rate
+from .filters import AdaptiveRffLms, CoherenceKlms, check_rate
 from .kernels import check_bandwidth, check_threshold
 
 
@@ -113,8 +111,8 @@ class FilterSpec:
         _check_types(self, "filter.")
         reads = FILTER_FIELDS[self.kind]
         _check_unread(self, "filter.", reads)
-        # the engine's dtype: the RFF kinds compute in float32 (see rfflms.filters)
-        dtype = np.float64 if self.kind == "coherence-klms" else np.float32
+        # the range of the engine's dtype (see rfflms.filters)
+        dtype = (CoherenceKlms if self.kind == "coherence-klms" else AdaptiveRffLms).dtype
         try:  # an unread step size is 0, which every dtype holds
             for name in ("lr_weights", "lr_freqs", "lr_phases"):
                 check_rate(name, getattr(self, name), dtype)

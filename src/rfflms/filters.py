@@ -32,8 +32,8 @@ has taken (``n_steps`` before the call plus the position in the stream).
 A non-finite state always gives a non-finite prediction on a finite
 input, so every broken state shows in the next prediction: a run whose
 update overflowed is flagged one step later, and one whose prediction
-overflowed from a finite state at that step. The steps of a time chunk
-test nothing; the chunk's predictions are tested at once afterwards. A
+overflowed from a finite state at that step. The steps of a time block
+test nothing; the block's predictions are tested at once afterwards. A
 break on a call's last update is thus flagged at the next call's first
 step, and a run that breaks on the last update of its stream keeps
 finite predictions throughout. A diverged run keeps its slot: its step
@@ -53,11 +53,11 @@ or phase updates.
 Buffers. A step works on arrays of a few dozen to a few hundred entries,
 so its cost is the per-call overhead of its 6 to 20 numpy operations,
 and allocating a fresh result is a large part of that. The loop over a
-time chunk therefore allocates its working arrays (angles, features,
-error, gradient, updates) once, or again when ``CoherenceKlms`` doubles
-its capacity, and every per-step operation writes into one of them with
-``out=``. The operations and their order are those of the plain
-expressions, so the bits are too.
+time block therefore allocates its working arrays (angles, features,
+error, gradient, updates) once, and every per-step operation writes into
+one of them with ``out=``. ``CoherenceKlms`` doubles its capacity before
+a block, never inside one. The operations and their order are those of
+the plain expressions, so the bits are too.
 
 Precision. ``AdaptiveRffLms`` computes in float32: its ``freqs``,
 ``phases`` and ``weights``, every buffer of its time loop and its copy of
@@ -87,12 +87,13 @@ from .features import phase_angles  # noqa: F401
 from .kernels import coherence_admit, kernelized_input  # noqa: F401
 from .kernels import check_bandwidth, check_threshold, kernel_rows
 
-# the steps between two tests of the predictions, which flag divergence,
-# form a time chunk of _CHUNK // (weight entries of the batch) steps, and
-# at least _MIN_CHUNK; frozen features compute a chunk's cosines at once,
-# in place in the chunk's matmul result. CoherenceKlms computes its kernel
-# rows per time block of at most _BLOCK steps, fewer if the block's
-# (steps, runs, L, capacity) differences would exceed _CHUNK entries, and
+# run steps through a stream one time block per _steps call and tests
+# each block's predictions, which flag divergence, after it; an engine's
+# _block_length sets the block. AdaptiveRffLms takes _CHUNK // (weight
+# entries of the batch) steps, and at least _MIN_CHUNK: frozen features
+# compute a block's cosines at once, in place in its matmul result.
+# CoherenceKlms takes at most _BLOCK steps, fewer if the block's (steps,
+# runs, L, capacity) kernel differences would exceed _CHUNK entries, and
 # at least one
 _CHUNK = 1 << 16
 _MIN_CHUNK = 64
@@ -115,11 +116,18 @@ def check_rate(name: str, value: float, dtype=np.float64) -> float:
 class _StreamFilter:
     """``run``, ``step`` and the stream check around a filter's time loop.
 
-    A subclass provides ``n_runs``, ``input_dim``, its (R, width) weight
-    buffer ``_weights``, whose size sets the time chunk, and the time loop
-    itself (``_steps``), which steps every run on the filter's own arrays,
-    diverged or not. ``run`` flags divergence as the module docstring says.
+    A subclass states its ``dtype``, sets ``input_dim``, calls ``_start_runs``
+    and provides ``_block_length`` and ``_steps``: a time block's steps, and
+    one block's loop over every run, diverged or not. ``run`` is the one loop
+    over blocks and flags divergence as the module docstring says.
     """
+
+    def _start_runs(self, model_size: np.ndarray) -> None:
+        """Bookkeeping of runs that have taken no step, one per ``model_size`` entry."""
+        self.n_runs = model_size.size
+        self.model_size = model_size
+        self.n_steps = 0
+        self.diverged_at = np.zeros(self.n_runs, dtype=int)
 
     def _check_stream(self, inputs, targets) -> tuple[np.ndarray, np.ndarray]:
         """The stream as time-major contiguous (T, R, L) inputs and (T, R)
@@ -132,7 +140,7 @@ class _StreamFilter:
                 f"expected inputs of shape ({self.n_runs}, T, {self.input_dim}) and targets "
                 f"of shape ({self.n_runs}, T), got {inputs.shape} and {targets.shape}"
             )
-        dtype = self._weights.dtype
+        dtype = self.dtype
         xs = np.ascontiguousarray(inputs.transpose(1, 0, 2), dtype=dtype)
         ys = np.ascontiguousarray(targets.T, dtype=dtype)
         if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
@@ -155,11 +163,11 @@ class _StreamFilter:
         sizes = np.empty((horizon, n_runs), dtype=int)
         start = 0
         while start < horizon and not self.diverged_at.all():
-            stop = min(horizon, start + max(_MIN_CHUNK, _CHUNK // self._weights.size))
+            stop = min(horizon, start + self._block_length())
             self._steps(xs[start:stop], ys[start:stop], predictions[start:stop], sizes[start:stop])
             bad = ~np.isfinite(predictions[start:stop])
             if bad.any() and (new := bad.any(axis=0) & (self.diverged_at == 0)).any():
-                # each new run's first non-finite prediction in the chunk
+                # each new run's first non-finite prediction in the block
                 self.diverged_at[new] = base + start + 1 + np.argmax(bad[:, new], axis=0)
             start = stop
         self.n_steps = base + horizon
@@ -191,39 +199,38 @@ class AdaptiveRffLms(_StreamFilter):
     convex in the frequencies and phases, so a bad step size can blow the
     state up; see the module docstring for how that is caught and
     reported. With both feature step sizes zero the banks never change,
-    and the features of a whole time chunk are computed at once.
+    and the features of a whole time block are computed at once.
     """
+
+    dtype = np.dtype(np.float32)
 
     def __init__(self, freqs, phases, lr_weights: float, lr_freqs: float,
                  lr_phases: float):
-        with np.errstate(over="ignore"):  # an entry past float32's max casts to inf
-            self.freqs = np.stack(freqs, dtype=np.float32)
-            self.phases = np.stack(phases, dtype=np.float32)
+        with np.errstate(over="ignore"):  # an entry past the dtype's max casts to inf
+            self.freqs = np.stack(freqs, dtype=self.dtype)
+            self.phases = np.stack(phases, dtype=self.dtype)
         if (self.freqs.ndim != 3 or 0 in self.freqs.shape
                 or self.phases.shape != self.freqs.shape[:2]):
             raise ValueError(f"expected freqs of shape (R, D, L) and phases of shape (R, D), "
                              f"none of them 0, got {self.freqs.shape} and {self.phases.shape}")
         if not (np.isfinite(self.freqs).all() and np.isfinite(self.phases).all()):
-            raise ValueError(f"feature bank entries must be finite in float32, whose range "
-                             f"is +-{np.finfo(np.float32).max:.4g}")
-        self.weights = np.zeros(self.phases.shape, dtype=np.float32)
-        self.lr_weights = check_rate("lr_weights", lr_weights, np.float32)
-        self.lr_freqs = check_rate("lr_freqs", lr_freqs, np.float32)
-        self.lr_phases = check_rate("lr_phases", lr_phases, np.float32)
-        self.n_runs, n_features, self.input_dim = self.freqs.shape
-        self.model_size = np.full(self.n_runs, n_features)
-        self.n_steps = 0
-        self.diverged_at = np.zeros(self.n_runs, dtype=int)
+            raise ValueError(f"feature bank entries must be finite in {self.dtype}, whose "
+                             f"range is +-{np.finfo(self.dtype).max:.4g}")
+        self.weights = np.zeros(self.phases.shape, dtype=self.dtype)
+        self.lr_weights = check_rate("lr_weights", lr_weights, self.dtype)
+        self.lr_freqs = check_rate("lr_freqs", lr_freqs, self.dtype)
+        self.lr_phases = check_rate("lr_phases", lr_phases, self.dtype)
+        n_runs, n_features, self.input_dim = self.freqs.shape
+        self._start_runs(np.full(n_runs, n_features))
 
-    @property
-    def _weights(self) -> np.ndarray:
-        return self.weights
+    def _block_length(self) -> int:
+        return max(_MIN_CHUNK, _CHUNK // self.weights.size)
 
     def _steps(self, xs, ys, predictions, sizes) -> None:
         w, freqs, phases = self.weights, self.freqs, self.phases
         # float32 scalars give the bits that the Python floats would give
         # against float32 arrays, at a cheaper ufunc call
-        lr_weights, lr_freqs, lr_phases = (np.float32(v) for v in (
+        lr_weights, lr_freqs, lr_phases = (self.dtype.type(v) for v in (
             self.lr_weights, self.lr_freqs, self.lr_phases))
         cos, sin, matmul, vecdot = np.cos, np.sin, np.matmul, np.vecdot
         multiply, subtract = np.multiply, np.subtract
@@ -286,14 +293,17 @@ class CoherenceKlms(_StreamFilter):
     Each run's centers fill the leading columns of an (L, capacity) buffer
     padded with +inf, whose kernel value is exactly 0, and its weights the
     leading entries of a zero-padded (capacity,) buffer. The capacity is a
-    power of two, at least 16, shared by the batch, and doubles when a run
-    fills it. The prediction sums ``weights * kernel`` over the whole
-    buffer; numpy's pairwise sum over a power-of-two length adds the padding
-    in whole blocks of zeros, so a run's prediction is the same bits
-    whatever capacity its batch needs. ``model_size`` holds each run's
-    dictionary size, and ``weights`` and ``centers`` the active parts as
-    lists of per-run arrays.
+    power of two, at least 16, shared by the batch; before a block, never
+    inside one, it doubles until it holds each run's size plus its steps
+    novel at block start, the steps that may admit. The prediction sums
+    ``weights * kernel`` over the whole buffer; numpy's pairwise sum over a
+    power-of-two length adds the padding in whole blocks of zeros, so a
+    run's prediction is the same bits whatever capacity its batch needs.
+    ``model_size`` holds each run's dictionary size, and ``weights`` and
+    ``centers`` the active parts as lists of per-run arrays.
     """
+
+    dtype = np.dtype(np.float64)
 
     def __init__(self, bandwidth: float, coherence_threshold: float,
                  lr_weights: float, input_dim: int, n_runs: int = 1):
@@ -301,16 +311,13 @@ class CoherenceKlms(_StreamFilter):
             raise ValueError(f"input_dim must be >= 1, got {input_dim}")
         if n_runs < 1:
             raise ValueError(f"n_runs must be >= 1, got {n_runs}")
-        self.bandwidth = check_bandwidth(bandwidth)
+        self.bandwidth = check_bandwidth(bandwidth, self.dtype)
         self.coherence_threshold = check_threshold(coherence_threshold)
-        self.lr_weights = check_rate("lr_weights", lr_weights)
+        self.lr_weights = check_rate("lr_weights", lr_weights, self.dtype)
         self.input_dim = input_dim
-        self.n_runs = n_runs
-        self._centers = np.full((n_runs, input_dim, 16), np.inf)
-        self._weights = np.zeros((n_runs, 16))
-        self.model_size = np.zeros(n_runs, dtype=int)
-        self.n_steps = 0
-        self.diverged_at = np.zeros(n_runs, dtype=int)
+        self._centers = np.full((n_runs, input_dim, 16), np.inf, self.dtype)
+        self._weights = np.zeros((n_runs, 16), self.dtype)
+        self._start_runs(np.zeros(n_runs, dtype=int))
 
     def _active(self, buffer: np.ndarray) -> list[np.ndarray]:
         return [buffer[r, :size] for r, size in enumerate(self.model_size.tolist())]
@@ -323,55 +330,49 @@ class CoherenceKlms(_StreamFilter):
     def centers(self) -> list[np.ndarray]:
         return self._active(self._centers.transpose(0, 2, 1))
 
+    def _block_length(self) -> int:
+        return max(1, min(_BLOCK, _CHUNK // self._centers.size))
+
     def _steps(self, xs, ys, predictions, sizes) -> None:
-        w, centers, size = self._weights, self._centers, self.model_size
-        threshold, lr = self.coherence_threshold, self.lr_weights
+        size, threshold, lr = self.model_size, self.coherence_threshold, self.lr_weights
         add, multiply, subtract = np.add.reduce, np.multiply, np.subtract
-        horizon, n_runs, dim = xs.shape
+        # rows over the live columns, the widest run's centers; the +inf
+        # padding past them would give exact zeros
+        live = size.max()
+        rows = kernel_rows(self._centers[..., :live], xs, self.bandwidth)
+        peaks = np.maximum.reduce(rows, axis=2, initial=0.0)
+        # the buffers grow to the least power of two that holds every run's
+        # steps novel at block start: a later admission can only raise peaks
+        novel = ~(peaks > threshold)
+        cap = self._weights.shape[1]
+        grown = max(cap, 1 << int((size + novel.sum(axis=0)).max() - 1).bit_length())
+        if grown > cap:
+            self._weights = np.pad(self._weights, ((0, 0), (0, grown - cap)))
+            self._centers = np.pad(self._centers, ((0, 0), (0, 0), (0, grown - cap)),
+                                   constant_values=np.inf)
+        w, centers = self._weights, self._centers
+        ks = np.zeros((*peaks.shape, grown), self.dtype)
+        ks[..., :live] = rows
+        sizes[:] = size
+        # admissions first: they read the inputs and the dictionary, never a weight
+        for j in np.flatnonzero(novel.any(axis=1)).tolist():
+            if not (admit := np.flatnonzero(~(peaks[j] > threshold))).size:
+                continue
+            slot = size[admit]
+            x = xs[j, admit]
+            centers[admit, :, slot] = x
+            ks[j, admit, slot] = 1.0
+            size[admit] += 1
+            sizes[j:] = size
+            # the new center's column for the block's later steps
+            column = kernel_rows(x[:, :, None], xs[j + 1:, admit], self.bandwidth)[..., 0]
+            ks[j + 1:, admit, slot] = column
+            later = peaks[j + 1:]
+            later[:, admit] = np.maximum(later[:, admit], column)
         # e (R, 1) holds the error, then lr * e, and wk w * k, then (lr * e) * k
-        e, wk = np.empty((n_runs, 1)), np.empty(w.shape)
+        e, wk = np.empty((w.shape[0], 1), self.dtype), np.empty_like(w)
         err = e[:, 0]
-        start = 0
-        while start < horizon:
-            stop = min(horizon, start + max(1, min(_BLOCK, _CHUNK // (n_runs * dim * w.shape[1]))))
-            block = xs[start:stop]
-            # rows over the live columns, the widest run's centers; the
-            # +inf padding past them would give exact zeros
-            live = size.max()
-            rows = kernel_rows(centers[..., :live], block, self.bandwidth)
-            peaks = np.maximum.reduce(rows, axis=2, initial=0.0)
-            ks = np.zeros((stop - start, n_runs, w.shape[1]))
-            ks[..., :live] = rows
-            sizes[start:stop] = size
-            # admissions first: they read the inputs and the dictionary, never
-            # a weight. A step novel at block start may admit; a later
-            # admission can only raise its peaks, and then it need not
-            for j in np.flatnonzero((~(peaks > threshold)).any(axis=1)).tolist():
-                if not (admit := np.flatnonzero(~(peaks[j] > threshold))).size:
-                    continue
-                if size[admit].max() == w.shape[1]:
-                    # double the buffers
-                    cap = w.shape[1]
-                    w = self._weights = np.pad(w, ((0, 0), (0, cap)))
-                    centers = self._centers = np.pad(centers, ((0, 0), (0, 0), (0, cap)),
-                                                     constant_values=np.inf)
-                    ks = np.pad(ks, ((0, 0), (0, 0), (0, cap)))
-                    wk = np.empty(w.shape)
-                slot = size[admit]
-                x = block[j, admit]
-                centers[admit, :, slot] = x
-                ks[j, admit, slot] = 1.0
-                size[admit] += 1
-                sizes[start + j:stop] = size
-                # the new center's column for the block's later steps
-                column = kernel_rows(x[:, :, None], block[j + 1:, admit], self.bandwidth)[..., 0]
-                ks[j + 1:, admit, slot] = column
-                later = peaks[j + 1:]
-                later[:, admit] = np.maximum(later[:, admit], column)
-            # then the LMS steps; a doubling above widened the buffers for the
-            # steps before its admission too, which changes no bit
-            for k, y, p in zip(ks, ys[start:stop], predictions[start:stop]):
-                add(multiply(w, k, out=wk), axis=1, out=p)
-                multiply(subtract(y, p, out=err), lr, out=err)
-                w += multiply(e, k, out=wk)
-            start = stop
+        for k, y, p in zip(ks, ys, predictions):
+            add(multiply(w, k, out=wk), axis=1, out=p)
+            multiply(subtract(y, p, out=err), lr, out=err)
+            w += multiply(e, k, out=wk)

@@ -669,6 +669,29 @@ def test_coherence_klms_admissions_on_a_blocks_first_and_last_step(monkeypatch):
         assert np.array_equal(f.centers[r], ref_centers)
 
 
+@pytest.mark.parametrize(("admissions", "ends"), [
+    (16, [(16, 16)]), (17, [(17, 32)]), (40, [(32, 32), (40, 64)])])
+def test_coherence_klms_capacity_is_the_least_power_of_two_that_holds_each_block(
+        admissions, ends, monkeypatch):
+    # inputs 3 apart at bandwidth 0.5 all admit, from an empty dictionary of
+    # capacity 16; 40 steps make blocks of 32 and 8
+    monkeypatch.setattr(filters, "_BLOCK", 32)
+    inputs = np.zeros((1, admissions, 2))
+    inputs[0, :, 0] = 3.0 * np.arange(admissions)
+    f = CoherenceKlms(0.5, 0.5, 0.2, input_dim=2)
+    steps, given = f._steps, []
+
+    def recorded(*args):  # (dictionary size, capacity) after each block
+        steps(*args)
+        given.append((int(f.model_size[0]), f._weights.shape[1]))
+
+    f._steps = recorded
+    preds, sizes = f.run(inputs, np.sin(np.arange(admissions, dtype=float))[None])
+    assert sizes[0].tolist() == list(range(1, admissions + 1))
+    assert given == ends
+    assert f._centers.shape == (1, 2, ends[-1][1])
+
+
 def test_coherence_klms_live_columns_where_runs_differ():
     # one run repeats one point and keeps 1 center, the other spreads past
     # 16 centers, so the batch doubles its capacity while the first run's
@@ -703,10 +726,13 @@ def test_batched_filters_take_streams_only():
 @pytest.mark.parametrize("chunk", [1, 7, 60])
 @pytest.mark.parametrize("kind", sorted(MAKERS))
 def test_time_chunk_length_changes_no_bit(kind, chunk, monkeypatch):
-    # divergences then fall in later chunks, and in the first step of one
+    # divergences then fall in later blocks, and in the first step of one
     whole, preds, sizes = run_rows(kind, range(ROWS))
-    monkeypatch.setattr(filters, "_CHUNK", 0)
-    monkeypatch.setattr(filters, "_MIN_CHUNK", chunk)
+    if kind == "coherence-klms":  # its blocks take _BLOCK steps at these capacities
+        monkeypatch.setattr(filters, "_BLOCK", chunk)
+    else:
+        monkeypatch.setattr(filters, "_CHUNK", 0)
+        monkeypatch.setattr(filters, "_MIN_CHUNK", chunk)
     f, chunked_preds, chunked_sizes = run_rows(kind, range(ROWS))
     assert np.array_equal(chunked_preds, preds, equal_nan=True)
     assert np.array_equal(chunked_sizes, sizes)
