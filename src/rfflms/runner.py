@@ -15,11 +15,13 @@ no batch; the other filters reuse the earlier config's reduction. So a
 sweep's points share every filter that the swept field does not touch.
 The call's worker count is capped at the total run count and the CPU
 count. Each config's runs are split evenly into contiguous batches of at
-most ``MAX_BATCH_RUNS`` runs and ``MAX_HORIZON`` run-steps, one run at
-least: with ``share = ceil(workers / configs)``, the batch count is the
-smallest multiple of ``share`` that allows this, capped at the config's
-run count. A single experiment thus gets a multiple of the worker count,
-and a sweep of small experiments one batch each. With one worker the
+most ``MAX_BATCH_RUNS`` runs, ``MAX_HORIZON`` run-steps and
+``MAX_FEATURES`` run-features (runs times the config's largest
+``n_features``), one run at least: with
+``share = ceil(workers / configs)``, the batch count is the smallest
+multiple of ``share`` that allows this, capped at the config's run count.
+A single experiment thus gets a multiple of the worker count, and a
+sweep of small experiments one batch each. With one worker the
 batches run one after the other in this process, and no pool code is
 imported: ``import rfflms`` and a serial call load neither
 ``concurrent.futures`` nor ``multiprocessing``. Otherwise ``pool.map``
@@ -77,8 +79,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (MAX_HORIZON, MAX_RUNS, PLANT_FIELDS, ConfigError, ExperimentConfig,
-                     FilterSpec, config_to_dict)
+from .config import (MAX_FEATURES, MAX_HORIZON, MAX_RUNS, PLANT_FIELDS, ConfigError,
+                     ExperimentConfig, FilterSpec, config_to_dict)
 from .features import sample_feature_bank
 from .filters import AdaptiveRffLms, CoherenceKlms
 from .metrics import steady_state_emse, to_db
@@ -211,9 +213,12 @@ def _plan_batches(cfgs: list[ExperimentConfig], workers: int) -> tuple[int, list
     plans = []
     for cfg in cfgs:
         n_runs = cfg.runs
-        # a batch holds its runs' streams at once: MAX_HORIZON run-steps at
-        # most, the steps that config.py lets one run hold
-        cap = min(MAX_BATCH_RUNS, max(1, MAX_HORIZON // cfg.horizon))
+        # a batch holds its runs' streams and feature banks at once:
+        # MAX_HORIZON run-steps and MAX_FEATURES run-features at most, what
+        # config.py lets one run hold
+        features = max(1, *(f.n_features for f in cfg.filters))
+        cap = min(MAX_BATCH_RUNS, max(1, MAX_HORIZON // cfg.horizon),
+                  max(1, MAX_FEATURES // features))
         n_batches = min(share * -(-n_runs // (share * cap)), n_runs)
         bounds = [n_runs * b // n_batches for b in range(n_batches + 1)]
         plans.append([range(lo, hi) for lo, hi in zip(bounds, bounds[1:])])

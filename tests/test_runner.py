@@ -12,6 +12,7 @@ import pytest
 
 from rfflms.cli import _override_filters, _summary_lines, main
 from rfflms.config import (
+    MAX_FEATURES,
     MAX_HORIZON,
     MAX_RUNS,
     PLANT_FIELDS,
@@ -134,8 +135,10 @@ def test_workers_are_capped_at_the_cpu_count(cpus, tmp_path, monkeypatch):
 def test_batch_plan(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
 
-    def sizes(runs, workers, horizon=200):
-        cfgs = [tiny_config(runs=n, horizon=horizon) for n in runs]
+    def sizes(runs, workers, horizon=200, n_features=8):
+        specs = tuple(dataclasses.replace(f, n_features=n_features) if f.n_features else f
+                      for f in tiny_config().filters)
+        cfgs = [tiny_config(runs=n, horizon=horizon, filters=specs) for n in runs]
         n_workers, plans = runner._plan_batches(cfgs, workers)
         for n_runs, batches in zip(runs, plans):  # contiguous, in run-index order
             assert [r for runs in batches for r in runs] == list(range(n_runs))
@@ -156,6 +159,9 @@ def test_batch_plan(monkeypatch):
     assert sizes([32], 1, MAX_HORIZON) == (1, [[1] * 32])
     assert sizes([32], 2, MAX_HORIZON // 4) == (2, [[4] * 8])
     assert sizes([65], 1, MAX_HORIZON // 20) == (1, [[16, 16, 16, 17]])
+    # MAX_FEATURES run-features per batch at most, and one run at least
+    assert sizes([32], 1, n_features=MAX_FEATURES) == (1, [[1] * 32])
+    assert sizes([32], 2, n_features=MAX_FEATURES // 4) == (2, [[4] * 8])
     assert sizes([200], 2, 20000) == (2, [[25] * 8])  # the presets' longest horizon
     assert list(run_experiments([], workers=2)) == []
 
