@@ -50,10 +50,11 @@ PLANT_KINDS = tuple(PLANT_FIELDS)
 MAX_RUNS = 10**6
 # the steps of a config, and the features of an RFF filter, at most, so
 # that one run fits in 1 GiB and a larger value fails here, not in the
-# first batch: generating a run's stream peaks at about 180 bytes a step
-# (the stationary plant's (T, 2, 6) kernel differences beside the stream),
-# and an rff run at about 280 bytes a feature (its float64 bank, its
-# float32 state and a time chunk's (64, D) cosines)
+# first batch: generating a run's stream peaks at about 57 bytes a step
+# above the interpreter (260 MiB in all at 2**22 steps, of which the
+# returned stream holds 32 bytes a step), and an rff run at about 280
+# bytes a feature (its bank as sampled, its state and a time block's
+# (64, D) cosines)
 MAX_HORIZON = 2**22
 MAX_FEATURES = 2**21
 

@@ -40,9 +40,15 @@ D_INIT = (0.1, 0.1)
 
 def kernel_plant_response(inputs: np.ndarray) -> np.ndarray:
     """Noiseless stationary-plant output for a batch of input vectors (n, 2): their
-    ``kernel_rows`` against PLANT_CENTERS at PLANT_BANDWIDTH, times PLANT_WEIGHTS."""
+    ``kernel_rows`` against PLANT_CENTERS at PLANT_BANDWIDTH, times PLANT_WEIGHTS.
+    Rows are evaluated 4096 at a time, which changes no bit and bounds the
+    kernel differences' memory."""
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    return kernel_rows(PLANT_CENTERS.T, inputs, PLANT_BANDWIDTH) @ PLANT_WEIGHTS
+    clean = np.empty(len(inputs))
+    for i in range(0, len(inputs), 4096):
+        rows = kernel_rows(PLANT_CENTERS.T, inputs[i:i + 4096], PLANT_BANDWIDTH)
+        clean[i:i + 4096] = rows @ PLANT_WEIGHTS
+    return clean
 
 
 @functools.lru_cache(maxsize=4)
@@ -80,11 +86,14 @@ def gen_ar1(rho: float, n_steps: int, seed: int) -> np.ndarray:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     u = np.random.default_rng(seed).standard_normal(n_steps)
     scale = math.sqrt(1.0 - rho**2)
-    x, prev = [], 0.0
-    for v in u.tolist():
-        prev = scale * v + rho * prev
-        x.append(prev)
-    return np.array(x)
+
+    def steps():
+        prev = 0.0
+        for v in u.tolist():
+            prev = scale * v + rho * prev
+            yield prev
+
+    return np.fromiter(steps(), dtype=float, count=n_steps)
 
 
 def calibrate_noise(clean: np.ndarray, snr_db: float, seed: int) -> np.ndarray:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import stream_to_csv
 from rfflms import systems
 from rfflms.config import ConfigError, PlantConfig
+from rfflms.kernels import kernel_rows
 from rfflms.seeding import derive_seed
 from rfflms.systems import (
     calibrate_noise,
@@ -68,6 +69,15 @@ def test_ar1_deterministic_under_seed():
     assert np.array_equal(a, b)
 
 
+def test_ar1_is_its_recursion_bit_for_bit():
+    x = gen_ar1(0.5, 1000, seed=99)
+    u = np.random.default_rng(99).standard_normal(1000)
+    prev, scale = 0.0, math.sqrt(1.0 - 0.5**2)
+    for n in range(1000):
+        prev = scale * float(u[n]) + 0.5 * prev
+        assert x[n] == prev
+
+
 def test_ar1_moments():
     x = gen_ar1(0.5, 10**6, seed=7)
     assert abs(x.var() - 1.0) <= 0.01
@@ -117,6 +127,14 @@ def test_stationary_stream_structure(seed, snr_db):
     noise = calibrate_noise(clean, snr_db, derive_seed(seed, "noise"))
     assert np.array_equal(targets, clean + noise)
     assert np.array_equal(clean, kernel_plant_response(inputs))
+
+
+def test_stationary_clean_in_row_chunks_has_the_bits_of_one_evaluation():
+    # kernel_plant_response takes 4096 rows at a time: 3 chunks and a tail of 5
+    inputs, _, clean = gen_stationary_stream(STATIONARY, 3 * 4096 + 5, seed=3)
+    rows = kernel_rows(systems.PLANT_CENTERS.T, inputs, systems.PLANT_BANDWIDTH)
+    assert np.array_equal(clean, rows @ systems.PLANT_WEIGHTS)
+    assert kernel_plant_response(np.zeros((0, 2))).shape == (0,)
 
 
 def test_stationary_stream_deterministic():
