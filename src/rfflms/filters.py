@@ -341,21 +341,23 @@ class CoherenceKlms(_StreamFilter):
         live = size.max()
         rows = kernel_rows(self._centers[..., :live], xs, self.bandwidth)
         peaks = np.maximum.reduce(rows, axis=2, initial=0.0)
-        # the buffers grow to the least power of two that holds every run's
-        # steps novel at block start: a later admission can only raise peaks
+        # only a step novel at block start may admit: a later admission can
+        # only raise its peaks. The buffers grow to the least power of two
+        # that holds every run's novel steps
         novel = ~(peaks > threshold)
+        admitting = np.flatnonzero(novel.any(axis=1)).tolist()
         cap = self._weights.shape[1]
-        grown = max(cap, 1 << int((size + novel.sum(axis=0)).max() - 1).bit_length())
-        if grown > cap:
-            self._weights = np.pad(self._weights, ((0, 0), (0, grown - cap)))
-            self._centers = np.pad(self._centers, ((0, 0), (0, 0), (0, grown - cap)),
+        if admitting and (need := int((size + novel.sum(axis=0)).max())) > cap:
+            pad = (1 << (need - 1).bit_length()) - cap
+            self._weights = np.pad(self._weights, ((0, 0), (0, pad)))
+            self._centers = np.pad(self._centers, ((0, 0), (0, 0), (0, pad)),
                                    constant_values=np.inf)
         w, centers = self._weights, self._centers
-        ks = np.zeros((*peaks.shape, grown), self.dtype)
+        ks = np.zeros((*peaks.shape, w.shape[1]), self.dtype)
         ks[..., :live] = rows
         sizes[:] = size
         # admissions first: they read the inputs and the dictionary, never a weight
-        for j in np.flatnonzero(novel.any(axis=1)).tolist():
+        for j in admitting:
             if not (admit := np.flatnonzero(~(peaks[j] > threshold))).size:
                 continue
             slot = size[admit]
