@@ -100,7 +100,7 @@ _MIN_CHUNK = 64
 _BLOCK = 32
 
 
-def check_rate(name: str, value: float, dtype=np.float64) -> float:
+def check_rate(name: str, value: float, dtype) -> float:
     """A step size as a float; raises ValueError unless the engine's ``dtype``
     holds it: 0 or within [smallest subnormal, max]. A smaller one would
     round to 0 and freeze its update, a larger one to inf."""
