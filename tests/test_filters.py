@@ -686,7 +686,7 @@ def test_coherence_klms_capacity_is_the_least_power_of_two_that_holds_each_block
         given.append((int(f.model_size[0]), f._weights.shape[1]))
 
     f._steps = recorded
-    preds, sizes = f.run(inputs, np.sin(np.arange(admissions, dtype=float))[None])
+    sizes = f.run(inputs, np.sin(np.arange(admissions, dtype=float))[None])[1]
     assert sizes[0].tolist() == list(range(1, admissions + 1))
     assert given == ends
     assert f._centers.shape == (1, 2, ends[-1][1])

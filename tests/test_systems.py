@@ -69,15 +69,6 @@ def test_ar1_deterministic_under_seed():
     assert np.array_equal(a, b)
 
 
-def test_ar1_is_its_recursion_bit_for_bit():
-    x = gen_ar1(0.5, 1000, seed=99)
-    u = np.random.default_rng(99).standard_normal(1000)
-    prev, scale = 0.0, math.sqrt(1.0 - 0.5**2)
-    for n in range(1000):
-        prev = scale * float(u[n]) + 0.5 * prev
-        assert x[n] == prev
-
-
 def test_ar1_moments():
     x = gen_ar1(0.5, 10**6, seed=7)
     assert abs(x.var() - 1.0) <= 0.01
