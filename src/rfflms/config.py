@@ -52,9 +52,10 @@ MAX_RUNS = 10**6
 # that one run fits in 1 GiB and a larger value fails here, not in the
 # first batch: generating a run's stream peaks at about 57 bytes a step
 # above the interpreter (260 MiB in all at 2**22 steps, of which the
-# returned stream holds 32 bytes a step), and an rff run at about 280
-# bytes a feature (its bank as sampled, its state and a time block's
-# (64, D) cosines)
+# returned stream holds 32 bytes a step), and an RFF run at about 290
+# bytes a feature for rff and 320 for adaptive-rff (its bank as sampled, its
+# state, its step buffers and a time block's (64, D) cosines, which hold the
+# adapting runs' too: 676 MiB peak RSS for one adaptive-rff run at 2**21)
 MAX_HORIZON = 2**22
 MAX_FEATURES = 2**21
 

@@ -9,15 +9,20 @@ of that pre-update prediction. A step with zero error leaves the state
 untouched, and any learning rate may be zero to freeze the corresponding
 update.
 
-Runs. A filter holds the state of R >= 1 independent runs that share
-their step sizes and advance in lockstep: ``AdaptiveRffLms`` is built
-from one feature bank per run, whose shapes it checks once,
-``CoherenceKlms`` from ``n_runs``. Every computation is per run, so a
+Runs. A filter holds the state of R >= 1 independent runs that advance
+in lockstep: ``AdaptiveRffLms`` is built from one feature bank per run,
+whose shapes it checks once, ``CoherenceKlms`` from ``n_runs``.
+``CoherenceKlms``'s runs share their step size. Each of
+``AdaptiveRffLms``'s three step sizes is one value for every run or one
+per run, so runs of different specs can share a filter: a run whose two
+feature step sizes are both 0 is frozen, and the adapting runs come
+first. ``AdaptiveRffLms.stack`` joins filters of one D into one whose runs
+read the filters' shared streams. Every computation is per run, so a
 run's results are bit-for-bit the same whichever runs share its batch.
 
 Both classes step through streams with one method, ``run(inputs,
 targets)``. It takes one stream per run, inputs (R, T, L) and targets
-(R, T), and returns ``(predictions, model_sizes)`` as (R, T) arrays: the
+(R, T) (a stack takes the R streams of each of its filters), and returns ``(predictions, model_sizes)`` as (R, T) arrays: the
 pre-update prediction of every step and the model size after it. The
 stream is checked for shape and finiteness once per call, not once per
 step. The state carries over between calls, so running a stream in
@@ -51,18 +56,26 @@ phases. Within one step every right-hand side uses the pre-update state
 or phase updates.
 
 Buffers. A step works on arrays of a few dozen to a few hundred entries,
-so its cost is the per-call overhead of its 6 to 20 numpy operations,
-and allocating a fresh result is a large part of that. The loop over a
-time block therefore allocates its working arrays (angles, features,
-error, gradient, updates) once, and every per-step operation writes into
-one of them with ``out=``. ``CoherenceKlms`` doubles its capacity before
-a block, never inside one. The operations and their order are those of
-the plain expressions, so the bits are too.
+so its cost is the per-call overhead of its 5 to 20 numpy operations,
+whatever the number of runs, and allocating a fresh result is a large
+part of that. The loop over a time block therefore allocates its working
+arrays (angles, features, error, gradient, updates) once, and every
+per-step operation writes into one of them with ``out=``. An
+``AdaptiveRffLms`` block computes its frozen runs' cosines at once, in a
+(steps, R, D) buffer whose adapting rows each step fills with its own
+cosines. Each step then makes one call over all runs for each of the
+prediction (``vecdot``), the error, one broadcast of the error to (R, D)
+and the weight update, and the adapting runs' calls over their leading
+rows. The step sizes are (R, D) float32 arrays, built once per block, so
+no per-step call takes a scalar, and no call broadcasts the (R, 1) error
+but that one. ``CoherenceKlms`` doubles its capacity before a block, never
+inside one. The operations and their order are those of the plain
+expressions, so the bits are too.
 
 Precision. ``AdaptiveRffLms`` computes in float32: its ``freqs``,
 ``phases`` and ``weights``, every buffer of its time loop and its copy of
 the stream, which ``run`` casts once per call, and its step sizes, which
-the loop casts to float32 scalars. Its cost is the cosines and
+the loop casts to float32 arrays. Its cost is the cosines and
 sines of the feature angles, and float32 ``np.cos`` and ``np.sin`` cost a
 small fraction of the float64 ones; at the presets' step sizes the
 steady-state EMSE is within 0.01 dB of float64's. What float32 cannot hold is
@@ -90,7 +103,7 @@ from .kernels import check_bandwidth, check_threshold, kernel_rows
 # run steps through a stream one time block per _steps call and tests
 # each block's predictions, which flag divergence, after it; an engine's
 # _block_length sets the block. AdaptiveRffLms takes _CHUNK // (weight
-# entries of the batch) steps, and at least _MIN_CHUNK: frozen features
+# entries of the batch) steps, and at least _MIN_CHUNK: frozen runs
 # compute a block's cosines at once, in place in its matmul result.
 # CoherenceKlms takes at most _BLOCK steps, fewer if the block's (steps,
 # runs, L, capacity) kernel differences would exceed _CHUNK entries, and
@@ -123,22 +136,25 @@ class _StreamFilter:
     """
 
     def _start_runs(self, model_size: np.ndarray) -> None:
-        """Bookkeeping of runs that have taken no step, one per ``model_size`` entry."""
-        self.n_runs = model_size.size
+        """Bookkeeping of runs that have taken no step, one per ``model_size``
+        entry, each reading its own stream."""
+        self.n_runs = self.n_streams = model_size.size
         self.model_size = model_size
         self.n_steps = 0
         self.diverged_at = np.zeros(self.n_runs, dtype=int)
 
     def _check_stream(self, inputs, targets) -> tuple[np.ndarray, np.ndarray]:
         """The stream as time-major contiguous (T, R, L) inputs and (T, R)
-        targets of the filter's dtype, each value finite in it."""
+        targets of the filter's dtype, each value finite in it; run r reads
+        stream r modulo ``n_streams``."""
         inputs = np.asarray(inputs, dtype=float)
         targets = np.asarray(targets, dtype=float)
-        if (inputs.ndim != 3 or inputs.shape[0] != self.n_runs
+        n_streams = self.n_streams
+        if (inputs.ndim != 3 or inputs.shape[0] != n_streams
                 or inputs.shape[2] != self.input_dim or targets.shape != inputs.shape[:2]):
             raise ValueError(
-                f"expected inputs of shape ({self.n_runs}, T, {self.input_dim}) and targets "
-                f"of shape ({self.n_runs}, T), got {inputs.shape} and {targets.shape}"
+                f"expected inputs of shape ({n_streams}, T, {self.input_dim}) and targets "
+                f"of shape ({n_streams}, T), got {inputs.shape} and {targets.shape}"
             )
         dtype = self.dtype
         xs = np.ascontiguousarray(inputs.transpose(1, 0, 2), dtype=dtype)
@@ -146,6 +162,8 @@ class _StreamFilter:
         if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
             raise ValueError(f"stream (inputs, targets) must be finite in {dtype}, whose "
                              f"range is +-{np.finfo(dtype).max:.4g}")
+        if (reps := self.n_runs // n_streams) > 1:  # the cast copy, not the float64 stream
+            xs, ys = np.tile(xs, (1, reps, 1)), np.tile(ys, (1, reps))
         return xs, ys
 
     def step(self, x, y) -> tuple[float, int]:
@@ -161,14 +179,17 @@ class _StreamFilter:
         base = self.n_steps
         predictions = np.empty((horizon, n_runs), dtype=xs.dtype)
         sizes = np.empty((horizon, n_runs), dtype=int)
-        start = 0
-        while start < horizon and not self.diverged_at.all():
+        start, done = 0, self.diverged_at.all()
+        while start < horizon and not done:
             stop = min(horizon, start + self._block_length())
-            self._steps(xs[start:stop], ys[start:stop], predictions[start:stop], sizes[start:stop])
-            bad = ~np.isfinite(predictions[start:stop])
-            if bad.any() and (new := bad.any(axis=0) & (self.diverged_at == 0)).any():
-                # each new run's first non-finite prediction in the block
-                self.diverged_at[new] = base + start + 1 + np.argmax(bad[:, new], axis=0)
+            block = predictions[start:stop]
+            self._steps(xs[start:stop], ys[start:stop], block, sizes[start:stop])
+            if not np.isfinite(block).all():
+                bad = ~np.isfinite(block)
+                if (new := bad.any(axis=0) & (self.diverged_at == 0)).any():
+                    # each new run's first non-finite prediction in the block
+                    self.diverged_at[new] = base + start + 1 + np.argmax(bad[:, new], axis=0)
+                    done = self.diverged_at.all()
             start = stop
         self.n_steps = base + horizon
         if self.diverged_at.any():
@@ -194,18 +215,22 @@ class AdaptiveRffLms(_StreamFilter):
     bank per run, as sequences or as stacked (R, D, L) and (R, D) arrays;
     the banks share D >= 1 and L >= 1, and each must be finite once cast.
     The filter keeps ``freqs``, ``phases`` and ``weights`` (R, D) as plain
-    float32 arrays, and its step sizes pass ``check_rate`` in float32 (see
-    the module docstring's precision paragraph). The joint objective is not
-    convex in the frequencies and phases, so a bad step size can blow the
-    state up; see the module docstring for how that is caught and
-    reported. With both feature step sizes zero the banks never change,
-    and the features of a whole time block are computed at once.
+    float32 arrays. Each step size is a scalar that every run shares or a
+    sequence of one per run, kept as a float or as an (R,) float64 array;
+    each value passes ``check_rate`` in float32 (see the module docstring's
+    precision paragraph). The joint objective is not convex in the
+    frequencies and phases, so a bad step size can blow the state up; see
+    the module docstring for how that is caught and reported.
+
+    A run whose two feature step sizes are both zero is frozen: its bank
+    never changes, and the features of a whole time block are computed at
+    once. The runs that adapt their features come first: a frozen run
+    before an adapting one raises ``ValueError``.
     """
 
     dtype = np.dtype(np.float32)
 
-    def __init__(self, freqs, phases, lr_weights: float, lr_freqs: float,
-                 lr_phases: float):
+    def __init__(self, freqs, phases, lr_weights, lr_freqs, lr_phases):
         with np.errstate(over="ignore"):  # an entry past the dtype's max casts to inf
             self.freqs = np.stack(freqs, dtype=self.dtype)
             self.phases = np.stack(phases, dtype=self.dtype)
@@ -216,51 +241,102 @@ class AdaptiveRffLms(_StreamFilter):
         if not (np.isfinite(self.freqs).all() and np.isfinite(self.phases).all()):
             raise ValueError(f"feature bank entries must be finite in {self.dtype}, whose "
                              f"range is +-{np.finfo(self.dtype).max:.4g}")
-        self.weights = np.zeros(self.phases.shape, dtype=self.dtype)
-        self.lr_weights = check_rate("lr_weights", lr_weights, self.dtype)
-        self.lr_freqs = check_rate("lr_freqs", lr_freqs, self.dtype)
-        self.lr_phases = check_rate("lr_phases", lr_phases, self.dtype)
         n_runs, n_features, self.input_dim = self.freqs.shape
+        self.weights = np.zeros(self.phases.shape, dtype=self.dtype)
+        self.lr_weights, self.lr_freqs, self.lr_phases = (
+            self._check_rates(name, value, n_runs) for name, value in
+            (("lr_weights", lr_weights), ("lr_freqs", lr_freqs), ("lr_phases", lr_phases)))
+        frozen = np.broadcast_to((self.lr_freqs == 0.0) & (self.lr_phases == 0.0), n_runs)
+        self._n_adapting = n_runs - int(frozen.sum())
+        if frozen[:self._n_adapting].any():
+            raise ValueError("the runs whose lr_freqs and lr_phases are both 0 must follow "
+                             "every other run")
         self._start_runs(np.full(n_runs, n_features))
+
+    def _check_rates(self, name: str, value, n_runs: int):
+        """A step size as a float, or one per run as an (R,) float64 array."""
+        if np.ndim(value) == 0:
+            return check_rate(name, value, self.dtype)
+        values = [check_rate(f"{name}[{r}]", v, self.dtype) for r, v in enumerate(value)]
+        if len(values) != n_runs:
+            raise ValueError(f"{name} must be a scalar or one value per run ({n_runs}), "
+                             f"got {len(values)} values")
+        return np.array(values)
+
+    @classmethod
+    def stack(cls, filters) -> AdaptiveRffLms:
+        """One filter over the runs of ``filters``, filters of one D and L
+        whose R runs each read the same R streams and which have taken no
+        step: filter i's run r is run i * R + r, with that run's bank,
+        weights and step sizes, so it gives the bits that filter i gives.
+        Its ``run`` takes the R streams (``n_streams`` is R); filters that
+        adapt their features must come first."""
+        n_streams = filters[0].n_runs
+        if any(f.n_runs != n_streams or f.n_steps for f in filters):
+            raise ValueError("stacked filters must each hold the same number of runs "
+                             "and have taken no step")
+        rates = ([np.broadcast_to(getattr(f, name), n_streams) for f in filters]
+                 for name in ("lr_weights", "lr_freqs", "lr_phases"))
+        engine = cls([bank for f in filters for bank in f.freqs],
+                     [bank for f in filters for bank in f.phases],
+                     *(np.concatenate(rate) for rate in rates))
+        engine.weights[:] = np.concatenate([f.weights for f in filters])
+        engine.n_streams = n_streams
+        return engine
 
     def _block_length(self) -> int:
         return max(_MIN_CHUNK, _CHUNK // self.weights.size)
 
     def _steps(self, xs, ys, predictions, sizes) -> None:
         w, freqs, phases = self.weights, self.freqs, self.phases
-        # float32 scalars give the bits that the Python floats would give
-        # against float32 arrays, at a cheaper ufunc call
-        lr_weights, lr_freqs, lr_phases = (self.dtype.type(v) for v in (
-            self.lr_weights, self.lr_freqs, self.lr_phases))
+        na, n_features = self._n_adapting, w.shape[1]
+
+        def leading_rows(rate, n):
+            # the step size of the first n runs as an (n, D) float32 array:
+            # each product is the float32 scalar's, at a same-shape ufunc call
+            rate = np.asarray(rate, w.dtype).reshape(-1, 1)[:n]
+            return np.array(np.broadcast_to(rate, (n, n_features)))
+
+        lr_weights = leading_rows(self.lr_weights, len(w))
         cos, sin, matmul, vecdot = np.cos, np.sin, np.matmul, np.vecdot
         multiply, subtract = np.multiply, np.subtract
         sizes[:] = self.model_size
-        # e (R, 1) holds the error, then lr_weights * e, and dw the weight
-        # update (lr_weights * e) * z
-        e, dw = np.empty((w.shape[0], 1), w.dtype), np.empty_like(w)
-        err = e[:, 0]
-        if lr_freqs == 0.0 and lr_phases == 0.0:
-            # the stacked matvec gives each (step, run) the bits of freqs @ x
-            zs = matmul(freqs, xs[..., None])[..., 0]
-            zs += phases
-            cos(zs, out=zs)
+        # err (R,) holds the error and e its (R, 1) column; E holds e broadcast
+        # to (R, D), then lr_weights * e and the weight update (lr_weights * e) * z
+        err, E = np.empty(len(w), w.dtype), np.empty_like(w)
+        e = err[:, None]
+        # the block's cosines: the frozen runs' at once, in place in their
+        # stacked matvec, which gives each (step, run) the bits of freqs @ x
+        zs = np.empty((len(xs), *w.shape, 1), w.dtype)
+        frozen = zs[:, na:]
+        matmul(freqs[na:], xs[:, na:, :, None], out=frozen)
+        frozen += phases[na:, :, None]
+        cos(frozen, out=frozen)
+        zs = zs[..., 0]
+        if not na:
             for z, y, p in zip(zs, ys, predictions):
                 vecdot(w, z, out=p)
-                multiply(subtract(y, p, out=err), lr_weights, out=err)
-                w += multiply(e, z, out=dw)
+                subtract(y, p, out=err)
+                E[...] = e
+                w += multiply(multiply(E, lr_weights, out=E), z, out=E)
             return
-        theta = np.empty((*w.shape, 1), w.dtype)  # matmul's (R, D, 1) result
-        angles, z, s, g, lg = theta[..., 0], *(np.empty_like(w) for _ in range(4))
+        # the adapting runs lead: their state and buffers are views of the
+        # leading rows, and each step writes their cosines to the block's
+        lr_freqs, lr_phases = (leading_rows(rate, na) for rate in (self.lr_freqs, self.lr_phases))
+        freqs, phases, wa, Ea = freqs[:na], phases[:na], w[:na], E[:na]
+        theta = np.empty((*wa.shape, 1), w.dtype)  # matmul's (Ra, D, 1) result
+        angles, s, g, lg = theta[..., 0], *(np.empty_like(wa) for _ in range(3))
         step = np.empty_like(freqs)
         columns = list(enumerate(step.transpose(2, 0, 1)))  # (i, step[:, :, i])
-        for x, y, p in zip(xs[..., None], ys, predictions):
+        for x, y, z, za, p in zip(xs[:, :na, :, None], ys, zs, zs[:, :na], predictions):
             matmul(freqs, x, out=theta)
             angles += phases
-            cos(angles, out=z)
+            cos(angles, out=za)
             vecdot(w, z, out=p)
             subtract(y, p, out=err)
+            E[...] = e
             # pre-update weights drive the feature gradients: g = (e * w) * sin
-            multiply(multiply(e, w, out=g), sin(angles, out=s), out=g)
+            multiply(multiply(Ea, wa, out=g), sin(angles, out=s), out=g)
             # freqs[:, :, i] -= (lr_freqs * g) * x_i for each coordinate i,
             # built in one buffer so that numpy loops over D, not L
             multiply(g, lr_freqs, out=lg)
@@ -268,7 +344,7 @@ class AdaptiveRffLms(_StreamFilter):
                 multiply(lg, x[:, i], out=column)
             freqs -= step
             phases -= multiply(g, lr_phases, out=lg)
-            w += multiply(multiply(e, lr_weights, out=e), z, out=dw)
+            w += multiply(multiply(E, lr_weights, out=E), z, out=E)
 
 
 class CoherenceKlms(_StreamFilter):
@@ -334,7 +410,7 @@ class CoherenceKlms(_StreamFilter):
         return max(1, min(_BLOCK, _CHUNK // self._centers.size))
 
     def _steps(self, xs, ys, predictions, sizes) -> None:
-        size, threshold, lr = self.model_size, self.coherence_threshold, self.lr_weights
+        size, threshold = self.model_size, self.coherence_threshold
         add, multiply, subtract = np.add.reduce, np.multiply, np.subtract
         # rows over the live columns, the widest run's centers; the +inf
         # padding past them would give exact zeros
@@ -371,10 +447,13 @@ class CoherenceKlms(_StreamFilter):
             ks[j + 1:, admit, slot] = column
             later = peaks[j + 1:]
             later[:, admit] = np.maximum(later[:, admit], column)
-        # e (R, 1) holds the error, then lr * e, and wk w * k, then (lr * e) * k
+        # e (R, 1) holds the error, le lr * e, and wk w * k, then (lr * e) * k;
+        # a 0-d lr gives the Python float's products at a cheaper ufunc call
+        lr = np.array(self.lr_weights)
         e, wk = np.empty((w.shape[0], 1), self.dtype), np.empty_like(w)
-        err = e[:, 0]
+        err, le = e[:, 0], np.empty_like(e)
         for k, y, p in zip(ks, ys, predictions):
             add(multiply(w, k, out=wk), axis=1, out=p)
-            multiply(subtract(y, p, out=err), lr, out=err)
-            w += multiply(e, k, out=wk)
+            subtract(y, p, out=err)
+            multiply(e, lr, out=le)
+            w += multiply(le, k, out=wk)

@@ -33,13 +33,20 @@ worker has taken yet. Besides the batches they run, the workers hold up
 to ``workers + 1`` taken ones in the pool's queue, and these still finish:
 up to ``2 * workers + 1`` batches past those already done. With 2 workers,
 a call of 9 batches whose first one fails runs 5 or 6 of them. Within a
-batch each filter is built once for all of its runs and consumes their
-stacked streams, (R, T, L) inputs and (R, T) targets, in one ``run`` call
-(see ``rfflms.filters``): time is the only sequential axis. On a plant
-that reads ``change_step``, the batch that holds run 0 splits an
-RFF-family filter's call at the change step to record run 0's frequency
-bank there. The EMSE curves are then computed at once from the clean
-targets and the returned predictions.
+batch each filter is built once for all of its runs, and the RFF specs
+of one ``n_features`` D share one engine: ``AdaptiveRffLms.stack`` puts
+their runs in the rows of one filter, adapting specs first, at most
+``max(runs, MAX_FEATURES // D)`` rows an engine. Each engine consumes the
+batch's streams, (R, T, L) inputs and (R, T) targets, in one ``run`` call
+(see ``rfflms.filters``): time is the only sequential axis, and the
+specs of an engine pay its per-step calls once. A spec's rows give the
+bits that it gives alone. The early stop at divergence is per engine, so
+a spec that diverged on every run is stepped on with its engine's other
+specs, which costs time and no bytes. On a plant that reads
+``change_step``, the batch that holds run 0 splits an RFF engine's call
+at the change step to record each spec's run 0 frequency bank there. The
+EMSE curves are then computed from the clean targets and the returned
+predictions, spec by spec.
 
 Divergence policy. A filter's run is usable iff its EMSE curve is finite
 at every step and its mean EMSE over the steady window is at most the
@@ -153,9 +160,37 @@ def build_filter(spec: FilterSpec, input_dim: int, bank_seeds):
     return AdaptiveRffLms(*zip(*banks), spec.lr_weights, spec.lr_freqs, spec.lr_phases)
 
 
+def _frozen(spec: FilterSpec) -> bool:
+    return spec.lr_freqs == 0.0 and spec.lr_phases == 0.0
+
+
+def _engines(filters: tuple[FilterSpec, ...], n_runs: int) -> list[list[FilterSpec]]:
+    """A batch's filter specs, one list per engine, in the order of the
+    engine's rows: each ``coherence-klms`` spec alone, and the RFF specs of
+    one ``n_features`` D, adapting ones first, at most ``max(n_runs,
+    MAX_FEATURES // D)`` rows an engine. Engines come in the order of their
+    first spec in ``filters``."""
+    rff = {}
+    for spec in filters:
+        if spec.kind != "coherence-klms":
+            rff.setdefault(spec.n_features, []).append(spec)
+    engines = [[spec] for spec in filters if spec.kind == "coherence-klms"]
+    for d, specs in rff.items():
+        specs.sort(key=_frozen)  # stable: each kind in config order
+        size = max(n_runs, MAX_FEATURES // d) // n_runs
+        engines += [specs[i:i + size] for i in range(0, len(specs), size)]
+    first = {spec: i for i, spec in enumerate(filters)}
+    return sorted(engines, key=lambda specs: min(map(first.get, specs)))
+
+
 def _run_batch(cfg: ExperimentConfig, runs: range):
     """Monte Carlo runs ``runs``: every configured filter over each run's
-    fresh stream, all runs of the batch in one ``run`` call per filter.
+    fresh stream, all runs of the batch in one ``run`` call per engine.
+
+    Each spec is built by ``build_filter`` over the batch's runs, in config
+    order within its engine. The RFF specs of one D are stacked into one
+    engine (``_engines``, ``AdaptiveRffLms.stack``) whose rows read the
+    same streams; a stack of one spec is its filter itself.
 
     Yields, filter by filter: its label, its (R, T) EMSE and model-size
     curves, the (R,) mask of its usable runs (see the divergence policy in
@@ -169,34 +204,44 @@ def _run_batch(cfg: ExperimentConfig, runs: range):
     # the steady-window EMSE of predicting 0, which a usable run must not exceed
     clean_power = (clean[:, -cfg.steady_window:] ** 2).mean(axis=1)
     bank_seeds = [derive_seed(cfg.seed, r, "bank") for r in runs]
+    n = len(runs)
     take_snapshots = runs[0] == 0
     change_step = cfg.plant.change_step if "change_step" in PLANT_FIELDS[cfg.plant.kind] else None
+    order = {spec: i for i, spec in enumerate(cfg.filters)}
 
-    for spec in cfg.filters:
-        filt = build_filter(spec, inputs.shape[2], bank_seeds)
-        snapshots = None
+    for specs in _engines(cfg.filters, n):
+        built = {spec: build_filter(spec, inputs.shape[2], bank_seeds)
+                 for spec in sorted(specs, key=order.get)}
+        filt = built[specs[0]] if len(specs) == 1 else AdaptiveRffLms.stack(
+            [built[spec] for spec in specs])
+        del built
+        # spec j's runs are the engine's rows [j * n, (j + 1) * n), its run 0 row j * n
+        firsts = range(0, len(specs) * n, n)
+        snapshots = [None] * len(specs)
         if take_snapshots and isinstance(filt, AdaptiveRffLms):
-            snapshots = {"initial": filt.freqs[0].copy()}
-        # the batch of run 0 stops at the change step to record its bank there
-        split = change_step if snapshots is not None else None
+            snapshots = [{"initial": filt.freqs[r].copy()} for r in firsts]
+        # the batch of run 0 stops at the change step to record its banks there
+        split = change_step if snapshots[0] is not None else None
         if split is None:
             preds, sizes = filt.run(inputs, targets)
         else:
             preds, sizes = filt.run(inputs[:, :split], targets[:, :split])
-            if not filt.diverged_at[0] and np.isfinite(filt.freqs[0]).all():
-                snapshots["change"] = filt.freqs[0].copy()
+            for r, snaps in zip(firsts, snapshots):
+                if not filt.diverged_at[r] and np.isfinite(filt.freqs[r]).all():
+                    snaps["change"] = filt.freqs[r].copy()
             tail_preds, tail_sizes = filt.run(inputs[:, split:], targets[:, split:])
             preds = np.concatenate([preds, tail_preds], axis=1)
             sizes = np.concatenate([sizes, tail_sizes], axis=1)
-        with np.errstate(all="ignore"):  # d * d can overflow for a finite prediction
-            emse = clean - preds
-            emse *= emse
-            steady = emse[:, -cfg.steady_window:].mean(axis=1)
+        for spec, r, snaps in zip(specs, firsts, snapshots):
+            with np.errstate(all="ignore"):  # d * d can overflow for a finite prediction
+                emse = clean - preds[r:r + n]
+                emse *= emse
+                steady = emse[:, -cfg.steady_window:].mean(axis=1)
+            usable = np.isfinite(emse).all(axis=1) & (steady <= clean_power)
+            if snaps is not None and usable[0] and np.isfinite(filt.freqs[r]).all():
+                snaps["final"] = filt.freqs[r].copy()
+            yield spec.column, emse, sizes[r:r + n], usable, snaps
         del preds
-        usable = np.isfinite(emse).all(axis=1) & (steady <= clean_power)
-        if snapshots is not None and usable[0] and np.isfinite(filt.freqs[0]).all():
-            snapshots["final"] = filt.freqs[0].copy()
-        yield spec.column, emse, sizes, usable, snapshots
 
 
 def _batch_results(cfg: ExperimentConfig, runs: range) -> list[tuple]:

@@ -711,6 +711,93 @@ def test_coherence_klms_live_columns_where_runs_differ():
         assert np.array_equal(f.centers[r], ref_centers)
 
 
+# per-row step sizes (lr_weights, lr_freqs, lr_phases) over batch_rows("rff"):
+# on the mixed loop two adapting rows lead two frozen ones, and at least
+# one row of each loop diverges
+PER_ROW_RATES = {
+    "frozen": [(0.05, 0.0, 0.0), (0.05, 0.0, 0.0), (0.02, 0.0, 0.0), (0.03, 0.0, 0.0)],
+    "mixed": [(0.05, 0.5, 0.5), (0.05, 0.3, 0.0), (0.02, 0.0, 0.0), (0.05, 0.0, 0.0)],
+}
+
+
+@pytest.mark.parametrize("loop", sorted(PER_ROW_RATES))
+def test_per_row_step_sizes_give_each_row_its_scalar_filters_bits(loop):
+    rows, rates = batch_rows("rff"), PER_ROW_RATES[loop]
+    f = AdaptiveRffLms(*zip(*(bank for _, _, bank in rows)), *zip(*rates))
+    preds, sizes = f.run(np.stack([x for x, _, _ in rows]), np.stack([y for _, y, _ in rows]))
+    assert f.diverged_at.any() and not f.diverged_at.all()
+    for r, ((x, y, bank), rate) in enumerate(zip(rows, rates, strict=True)):
+        alone = AdaptiveRffLms(*zip(bank), *rate)
+        alone_preds, alone_sizes = alone.run(x[None], y[None])
+        assert np.array_equal(preds[r], alone_preds[0], equal_nan=True)
+        assert np.array_equal(sizes[r], alone_sizes[0])
+        assert f.diverged_at[r] == alone.diverged_at[0]
+        if not f.diverged_at[r]:
+            for a, b in zip(row_state(f, r), row_state(alone, 0), strict=True):
+                assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("name", ["lr_weights", "lr_freqs", "lr_phases"])
+def test_per_row_rates_that_float32_cannot_hold_or_miscount_the_rows_are_refused(name):
+    banks = [sample_feature_bank(1.0, 4, 2, seed=s) for s in range(3)]
+    rates = {"lr_weights": 0.1, "lr_freqs": 0.1, "lr_phases": 0.1}
+    for value in (1e39, F32_TINY / 2):
+        with pytest.raises(ValueError, match=fr"{name}\[1\] must be 0 or within float32"):
+            AdaptiveRffLms(*zip(*banks), **{**rates, name: [0.1, value, 0.1]})
+    for values in ([0.1, 0.1], [0.1] * 4):
+        with pytest.raises(ValueError, match=f"{name} must be a scalar or one value per run"):
+            AdaptiveRffLms(*zip(*banks), **{**rates, name: values})
+    held = AdaptiveRffLms(*zip(*banks), **{**rates, name: [F32_TINY, 0.1, F32_MAX]})
+    assert getattr(held, name).tolist() == [F32_TINY, 0.1, F32_MAX]
+
+
+def test_a_frozen_row_before_an_adapting_one_is_refused():
+    banks = [sample_feature_bank(1.0, 4, 2, seed=s) for s in range(3)]
+    for lr_freqs, lr_phases in [([0.0, 0.1, 0.1], 0.0), ([0.1, 0.0, 0.0], [0.1, 0.0, 0.1])]:
+        with pytest.raises(ValueError, match="must follow every other run"):
+            AdaptiveRffLms(*zip(*banks), 0.1, lr_freqs, lr_phases)
+    # adapting rows first, by either feature step size
+    AdaptiveRffLms(*zip(*banks), 0.1, [0.1, 0.0, 0.0], [0.0, 0.1, 0.0])
+
+
+def test_a_stack_gives_each_filter_its_bits_over_their_shared_streams():
+    # two runs each of an adapting, a frozen and a diverging frozen filter
+    rows = batch_rows("rff")
+    banks = [rows[0][2], rows[3][2]]
+    inputs = np.stack([rows[0][0], rows[3][0]])
+    targets = np.stack([rows[0][1], rows[3][1]])
+    makers = [lambda: AdaptiveRffLms(*zip(*banks), 0.05, 0.5, 0.5),
+              lambda: AdaptiveRffLms(*zip(*banks), 0.05, 0.0, 0.0),
+              lambda: AdaptiveRffLms(*zip(*banks), 1.0, 0.0, 0.0)]
+    engine = AdaptiveRffLms.stack([make() for make in makers])
+    assert engine.n_runs == 6 and engine.n_streams == 2
+    preds, sizes = engine.run(inputs, targets)
+    assert engine.diverged_at[4:].all() and not engine.diverged_at[:4].any()
+    for i, make in enumerate(makers):
+        alone = make()
+        alone_preds, alone_sizes = alone.run(inputs, targets)
+        assert np.array_equal(preds[2 * i:2 * i + 2], alone_preds, equal_nan=True)
+        assert np.array_equal(sizes[2 * i:2 * i + 2], alone_sizes)
+        assert np.array_equal(engine.diverged_at[2 * i:2 * i + 2], alone.diverged_at)
+    # the stack takes the filters' two streams, not one per row
+    with pytest.raises(ValueError):
+        engine.run(np.concatenate([inputs] * 3), np.concatenate([targets] * 3))
+
+
+def test_a_stack_needs_fresh_filters_of_one_run_count_with_adapting_ones_first():
+    bank = sample_feature_bank(1.0, 4, 2, seed=0)
+    adapting = AdaptiveRffLms(*zip(bank, bank), 0.1, 0.1, 0.1)
+    frozen = AdaptiveRffLms(*zip(bank, bank), 0.1, 0.0, 0.0)
+    with pytest.raises(ValueError, match="must follow every other run"):
+        AdaptiveRffLms.stack([frozen, adapting])
+    with pytest.raises(ValueError, match="same number of runs"):
+        AdaptiveRffLms.stack([adapting, AdaptiveRffLms(*zip(bank), 0.1, 0.0, 0.0)])
+    stepped = AdaptiveRffLms(*zip(bank, bank), 0.1, 0.0, 0.0)
+    stepped.run(np.zeros((2, 1, 2)), np.zeros((2, 1)))
+    with pytest.raises(ValueError, match="taken no step"):
+        AdaptiveRffLms.stack([adapting, stepped])
+
+
 def test_batched_filters_take_streams_only():
     f = make_filter("rff", [STREAM_BANK, STREAM_BANK])
     inputs, targets = smooth_stream(steps=10)

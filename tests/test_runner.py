@@ -25,6 +25,7 @@ from rfflms.config import (
     preset,
 )
 from oracles import LearningCurve, aggregate_runs
+from rfflms.filters import AdaptiveRffLms
 import rfflms.runner as runner
 from rfflms.runner import (
     ExperimentError,
@@ -372,27 +373,21 @@ def test_a_finite_run_worse_than_predicting_zero_is_a_diverged_run(monkeypatch):
 def test_a_bank_that_breaks_on_a_calls_last_update_has_no_snapshot(monkeypatch, tmp_path):
     # run 0's bank turns NaN on the last update before the regime change, so
     # its filter flags it only at the second call's first prediction
+    # rff and adaptive-rff share one engine, whose rows hold each filter's
+    # runs over the same streams: run 0 of each is every n-th row
     cfg = tiny_nonstationary(max_divergence_fraction=1.0)
-    build = runner.build_filter
+    run = AdaptiveRffLms.run
 
-    def build_breaking(spec, input_dim, bank_seeds):
-        filt = build(spec, input_dim, bank_seeds)
-        if spec.kind == "coherence-klms":
-            return filt
-        run = filt.run
+    def run_breaking(filt, inputs, targets):
+        first = filt.n_steps == 0
+        preds, sizes = run(filt, inputs, targets)
+        if first:
+            run_0 = slice(None, None, len(inputs))
+            filt.freqs[run_0] = np.nan
+            assert not filt.diverged_at[run_0].any()
+        return preds, sizes
 
-        def run_breaking(inputs, targets):
-            first = filt.n_steps == 0
-            preds, sizes = run(inputs, targets)
-            if first:
-                filt.freqs[0] = np.nan
-                assert filt.diverged_at[0] == 0
-            return preds, sizes
-
-        filt.run = run_breaking
-        return filt
-
-    monkeypatch.setattr(runner, "build_filter", build_breaking)
+    monkeypatch.setattr(AdaptiveRffLms, "run", run_breaking)
     art = run_experiment(cfg)
     assert art.diverged == {"coherence-klms": [], "rff": [0], "adaptive-rff": [0]}
     export_artifacts(art, tmp_path)
@@ -562,6 +557,73 @@ def record_builds(monkeypatch) -> list:
 
     monkeypatch.setattr(runner, "build_filter", recording_build)
     return built
+
+
+# two engines: D 48 stacks two adaptive-rff at different rates ahead of two
+# rff, one of which diverges on every run, and D 32 holds one rff
+FUSED_FILTERS = (
+    FilterSpec(kind="rff", lr_weights=0.01, n_features=48, bandwidth=0.95),
+    FilterSpec(kind="adaptive-rff", lr_weights=0.005, lr_freqs=0.05, lr_phases=0.05,
+               n_features=48, bandwidth=0.95),
+    FilterSpec(kind="rff", label="rff-32", lr_weights=0.01, n_features=32, bandwidth=0.95),
+    FilterSpec(kind="rff", label="explodes", lr_weights=1.0, n_features=48, bandwidth=0.95),
+    FilterSpec(kind="adaptive-rff", label="adaptive-rff-slow", lr_weights=0.003,
+               lr_freqs=0.2, lr_phases=0.1, n_features=48, bandwidth=0.95),
+)
+
+
+def batch_bytes(cfg, runs) -> dict:
+    """Each filter's ``_run_batch`` output over ``runs``, as bytes."""
+    return {lab: (emse.tobytes(), sizes.tobytes(), usable.tobytes(),
+                  snaps and {stage: freqs.tobytes() for stage, freqs in snaps.items()})
+            for lab, emse, sizes, usable, snaps in _run_batch(cfg, runs)}
+
+
+def artifact_bytes(art, lab) -> tuple:
+    return (art.emse[lab].tobytes(), art.model_size[lab].tobytes(), art.diverged[lab],
+            {stage: freqs.tobytes() for stage, freqs in art.snapshots[lab].items()})
+
+
+@pytest.mark.parametrize("make_cfg", [tiny_config, tiny_nonstationary])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_stacked_specs_get_the_bytes_each_gets_alone(make_cfg, workers, tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool even on one core
+    cfg = make_cfg(name="fused", filters=FUSED_FILTERS, runs=4, max_divergence_fraction=1.0)
+    assert [[f.column for f in engine] for engine in runner._engines(cfg.filters, 4)] == [
+        ["adaptive-rff", "adaptive-rff-slow", "rff", "explodes"], ["rff-32"]]
+    # the batches that this worker count runs: the nonstationary one that
+    # holds run 0 splits its call at the change step
+    [batches] = runner._plan_batches([cfg], workers)[1]
+    assert len(batches) == workers
+    for runs in batches:
+        fused = batch_bytes(cfg, runs)
+        for spec in cfg.filters:
+            [alone] = batch_bytes(dataclasses.replace(cfg, filters=(spec,)), runs).values()
+            assert fused[spec.column] == alone, (runs, spec.column)
+    art = run_experiment(cfg, workers=workers)
+    assert art.diverged == {f.column: [0, 1, 2, 3] if f.column == "explodes" else []
+                            for f in cfg.filters}
+    for spec in cfg.filters:
+        if spec.column != "explodes":
+            alone = run_experiment(dataclasses.replace(cfg, filters=(spec,)), workers=workers)
+            assert artifact_bytes(art, spec.column) == artifact_bytes(alone, spec.column)
+    export_artifacts(art, tmp_path / "fused")
+    export_artifacts(run_experiment(cfg, workers=3 - workers), tmp_path / "other")
+    assert_same_files(tmp_path / "fused", tmp_path / "other")
+
+
+def test_an_engine_holds_at_most_max_features_over_d_rows_or_a_batchs_runs(monkeypatch):
+    specs = [FilterSpec(kind="rff", label=f"rff-{i}", lr_weights=0.01, n_features=48,
+                        bandwidth=0.95) for i in range(5)]
+    monkeypatch.setattr(runner, "MAX_FEATURES", 48 * 6)
+    assert [len(engine) for engine in runner._engines(tuple(specs), 2)] == [3, 2]
+    assert [len(engine) for engine in runner._engines(tuple(specs), 4)] == [1] * 5
+    assert [len(engine) for engine in runner._engines(tuple(specs), 8)] == [1] * 5
+    # the capped engines give the bytes of one engine
+    cfg = tiny_config(filters=tuple(specs))
+    capped = batch_bytes(cfg, range(3))
+    monkeypatch.setattr(runner, "MAX_FEATURES", MAX_FEATURES)
+    assert batch_bytes(cfg, range(3)) == capped
 
 
 def test_an_n_features_sweep_builds_coherence_klms_for_its_first_config_only(monkeypatch):
