@@ -17,12 +17,13 @@ whose shapes it checks once, ``CoherenceKlms`` from ``n_runs``.
 per run, so runs of different specs can share a filter: a run whose two
 feature step sizes are both 0 is frozen, and the adapting runs come
 first. ``AdaptiveRffLms.stack`` joins filters of one D into one whose runs
-read the filters' shared streams. Every computation is per run, so a
-run's results are bit-for-bit the same whichever runs share its batch.
+read the filters' shared streams: its ``run`` takes one filter's streams.
+Every computation is per run, so a run's results are bit-for-bit the same
+whichever runs share its batch.
 
 Both classes step through streams with one method, ``run(inputs,
 targets)``. It takes one stream per run, inputs (R, T, L) and targets
-(R, T) (a stack takes the R streams of each of its filters), and returns ``(predictions, model_sizes)`` as (R, T) arrays: the
+(R, T), and returns ``(predictions, model_sizes)`` as (R, T) arrays: the
 pre-update prediction of every step and the model size after it. The
 stream is checked for shape and finiteness once per call, not once per
 step. The state carries over between calls, so running a stream in
@@ -56,7 +57,7 @@ phases. Within one step every right-hand side uses the pre-update state
 or phase updates.
 
 Buffers. A step works on arrays of a few dozen to a few hundred entries,
-so its cost is the per-call overhead of its 5 to 20 numpy operations,
+so its cost is the per-call overhead of its 6 to 20 numpy operations,
 whatever the number of runs, and allocating a fresh result is a large
 part of that. The loop over a time block therefore allocates its working
 arrays (angles, features, error, gradient, updates) once, and every
@@ -169,6 +170,8 @@ class _StreamFilter:
     def step(self, x, y) -> tuple[float, int]:
         """``run`` over the one-sample stream (x, y) of a single-run filter:
         the prediction and the model size, as scalars."""
+        if self.n_runs != 1:  # a stack of single-run filters reads one stream
+            raise ValueError(f"step needs a filter of one run, got {self.n_runs} runs")
         predictions, sizes = self.run(np.asarray(x)[None, None], [[y]])
         return float(predictions[0, 0]), int(sizes[0, 0])
 

@@ -796,6 +796,12 @@ def test_a_stack_needs_fresh_filters_of_one_run_count_with_adapting_ones_first()
     stepped.run(np.zeros((2, 1, 2)), np.zeros((2, 1)))
     with pytest.raises(ValueError, match="taken no step"):
         AdaptiveRffLms.stack([adapting, stepped])
+    # a stack of single-run filters reads one stream, but holds two runs
+    pair = AdaptiveRffLms.stack([AdaptiveRffLms(*zip(bank), 0.1, 0.1, 0.1),
+                                 AdaptiveRffLms(*zip(bank), 0.1, 0.0, 0.0)])
+    with pytest.raises(ValueError, match="one run"):
+        pair.step(np.zeros(2), 0.0)
+    assert pair.n_steps == 0
 
 
 def test_batched_filters_take_streams_only():
