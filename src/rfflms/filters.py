@@ -145,9 +145,9 @@ class _StreamFilter:
         self.diverged_at = np.zeros(self.n_runs, dtype=int)
 
     def _check_stream(self, inputs, targets) -> tuple[np.ndarray, np.ndarray]:
-        """The stream as time-major contiguous (T, R, L) inputs and (T, R)
-        targets of the filter's dtype, each value finite in it; run r reads
-        stream r modulo ``n_streams``."""
+        """The stream as time-major contiguous (T, S, L) inputs and (T, S)
+        targets of the filter's dtype, S = ``n_streams``, each value finite
+        in it."""
         inputs = np.asarray(inputs, dtype=float)
         targets = np.asarray(targets, dtype=float)
         n_streams = self.n_streams
@@ -163,8 +163,6 @@ class _StreamFilter:
         if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
             raise ValueError(f"stream (inputs, targets) must be finite in {dtype}, whose "
                              f"range is +-{np.finfo(dtype).max:.4g}")
-        if (reps := self.n_runs // n_streams) > 1:  # the cast copy, not the float64 stream
-            xs, ys = np.tile(xs, (1, reps, 1)), np.tile(ys, (1, reps))
         return xs, ys
 
     def step(self, x, y) -> tuple[float, int]:
@@ -178,15 +176,17 @@ class _StreamFilter:
     @np.errstate(all="ignore")
     def run(self, inputs, targets) -> tuple[np.ndarray, np.ndarray]:
         xs, ys = self._check_stream(inputs, targets)
-        horizon, n_runs = ys.shape
+        horizon, n_runs = len(ys), self.n_runs
         base = self.n_steps
-        predictions = np.empty((horizon, n_runs), dtype=xs.dtype)
+        # time-major float64 outputs; a block steps into a buffer of the dtype
+        predictions = np.empty((horizon, n_runs))
         sizes = np.empty((horizon, n_runs), dtype=int)
         start, done = 0, self.diverged_at.all()
         while start < horizon and not done:
             stop = min(horizon, start + self._block_length())
-            block = predictions[start:stop]
+            block = np.empty((stop - start, n_runs), xs.dtype)
             self._steps(xs[start:stop], ys[start:stop], block, sizes[start:stop])
+            predictions[start:stop] = block
             if not np.isfinite(block).all():
                 bad = ~np.isfinite(block)
                 if (new := bad.any(axis=0) & (self.diverged_at == 0)).any():
@@ -194,13 +194,14 @@ class _StreamFilter:
                     self.diverged_at[new] = base + start + 1 + np.argmax(bad[:, new], axis=0)
                     done = self.diverged_at.all()
             start = stop
+        del xs, ys  # the cast stream, before the outputs are masked
         self.n_steps = base + horizon
         if self.diverged_at.any():
             gone = (self.diverged_at > 0) & (np.arange(base + 1, base + horizon + 1)[:, None]
                                              >= self.diverged_at)
             predictions[gone] = np.nan
             sizes[gone] = 0
-        return predictions.T.astype(float, copy=False), sizes.T
+        return predictions.T, sizes.T
 
 
 class AdaptiveRffLms(_StreamFilter):
@@ -293,6 +294,8 @@ class AdaptiveRffLms(_StreamFilter):
     def _steps(self, xs, ys, predictions, sizes) -> None:
         w, freqs, phases = self.weights, self.freqs, self.phases
         na, n_features = self._n_adapting, w.shape[1]
+        if (reps := len(w) // xs.shape[1]) > 1:  # a stack's runs, the block's streams repeated
+            xs, ys = np.tile(xs, (1, reps, 1)), np.tile(ys, (1, reps))
 
         def leading_rows(rate, n):
             # the step size of the first n runs as an (n, D) float32 array:

@@ -160,10 +160,6 @@ def build_filter(spec: FilterSpec, input_dim: int, bank_seeds):
     return AdaptiveRffLms(*zip(*banks), spec.lr_weights, spec.lr_freqs, spec.lr_phases)
 
 
-def _frozen(spec: FilterSpec) -> bool:
-    return spec.lr_freqs == 0.0 and spec.lr_phases == 0.0
-
-
 def _engines(filters: tuple[FilterSpec, ...], n_runs: int) -> list[list[FilterSpec]]:
     """A batch's filter specs, one list per engine, in the order of the
     engine's rows: each ``coherence-klms`` spec alone, and the RFF specs of
@@ -176,7 +172,8 @@ def _engines(filters: tuple[FilterSpec, ...], n_runs: int) -> list[list[FilterSp
             rff.setdefault(spec.n_features, []).append(spec)
     engines = [[spec] for spec in filters if spec.kind == "coherence-klms"]
     for d, specs in rff.items():
-        specs.sort(key=_frozen)  # stable: each kind in config order
+        # frozen specs last; the sort is stable, so each kind keeps config order
+        specs.sort(key=lambda spec: spec.lr_freqs == 0.0 and spec.lr_phases == 0.0)
         size = max(n_runs, MAX_FEATURES // d) // n_runs
         engines += [specs[i:i + size] for i in range(0, len(specs), size)]
     first = {spec: i for i, spec in enumerate(filters)}
@@ -225,23 +222,25 @@ def _run_batch(cfg: ExperimentConfig, runs: range):
         if split is None:
             preds, sizes = filt.run(inputs, targets)
         else:
-            preds, sizes = filt.run(inputs[:, :split], targets[:, :split])
+            # time-major, as run returns them
+            preds = np.empty((cfg.horizon, len(filt.weights))).T
+            sizes = np.empty(preds.shape[::-1], dtype=int).T
+            preds[:, :split], sizes[:, :split] = filt.run(inputs[:, :split], targets[:, :split])
             for r, snaps in zip(firsts, snapshots):
                 if not filt.diverged_at[r] and np.isfinite(filt.freqs[r]).all():
                     snaps["change"] = filt.freqs[r].copy()
-            tail_preds, tail_sizes = filt.run(inputs[:, split:], targets[:, split:])
-            preds = np.concatenate([preds, tail_preds], axis=1)
-            sizes = np.concatenate([sizes, tail_sizes], axis=1)
+            preds[:, split:], sizes[:, split:] = filt.run(inputs[:, split:], targets[:, split:])
         for spec, r, snaps in zip(specs, firsts, snapshots):
+            emse = preds[r:r + n]  # each spec's EMSE overwrites its predictions
             with np.errstate(all="ignore"):  # d * d can overflow for a finite prediction
-                emse = clean - preds[r:r + n]
+                np.subtract(clean, emse, out=emse)
                 emse *= emse
                 steady = emse[:, -cfg.steady_window:].mean(axis=1)
             usable = np.isfinite(emse).all(axis=1) & (steady <= clean_power)
             if snaps is not None and usable[0] and np.isfinite(filt.freqs[r]).all():
                 snaps["final"] = filt.freqs[r].copy()
             yield spec.column, emse, sizes[r:r + n], usable, snaps
-        del preds
+        del preds, sizes, emse  # before the next engine's outputs
 
 
 def _batch_results(cfg: ExperimentConfig, runs: range) -> list[tuple]:
