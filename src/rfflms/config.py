@@ -53,9 +53,8 @@ MAX_RUNS = 10**6
 # first batch: generating a run's stream peaks at about 57 bytes a step
 # above the interpreter (260 MiB in all at 2**22 steps, of which the
 # returned stream holds 32 bytes a step), and an RFF run at about 290
-# bytes a feature for rff and 320 for adaptive-rff (its bank as sampled, its
-# state, its step buffers and a time block's (64, D) cosines, which hold the
-# adapting runs' too: 676 MiB peak RSS for one adaptive-rff run at 2**21)
+# bytes a feature for rff, whose time blocks hold their (64, D) cosines,
+# and 180 for adaptive-rff: 612 and 389 MiB peak RSS for one run at 2**21
 MAX_HORIZON = 2**22
 MAX_FEATURES = 2**21
 

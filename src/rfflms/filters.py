@@ -23,14 +23,14 @@ whichever runs share its batch.
 
 Both classes step through streams with one method, ``run(inputs,
 targets)``. It takes one stream per run, inputs (R, T, L) and targets
-(R, T), and returns ``(predictions, model_sizes)`` as (R, T) arrays: the
-pre-update prediction of every step and the model size after it. The
-stream is checked for shape and finiteness once per call, not once per
-step. The state carries over between calls, so running a stream in
-pieces gives bit-for-bit what one call over the whole stream gives.
-``step(x, y)`` is the online form for a filter of one run: ``run`` over a
-stream of length 1, returning its two outputs as scalars, ``(prediction,
-model_size)``.
+(R, T), checks it for shape and finiteness once per call, and returns
+the (R, T) float64 pre-update predictions. The state carries over
+between calls, so running a stream in pieces gives bit-for-bit what one
+call over the whole stream gives. ``step(x, y)``, for a filter of one
+run, is ``run`` over a stream of length 1 and returns the prediction as
+a float. Model size is state, not output: ``model_size`` holds each
+run's size, D for an RFF run, and ``CoherenceKlms.admitted_at`` each
+center's admission step, from which its size after any step is counted.
 
 Divergence. A run diverges at its first step whose prediction is not
 finite; steps are global and 1-based, counted over every step the filter
@@ -47,9 +47,9 @@ goes to ``diverged_at`` (0 for a live run) and it is stepped on with the
 other runs, whose bits it cannot touch, until every run of the batch has
 diverged; the call then takes no further step. Its state after that step
 is not defined. At the end of the call its predictions from that step on
-are set to NaN and its model sizes to 0. ``diverged_at`` is the only
-report of divergence: neither ``run`` nor ``step`` raises for it, and
-overflow on the way there raises no numpy warning.
+are set to NaN. ``diverged_at`` is the only report of divergence: neither
+``run`` nor ``step`` raises for it, and overflow on the way there raises
+no numpy warning.
 
 ``AdaptiveRffLms`` additionally descends on the feature frequencies and
 phases. Within one step every right-hand side uses the pre-update state
@@ -63,15 +63,15 @@ part of that. The loop over a time block therefore allocates its working
 arrays (angles, features, error, gradient, updates) once, and every
 per-step operation writes into one of them with ``out=``. An
 ``AdaptiveRffLms`` block computes its frozen runs' cosines at once, in a
-(steps, R, D) buffer whose adapting rows each step fills with its own
-cosines. Each step then makes one call over all runs for each of the
-prediction (``vecdot``), the error, one broadcast of the error to (R, D)
-and the weight update, and the adapting runs' calls over their leading
-rows. The step sizes are (R, D) float32 arrays, built once per block, so
-no per-step call takes a scalar, and no call broadcasts the (R, 1) error
-but that one. ``CoherenceKlms`` doubles its capacity before a block, never
-inside one. The operations and their order are those of the plain
-expressions, so the bits are too.
+(steps, R, D) buffer whose adapting rows each step fills; with no frozen
+run, each step refills one (R, D) buffer. Each step makes one call over
+all runs for each of the prediction (``vecdot``), the error, one
+broadcast of the error to (R, D) and the weight update, and the adapting
+runs' calls over their leading rows. The step sizes are (R, D) float32
+arrays, built once per block, so no per-step call takes a scalar, and no
+call broadcasts the (R, 1) error but that one. ``CoherenceKlms`` doubles
+its capacity before a block, never inside one. The operations and their
+order are those of the plain expressions, so the bits are too.
 
 Precision. ``AdaptiveRffLms`` computes in float32: its ``freqs``,
 ``phases`` and ``weights``, every buffer of its time loop and its copy of
@@ -165,27 +165,25 @@ class _StreamFilter:
                              f"range is +-{np.finfo(dtype).max:.4g}")
         return xs, ys
 
-    def step(self, x, y) -> tuple[float, int]:
-        """``run`` over the one-sample stream (x, y) of a single-run filter:
-        the prediction and the model size, as scalars."""
+    def step(self, x, y) -> float:
+        """``run`` over the one-sample stream (x, y) of a single-run filter."""
         if self.n_runs != 1:  # a stack of single-run filters reads one stream
             raise ValueError(f"step needs a filter of one run, got {self.n_runs} runs")
-        predictions, sizes = self.run(np.asarray(x)[None, None], [[y]])
-        return float(predictions[0, 0]), int(sizes[0, 0])
+        return float(self.run(np.asarray(x)[None, None], [[y]])[0, 0])
 
     @np.errstate(all="ignore")
-    def run(self, inputs, targets) -> tuple[np.ndarray, np.ndarray]:
+    def run(self, inputs, targets) -> np.ndarray:
         xs, ys = self._check_stream(inputs, targets)
         horizon, n_runs = len(ys), self.n_runs
         base = self.n_steps
-        # time-major float64 outputs; a block steps into a buffer of the dtype
+        # time-major float64 predictions; a block steps into a buffer of the dtype
         predictions = np.empty((horizon, n_runs))
-        sizes = np.empty((horizon, n_runs), dtype=int)
         start, done = 0, self.diverged_at.all()
         while start < horizon and not done:
             stop = min(horizon, start + self._block_length())
             block = np.empty((stop - start, n_runs), xs.dtype)
-            self._steps(xs[start:stop], ys[start:stop], block, sizes[start:stop])
+            self.n_steps = base + start  # the steps before the block's first
+            self._steps(xs[start:stop], ys[start:stop], block)
             predictions[start:stop] = block
             if not np.isfinite(block).all():
                 bad = ~np.isfinite(block)
@@ -194,14 +192,13 @@ class _StreamFilter:
                     self.diverged_at[new] = base + start + 1 + np.argmax(bad[:, new], axis=0)
                     done = self.diverged_at.all()
             start = stop
-        del xs, ys  # the cast stream, before the outputs are masked
+        del xs, ys  # the cast stream, before the predictions are masked
         self.n_steps = base + horizon
         if self.diverged_at.any():
             gone = (self.diverged_at > 0) & (np.arange(base + 1, base + horizon + 1)[:, None]
                                              >= self.diverged_at)
             predictions[gone] = np.nan
-            sizes[gone] = 0
-        return predictions.T, sizes.T
+        return predictions.T
 
 
 class AdaptiveRffLms(_StreamFilter):
@@ -291,7 +288,7 @@ class AdaptiveRffLms(_StreamFilter):
     def _block_length(self) -> int:
         return max(_MIN_CHUNK, _CHUNK // self.weights.size)
 
-    def _steps(self, xs, ys, predictions, sizes) -> None:
+    def _steps(self, xs, ys, predictions) -> None:
         w, freqs, phases = self.weights, self.freqs, self.phases
         na, n_features = self._n_adapting, w.shape[1]
         if (reps := len(w) // xs.shape[1]) > 1:  # a stack's runs, the block's streams repeated
@@ -306,19 +303,22 @@ class AdaptiveRffLms(_StreamFilter):
         lr_weights = leading_rows(self.lr_weights, len(w))
         cos, sin, matmul, vecdot = np.cos, np.sin, np.matmul, np.vecdot
         multiply, subtract = np.multiply, np.subtract
-        sizes[:] = self.model_size
         # err (R,) holds the error and e its (R, 1) column; E holds e broadcast
         # to (R, D), then lr_weights * e and the weight update (lr_weights * e) * z
         err, E = np.empty(len(w), w.dtype), np.empty_like(w)
         e = err[:, None]
-        # the block's cosines: the frozen runs' at once, in place in their
-        # stacked matvec, which gives each (step, run) the bits of freqs @ x
-        zs = np.empty((len(xs), *w.shape, 1), w.dtype)
-        frozen = zs[:, na:]
-        matmul(freqs[na:], xs[:, na:, :, None], out=frozen)
-        frozen += phases[na:, :, None]
-        cos(frozen, out=frozen)
-        zs = zs[..., 0]
+        if na == len(w):  # no frozen run: one (R, D) buffer, a zero stride over the steps
+            z = np.empty_like(w)
+            zs = np.lib.stride_tricks.as_strided(z, (len(xs), *w.shape), (0, *z.strides))
+        else:
+            # the block's cosines: the frozen runs' at once, in place in their
+            # stacked matvec, which gives each (step, run) the bits of freqs @ x
+            zs = np.empty((len(xs), *w.shape, 1), w.dtype)
+            frozen = zs[:, na:]
+            matmul(freqs[na:], xs[:, na:, :, None], out=frozen)
+            frozen += phases[na:, :, None]
+            cos(frozen, out=frozen)
+            zs = zs[..., 0]
         if not na:
             for z, y, p in zip(zs, ys, predictions):
                 vecdot(w, z, out=p)
@@ -382,7 +382,8 @@ class CoherenceKlms(_StreamFilter):
     power-of-two length adds the padding in whole blocks of zeros, so a
     run's prediction is the same bits whatever capacity its batch needs.
     ``model_size`` holds each run's dictionary size, and ``weights`` and
-    ``centers`` the active parts as lists of per-run arrays.
+    ``centers`` the active parts as lists of per-run arrays; ``admitted_at``,
+    zero-padded like the weights, each center's global 1-based admission step.
     """
 
     dtype = np.dtype(np.float64)
@@ -399,6 +400,7 @@ class CoherenceKlms(_StreamFilter):
         self.input_dim = input_dim
         self._centers = np.full((n_runs, input_dim, 16), np.inf, self.dtype)
         self._weights = np.zeros((n_runs, 16), self.dtype)
+        self.admitted_at = np.zeros((n_runs, 16), dtype=int)
         self._start_runs(np.zeros(n_runs, dtype=int))
 
     def _active(self, buffer: np.ndarray) -> list[np.ndarray]:
@@ -415,7 +417,7 @@ class CoherenceKlms(_StreamFilter):
     def _block_length(self) -> int:
         return max(1, min(_BLOCK, _CHUNK // self._centers.size))
 
-    def _steps(self, xs, ys, predictions, sizes) -> None:
+    def _steps(self, xs, ys, predictions) -> None:
         size, threshold = self.model_size, self.coherence_threshold
         add, multiply, subtract = np.add.reduce, np.multiply, np.subtract
         # rows over the live columns, the widest run's centers; the +inf
@@ -432,12 +434,12 @@ class CoherenceKlms(_StreamFilter):
         if admitting and (need := int((size + novel.sum(axis=0)).max())) > cap:
             pad = (1 << (need - 1).bit_length()) - cap
             self._weights = np.pad(self._weights, ((0, 0), (0, pad)))
+            self.admitted_at = np.pad(self.admitted_at, ((0, 0), (0, pad)))
             self._centers = np.pad(self._centers, ((0, 0), (0, 0), (0, pad)),
                                    constant_values=np.inf)
         w, centers = self._weights, self._centers
         ks = np.zeros((*peaks.shape, w.shape[1]), self.dtype)
         ks[..., :live] = rows
-        sizes[:] = size
         # admissions first: they read the inputs and the dictionary, never a weight
         for j in admitting:
             if not (admit := np.flatnonzero(~(peaks[j] > threshold))).size:
@@ -446,8 +448,8 @@ class CoherenceKlms(_StreamFilter):
             x = xs[j, admit]
             centers[admit, :, slot] = x
             ks[j, admit, slot] = 1.0
+            self.admitted_at[admit, slot] = self.n_steps + j + 1
             size[admit] += 1
-            sizes[j:] = size
             # the new center's column for the block's later steps
             column = kernel_rows(x[:, :, None], xs[j + 1:, admit], self.bandwidth)[..., 0]
             ks[j + 1:, admit, slot] = column

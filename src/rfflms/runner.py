@@ -189,10 +189,11 @@ def _run_batch(cfg: ExperimentConfig, runs: range):
     engine (``_engines``, ``AdaptiveRffLms.stack``) whose rows read the
     same streams; a stack of one spec is its filter itself.
 
-    Yields, filter by filter: its label, its (R, T) EMSE and model-size
-    curves, the (R,) mask of its usable runs (see the divergence policy in
-    the module docstring) and run 0's bank snapshots (None unless the
-    batch holds run 0 and the filter has a bank).
+    Yields, filter by filter: its label, its (R, T) EMSE curves, the (T,)
+    integer sum of its usable runs' model sizes (D, or the count of centers
+    admitted up to each step), the (R,) mask of those runs (see the
+    divergence policy in the module docstring) and run 0's bank snapshots
+    (None unless the batch holds run 0 and the filter has a bank).
     """
     streams = [make_stream(cfg, derive_seed(cfg.seed, r, "stream")) for r in runs]
     # (R, T, ...) views of time-major arrays, which run() steps through without copying
@@ -220,16 +221,14 @@ def _run_batch(cfg: ExperimentConfig, runs: range):
         # the batch of run 0 stops at the change step to record its banks there
         split = change_step if snapshots[0] is not None else None
         if split is None:
-            preds, sizes = filt.run(inputs, targets)
+            preds = filt.run(inputs, targets)
         else:
-            # time-major, as run returns them
-            preds = np.empty((cfg.horizon, len(filt.weights))).T
-            sizes = np.empty(preds.shape[::-1], dtype=int).T
-            preds[:, :split], sizes[:, :split] = filt.run(inputs[:, :split], targets[:, :split])
+            preds = np.empty((cfg.horizon, len(filt.weights))).T  # time-major, as run returns it
+            preds[:, :split] = filt.run(inputs[:, :split], targets[:, :split])
             for r, snaps in zip(firsts, snapshots):
                 if not filt.diverged_at[r] and np.isfinite(filt.freqs[r]).all():
                     snaps["change"] = filt.freqs[r].copy()
-            preds[:, split:], sizes[:, split:] = filt.run(inputs[:, split:], targets[:, split:])
+            preds[:, split:] = filt.run(inputs[:, split:], targets[:, split:])
         for spec, r, snaps in zip(specs, firsts, snapshots):
             emse = preds[r:r + n]  # each spec's EMSE overwrites its predictions
             with np.errstate(all="ignore"):  # d * d can overflow for a finite prediction
@@ -239,8 +238,13 @@ def _run_batch(cfg: ExperimentConfig, runs: range):
             usable = np.isfinite(emse).all(axis=1) & (steady <= clean_power)
             if snaps is not None and usable[0] and np.isfinite(filt.freqs[r]).all():
                 snaps["final"] = filt.freqs[r].copy()
-            yield spec.column, emse, sizes[r:r + n], usable, snaps
-        del preds, sizes, emse  # before the next engine's outputs
+            if isinstance(filt, CoherenceKlms):  # one spec, rows [0, n)
+                admitted = filt.admitted_at[usable].ravel()
+                size_sum = np.bincount(admitted, minlength=cfg.horizon + 1)[1:].cumsum()
+            else:
+                size_sum = np.full(cfg.horizon, spec.n_features * usable.sum())
+            yield spec.column, emse, size_sum, usable, snaps
+        del preds, emse  # before the next engine's predictions
 
 
 def _batch_results(cfg: ExperimentConfig, runs: range) -> list[tuple]:
@@ -284,19 +288,18 @@ def _aggregate(cfg: ExperimentConfig, batches: list[range], results, units: dict
     unusable runs and run 0's snapshots, all (T,) or smaller. ``results``
     yields a ``_run_batch`` result per batch for the config's other filters,
     whose reductions join ``units``, and may go on past the last batch:
-    ``zip`` stops at ``batches`` without drawing from it.
+    ``zip`` stops at ``batches`` without drawing from it. EMSE curves join
+    their sum run by run; a batch's size sum, exact integers, at once.
     """
     keys = {f.column: _unit(cfg, f) for f in cfg.filters}
     for runs, per_filter in zip(batches, results):
         for lab, emse, sizes, usable, snaps in per_filter:
             emse_sum, size_sum, unusable, unit_snaps = units.setdefault(
                 keys[lab], (np.zeros(cfg.horizon), np.zeros(cfg.horizon), [], {}))
-            for i, run_index in enumerate(runs):
-                if usable[i]:
-                    emse_sum += emse[i]
-                    size_sum += sizes[i]
-                else:
-                    unusable.append(run_index)
+            size_sum += sizes
+            for i in np.flatnonzero(usable):
+                emse_sum += emse[i]
+            unusable += [r for r, ok in zip(runs, usable) if not ok]
             if snaps is not None:
                 unit_snaps.update(snaps)
 
@@ -327,11 +330,8 @@ def run_experiments(cfgs: list[ExperimentConfig], workers: int = 1) -> Iterator[
     in config order, as soon as its last batch is reduced.
 
     Every config is validated, and their runs must sum to at most
-    ``MAX_RUNS``, before the first batch runs. Each filter unit (a
-    ``FilterSpec`` with the config's plant, horizon, seed, runs and steady
-    window) is computed once per call, by the first config that has it: a
-    config's batches run only its filters with a new unit, and a config
-    with none runs no batch. Each config still applies its own
+    ``MAX_RUNS``, before the first batch runs. Each filter unit is
+    computed once per call, and each config applies its own
     ``max_divergence_fraction``. The batches are planned and executed as
     the module docstring says: with ``workers`` > 1 they share one process
     pool, so later configs run while earlier ones are reduced and
@@ -339,9 +339,8 @@ def run_experiments(cfgs: list[ExperimentConfig], workers: int = 1) -> Iterator[
     whatever the batching, so the artifacts are byte-reproducible under
     each config's root seed and equal those of the config run alone. An
     ``ExperimentError`` ends the call, after the artifacts of the configs
-    before it. The pool then cancels every batch that no worker has taken
-    and finishes the taken ones, as it does when the caller closes the
-    generator early (see the module docstring).
+    before it, as closing the generator early does (see the module
+    docstring for the batches that still finish).
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")

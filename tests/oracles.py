@@ -160,6 +160,23 @@ def klms_reference(bandwidth: float, threshold: float, lr_weights: float,
     return np.array(predictions), np.array(sizes), weights, np.array(centers)
 
 
+def size_curves(filt) -> np.ndarray:
+    """Each run's model size after each step the filter has taken, as (R,
+    ``n_steps``) floats rebuilt from its state: an RFF run's ``model_size``
+    throughout, and a ``CoherenceKlms`` run's count of centers admitted up
+    to the step (``admitted_at``). From a run's ``diverged_at`` on, where
+    its state is not defined, its curve reads NaN, as its predictions do."""
+    steps = np.arange(1, filt.n_steps + 1)
+    if isinstance(filt, CoherenceKlms):
+        admitted = filt.admitted_at[:, None, :]
+        sizes = ((admitted > 0) & (admitted <= steps[:, None])).sum(axis=2).astype(float)
+    else:
+        sizes = np.repeat(filt.model_size[:, None].astype(float), len(steps), axis=1)
+    diverged_at = filt.diverged_at[:, None]
+    sizes[(diverged_at > 0) & (steps >= diverged_at)] = np.nan
+    return sizes
+
+
 def predict(filt, x, run: int = 0) -> float:
     """Run ``run``'s prediction at x from the filter's public state, without
     stepping it: the weights against the cosine features, or against the

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import kernel_eval, klms_reference, loss, predict, rff_reference
+from oracles import kernel_eval, klms_reference, loss, predict, rff_reference, size_curves
 from rfflms import filters
 from rfflms.config import preset
 from rfflms.features import sample_feature_bank
@@ -47,14 +48,15 @@ def random_state(seed, n_features=8, input_dim=2):
 def test_zero_weights_predict_zero():
     bank = sample_feature_bank(1.0, 6, 2, seed=1)
     f = AdaptiveRffLms(*zip(bank), 0.01, 0.01, 0.01)
-    assert f.step(np.array([0.7, -2.0]), 1.0) == (0.0, 6)
+    assert f.step(np.array([0.7, -2.0]), 1.0) == 0.0
+    assert size_curves(f).tolist() == [[6]]
 
 
 def test_predict_is_a_dot_product():
     # 2 * cos(acos(0.5)) in float32, the phase rounded to float32 first
     f = AdaptiveRffLms(*zip(scalar_bank(freq=0.0, phase=math.acos(0.5))), 0.1, 0.0, 0.0)
     f.weights[:] = 2.0
-    assert f.step(np.array([123.0]), 0.0)[0] == F32(2.0) * np.cos(F32(math.acos(0.5)))
+    assert f.step(np.array([123.0]), 0.0) == F32(2.0) * np.cos(F32(math.acos(0.5)))
 
 
 def float64_state(f):
@@ -76,13 +78,13 @@ def test_prediction_invariant_under_phase_wrap():
     wrapped64.phases[0, 3] += 2.0 * math.pi
     assert math.isclose(predict(wrapped64, x), predict(state, x), rel_tol=0, abs_tol=1e-12)
     expected = predict(wrapped, x)  # before the step updates the state
-    assert wrapped.step(x, 0.0)[0] == expected
+    assert wrapped.step(x, 0.0) == expected
 
 
 def test_one_step_hand_oracle():
     f = AdaptiveRffLms(*zip(scalar_bank()), lr_weights=0.1, lr_freqs=1.0, lr_phases=1.0)
-    prediction, size = f.step(np.array([1.0]), 1.0)
-    assert (prediction, size) == (0.0, 1)
+    assert f.step(np.array([1.0]), 1.0) == 0.0
+    assert size_curves(f).tolist() == [[1]]
     assert f.weights[0, 0] == ONE_STEP_WEIGHT
     assert f.freqs[0, 0, 0] == 1.0
     assert f.phases[0, 0] == 0.0
@@ -95,7 +97,7 @@ def test_zero_error_is_a_fixed_point(seed):
     x = rng.normal(size=2)
     y = predict(f, x)
     w0, fr0, ph0 = f.weights.copy(), f.freqs.copy(), f.phases.copy()
-    prediction, _ = f.step(x, y)
+    prediction = f.step(x, y)
     assert y - prediction == 0.0
     assert np.array_equal(f.weights, w0)
     assert np.array_equal(f.freqs, fr0)
@@ -126,7 +128,7 @@ def test_frozen_feature_updates_match_rff_bit_for_bit():
     assert inputs.shape[1] > 3 * (filters._CHUNK // (3 * 48))
     arff = AdaptiveRffLms(*zip(*banks), 0.01, F32_TINY, F32_TINY)
     rff = AdaptiveRffLms(*zip(*banks), 0.01, 0.0, 0.0)
-    assert np.array_equal(arff.run(inputs, targets)[0], rff.run(inputs, targets)[0])
+    assert np.array_equal(arff.run(inputs, targets), rff.run(inputs, targets))
     assert np.array_equal(arff.weights, rff.weights)
     assert np.array_equal(arff.freqs, rff.freqs)
     assert np.array_equal(arff.phases, rff.phases)
@@ -140,7 +142,8 @@ def test_rff_first_step_from_zero_weights():
     # in float32, as the filter computes
     freqs, phases = bank
     z = np.cos(freqs.astype(F32) @ x.astype(F32) + phases.astype(F32))
-    assert f.step(x, 2.0) == (0.0, 4)
+    assert f.step(x, 2.0) == 0.0
+    assert size_curves(f).tolist() == [[4]]
     assert np.array_equal(f.weights[0], (F32(2.0) * F32(0.05)) * z)
 
 
@@ -175,9 +178,9 @@ def test_error_equals_target_minus_prediction():
     y = 1.7
     pred = predict(f, x)
     # the error is y - prediction, so step returns the pre-update prediction
-    prediction, size = f.step(x, y)
+    prediction = f.step(x, y)
     assert prediction == pred
-    assert type(prediction) is float and (type(size), size) == (int, 8)
+    assert type(prediction) is float and size_curves(f).tolist() == [[8]]
 
 
 def test_instantaneous_loss():
@@ -185,13 +188,13 @@ def test_instantaneous_loss():
     # reproduces without stepping
     f, rng = random_state(8)
     x = rng.normal(size=2)
-    y, _ = copy.deepcopy(f).step(x, 0.0)
+    y = copy.deepcopy(f).step(x, 0.0)
     w0 = f.weights.copy()
     assert loss(f, x, y) == 0.0 and loss(f, x, 1.0) == (1.0 - y) ** 2
     assert np.array_equal(f.weights, w0)
-    assert (y - f.step(x, y)[0]) ** 2 == 0.0
+    assert (y - f.step(x, y)) ** 2 == 0.0
     g = AdaptiveRffLms(f.freqs, f.phases, 0.1, 0.1, 0.1)  # zero weights
-    assert (3.0 - g.step(x, 3.0)[0]) ** 2 == 9.0
+    assert (3.0 - g.step(x, 3.0)) ** 2 == 9.0
 
 
 def test_update_directions_are_loss_gradients():
@@ -261,16 +264,16 @@ def test_non_finite_input_is_a_stream_error():
 
 
 def test_divergence_shows_in_diverged_at_and_nan_predictions():
-    # step raises nothing: from the diverging step on, its prediction is NaN
-    # and its model size 0, as in run
+    # step raises nothing: from the diverging step on, its prediction is NaN,
+    # as in run; the model size stays D
     bank = sample_feature_bank(1.0, 4, 2, seed=0)
     f = AdaptiveRffLms(*zip(bank), 1e30, 1e30, 1e30)
     rng = np.random.default_rng(0)
-    preds, sizes = zip(*(f.step(rng.normal(size=2), float(rng.normal())) for _ in range(50)))
+    preds = np.array([f.step(rng.normal(size=2), float(rng.normal())) for _ in range(50)])
     step = int(f.diverged_at[0])
     assert 1 <= step <= 50
-    assert np.isfinite(preds[:step - 1]).all() and set(sizes[:step - 1]) <= {4}
-    assert np.isnan(preds[step - 1:]).all() and set(sizes[step - 1:]) == {0}
+    assert np.isfinite(preds[:step - 1]).all() and set(size_curves(f)[0, :step - 1]) <= {4}
+    assert np.isnan(preds[step - 1:]).all() and f.model_size.tolist() == [4]
 
 
 def test_negative_rates_rejected():
@@ -303,23 +306,26 @@ def test_filters_do_not_alias_the_given_bank():
 
 def test_klms_first_sample_is_admitted():
     f = CoherenceKlms(0.95, 0.7, 0.2, input_dim=2)
-    assert f.step(np.array([0.3, 0.4]), 1.5) == (0.0, 1)
+    assert f.step(np.array([0.3, 0.4]), 1.5) == 0.0
+    assert size_curves(f).tolist() == [[1]] and f.admitted_at[0, :2].tolist() == [1, 0]
     assert math.isclose(f.weights[0][0], 0.2 * 1.5 * 1.0, rel_tol=1e-15)
 
 
 def test_klms_repeated_input_never_grows_the_dictionary():
     f = CoherenceKlms(1.0, 0.9, 0.1, input_dim=2)
     x = np.array([1.0, -1.0])
-    sizes = {f.step(x, 0.5)[1] for _ in range(200)}
-    assert sizes == {1}
+    for _ in range(200):
+        f.step(x, 0.5)
+    assert set(size_curves(f)[0]) == {1}
 
 
 def test_klms_weights_track_dictionary_size():
     f = CoherenceKlms(0.5, 0.5, 0.05, input_dim=2)
     rng = np.random.default_rng(12)
     for _ in range(300):
-        _, size = f.step(rng.normal(size=2) * 2, float(rng.normal()))
-        assert len(f.weights[0]) == size == len(f.centers[0])
+        f.step(rng.normal(size=2) * 2, float(rng.normal()))
+        size = size_curves(f)[0, -1]
+        assert len(f.weights[0]) == size == len(f.centers[0]) == f.model_size[0]
     c = f.centers[0]
     for i in range(len(c)):
         for j in range(i + 1, len(c)):
@@ -335,7 +341,7 @@ def test_klms_zero_error_fixed_point():
     y = predict(f, x)
     size_before = int(f.model_size[0])
     w_before = f.weights[0].copy()
-    prediction, _ = f.step(x, y)
+    prediction = f.step(x, y)
     assert y - prediction == 0.0
     # admission may still grow the dictionary; the active weights stay put
     assert np.array_equal(f.weights[0][:size_before], w_before)
@@ -382,20 +388,19 @@ def assert_same_state(a, b):
 
 def step_loop(f, inputs, targets):
     """What ``f.run(inputs[None], targets[None])`` returns, one ``step`` at
-    a time: (1, T) predictions and model sizes."""
-    preds, sizes = zip(*(f.step(x, y) for x, y in zip(inputs, targets)))
-    return np.array([preds]), np.array([sizes])
+    a time: (1, T) predictions."""
+    return np.array([[f.step(x, y) for x, y in zip(inputs, targets)]])
 
 
 @pytest.mark.parametrize("kind", sorted(MAKERS))
 def test_run_matches_the_step_loop_bit_for_bit(kind):
     inputs, targets = smooth_stream()
     a, b = MAKERS[kind](), MAKERS[kind]()
-    preds, sizes = a.run(inputs[None], targets[None])
-    step_preds, step_sizes = step_loop(b, inputs, targets)
-    assert preds.shape == sizes.shape == step_preds.shape == (1, 2000)
+    preds = a.run(inputs[None], targets[None])
+    step_preds = step_loop(b, inputs, targets)
+    assert preds.shape == step_preds.shape == size_curves(a).shape == (1, 2000)
     assert np.array_equal(preds, step_preds)
-    assert np.array_equal(sizes, step_sizes)
+    assert np.array_equal(size_curves(a), size_curves(b))
     assert_same_state(a, b)
     assert a.n_steps == 2000
 
@@ -405,12 +410,12 @@ def test_run_matches_the_step_loop_bit_for_bit(kind):
 def test_run_split_anywhere_matches_one_run(kind, cuts):
     inputs, targets = smooth_stream()
     whole, pieces = MAKERS[kind](), MAKERS[kind]()
-    preds, sizes = whole.run(inputs[None], targets[None])
+    preds = whole.run(inputs[None], targets[None])
     bounds = [0, *cuts, len(targets)]
     parts = [pieces.run(inputs[None, a:b], targets[None, a:b])
              for a, b in zip(bounds, bounds[1:])]
-    assert np.array_equal(preds, np.concatenate([p for p, _ in parts], axis=1))
-    assert np.array_equal(sizes, np.concatenate([s for _, s in parts], axis=1))
+    assert np.array_equal(preds, np.concatenate(parts, axis=1))
+    assert np.array_equal(size_curves(whole), size_curves(pieces))
     assert_same_state(whole, pieces)
 
 
@@ -419,7 +424,8 @@ def test_coherence_klms_run_matches_the_admit_then_kernelize_reference():
     # the dictionary; the reference recomputes one and appends to the other
     inputs, targets = smooth_stream()
     f = MAKERS["coherence-klms"]()
-    [preds], [sizes] = f.run(inputs[None], targets[None])
+    [preds] = f.run(inputs[None], targets[None])
+    [sizes] = size_curves(f)
     ref_preds, ref_sizes, ref_weights, ref_centers = klms_reference(
         0.5, 0.5, 0.2, inputs, targets)
     assert sizes[-1] > 32  # the center and weight buffers grew twice
@@ -434,7 +440,7 @@ def test_divergence_step_is_global_across_run_split_run_and_step_loop(kind):
     # diverged_at holds the step in all three, and the outputs agree
     inputs, targets = smooth_stream()
     whole = DIVERGENT[kind]()
-    preds, sizes = whole.run(inputs[None], targets[None])
+    preds = whole.run(inputs[None], targets[None])
     step = int(whole.diverged_at[0])
     assert 1 < step < 2000
     # cut halfway, and just before the diverging step so that it is the
@@ -446,11 +452,11 @@ def test_divergence_step_is_global_across_run_split_run_and_step_loop(kind):
         f.run(inputs[None, cut:], targets[None, cut:])
         assert f.diverged_at[0] == step
     looped = DIVERGENT[kind]()
-    step_preds, step_sizes = step_loop(looped, inputs, targets)
+    step_preds = step_loop(looped, inputs, targets)
     assert looped.diverged_at[0] == step
     assert np.isnan(step_preds[0, step - 1:]).all()
     assert np.array_equal(step_preds, preds, equal_nan=True)
-    assert np.array_equal(step_sizes, sizes)
+    assert np.array_equal(size_curves(looped), size_curves(whole), equal_nan=True)
 
 
 @pytest.mark.parametrize("kind", sorted(MAKERS))
@@ -543,8 +549,7 @@ def run_rows(kind, subset, cuts=()):
     targets = np.stack([y for _, y, _ in rows])
     bounds = [0, *cuts, targets.shape[1]]
     parts = [f.run(inputs[:, a:b], targets[:, a:b]) for a, b in zip(bounds, bounds[1:])]
-    return (f, np.concatenate([p for p, _ in parts], axis=1),
-            np.concatenate([s for _, s in parts], axis=1))
+    return f, np.concatenate(parts, axis=1), size_curves(f)
 
 
 @pytest.mark.parametrize("kind", sorted(MAKERS))
@@ -559,18 +564,18 @@ def test_batched_run_flags_each_row_at_the_step_its_step_loop_flags(kind):
     for r, (x, y, bank) in enumerate(batch_rows(kind)):
         step = int(f.diverged_at[r])
         alone = make_filter(kind, [bank])
-        step_preds, step_sizes = step_loop(alone, x, y)
+        step_preds = step_loop(alone, x, y)
         assert alone.diverged_at[0] == step
         assert np.array_equal(preds[r], step_preds[0], equal_nan=True)
-        assert np.array_equal(sizes[r], step_sizes[0])
+        assert np.array_equal(sizes[r], size_curves(alone)[0], equal_nan=True)
         if step == 0:
             for a, b in zip(row_state(f, r), row_state(alone, 0), strict=True):
                 assert np.array_equal(a, b)
             continue
         before = make_filter(kind, [bank])
         assert np.array_equal(preds[r, :step - 1],
-                              before.run(x[None, :step - 1], y[None, :step - 1])[0][0])
-        assert np.all(np.isnan(preds[r, step - 1:])) and not np.any(sizes[r, step - 1:])
+                              before.run(x[None, :step - 1], y[None, :step - 1])[0])
+        assert np.all(np.isnan(preds[r, step - 1:]))
         if step == 61:
             # the rare path: the state before the step is finite, its
             # prediction is not
@@ -585,7 +590,7 @@ def test_a_runs_bytes_do_not_depend_on_which_runs_share_its_batch(kind, subset):
     full, preds, sizes = run_rows(kind, range(ROWS))
     f, sub_preds, sub_sizes = run_rows(kind, subset)
     assert np.array_equal(sub_preds, preds[list(subset)], equal_nan=True)
-    assert np.array_equal(sub_sizes, sizes[list(subset)])
+    assert np.array_equal(sub_sizes, sizes[list(subset)], equal_nan=True)
     assert np.array_equal(f.diverged_at, full.diverged_at[list(subset)])
     # a diverged run's state is not defined: alone, run 2 stops stepping at
     # its divergence; beside live runs it is stepped on
@@ -601,7 +606,7 @@ def test_batched_run_split_anywhere_matches_one_call(kind, cuts):
     whole, preds, sizes = run_rows(kind, range(ROWS))
     pieces, piece_preds, piece_sizes = run_rows(kind, range(ROWS), cuts)
     assert np.array_equal(piece_preds, preds, equal_nan=True)
-    assert np.array_equal(piece_sizes, sizes)
+    assert np.array_equal(piece_sizes, sizes, equal_nan=True)
     assert np.array_equal(pieces.diverged_at, whole.diverged_at)
     assert pieces.n_steps == whole.n_steps == 200
 
@@ -623,13 +628,13 @@ def test_a_batch_stops_stepping_once_every_run_has_diverged(kind, monkeypatch):
     f, preds, sizes = run_rows(kind, (1, 2))
     assert list(f.diverged_at) == [3, 61] and sum(given) == 61
     assert np.array_equal(preds, full_preds[1:3], equal_nan=True)
-    assert np.array_equal(sizes, full_sizes[1:3])
+    assert np.array_equal(sizes, full_sizes[1:3], equal_nan=True)
     # a later call takes no step at all
     given.clear()
     x, y, _ = batch_rows(kind)[0]
-    more_preds, more_sizes = f.run(np.stack([x, x]), np.stack([y, y]))
+    more_preds = f.run(np.stack([x, x]), np.stack([y, y]))
     assert given == [] and f.n_steps == 400 and list(f.diverged_at) == [3, 61]
-    assert np.isnan(more_preds).all() and not more_sizes.any()
+    assert np.isnan(more_preds).all()
 
 
 @pytest.mark.parametrize("block", [2, 5, 32])
@@ -640,7 +645,7 @@ def test_coherence_klms_block_length_changes_no_bit(block, monkeypatch):
     monkeypatch.setattr(filters, "_BLOCK", block)
     f, block_preds, block_sizes = run_rows("coherence-klms", range(ROWS))
     assert np.array_equal(block_preds, preds, equal_nan=True)
-    assert np.array_equal(block_sizes, sizes)
+    assert np.array_equal(block_sizes, sizes, equal_nan=True)
     assert np.array_equal(f.diverged_at, single.diverged_at)
     for r in np.flatnonzero(single.diverged_at == 0):
         for a, b in zip(row_state(f, r), row_state(single, r), strict=True):
@@ -658,7 +663,8 @@ def test_coherence_klms_admissions_on_a_blocks_first_and_last_step(monkeypatch):
             inputs[r, t, 0] = 3.0 * t if t in steps else inputs[r, t - 1, 0]
     targets = np.sin(np.arange(40.0)).reshape(2, 20)
     f = CoherenceKlms(0.5, 0.5, 0.2, input_dim=2, n_runs=2)
-    preds, sizes = f.run(inputs, targets)
+    preds = f.run(inputs, targets)
+    sizes = size_curves(f)
     for r, steps in enumerate(admitted):
         assert np.flatnonzero(np.diff(sizes[r], prepend=0)).tolist() == sorted(steps)
         ref_preds, ref_sizes, ref_weights, ref_centers = klms_reference(
@@ -686,10 +692,11 @@ def test_coherence_klms_capacity_is_the_least_power_of_two_that_holds_each_block
         given.append((int(f.model_size[0]), f._weights.shape[1]))
 
     f._steps = recorded
-    sizes = f.run(inputs, np.sin(np.arange(admissions, dtype=float))[None])[1]
-    assert sizes[0].tolist() == list(range(1, admissions + 1))
+    f.run(inputs, np.sin(np.arange(admissions, dtype=float))[None])
+    assert size_curves(f)[0].tolist() == list(range(1, admissions + 1))
     assert given == ends
     assert f._centers.shape == (1, 2, ends[-1][1])
+    assert f.admitted_at.shape == (1, ends[-1][1])
 
 
 def test_coherence_klms_live_columns_where_runs_differ():
@@ -700,7 +707,8 @@ def test_coherence_klms_live_columns_where_runs_differ():
     inputs = np.stack([np.broadcast_to(inputs[0], inputs.shape), inputs])
     targets = np.stack([targets, targets])
     f = CoherenceKlms(0.5, 0.5, 0.2, input_dim=inputs.shape[2], n_runs=2)
-    preds, sizes = f.run(inputs, targets)
+    preds = f.run(inputs, targets)
+    sizes = size_curves(f)
     assert sizes[0, -1] == 1 and sizes[1, -1] > 16
     for r in range(2):
         ref_preds, ref_sizes, ref_weights, ref_centers = klms_reference(
@@ -724,13 +732,13 @@ PER_ROW_RATES = {
 def test_per_row_step_sizes_give_each_row_its_scalar_filters_bits(loop):
     rows, rates = batch_rows("rff"), PER_ROW_RATES[loop]
     f = AdaptiveRffLms(*zip(*(bank for _, _, bank in rows)), *zip(*rates))
-    preds, sizes = f.run(np.stack([x for x, _, _ in rows]), np.stack([y for _, y, _ in rows]))
+    preds = f.run(np.stack([x for x, _, _ in rows]), np.stack([y for _, y, _ in rows]))
     assert f.diverged_at.any() and not f.diverged_at.all()
     for r, ((x, y, bank), rate) in enumerate(zip(rows, rates, strict=True)):
         alone = AdaptiveRffLms(*zip(bank), *rate)
-        alone_preds, alone_sizes = alone.run(x[None], y[None])
+        alone_preds = alone.run(x[None], y[None])
         assert np.array_equal(preds[r], alone_preds[0], equal_nan=True)
-        assert np.array_equal(sizes[r], alone_sizes[0])
+        assert np.array_equal(size_curves(f)[r], size_curves(alone)[0], equal_nan=True)
         assert f.diverged_at[r] == alone.diverged_at[0]
         if not f.diverged_at[r]:
             for a, b in zip(row_state(f, r), row_state(alone, 0), strict=True):
@@ -771,13 +779,14 @@ def test_a_stack_gives_each_filter_its_bits_over_their_shared_streams():
               lambda: AdaptiveRffLms(*zip(*banks), 1.0, 0.0, 0.0)]
     engine = AdaptiveRffLms.stack([make() for make in makers])
     assert engine.n_runs == 6 and engine.n_streams == 2
-    preds, sizes = engine.run(inputs, targets)
+    preds = engine.run(inputs, targets)
+    sizes = size_curves(engine)
     assert engine.diverged_at[4:].all() and not engine.diverged_at[:4].any()
     for i, make in enumerate(makers):
         alone = make()
-        alone_preds, alone_sizes = alone.run(inputs, targets)
+        alone_preds = alone.run(inputs, targets)
         assert np.array_equal(preds[2 * i:2 * i + 2], alone_preds, equal_nan=True)
-        assert np.array_equal(sizes[2 * i:2 * i + 2], alone_sizes)
+        assert np.array_equal(sizes[2 * i:2 * i + 2], size_curves(alone), equal_nan=True)
         assert np.array_equal(engine.diverged_at[2 * i:2 * i + 2], alone.diverged_at)
     # the stack takes the filters' two streams, not one per row
     with pytest.raises(ValueError):
@@ -828,27 +837,54 @@ def test_time_chunk_length_changes_no_bit(kind, chunk, monkeypatch):
         monkeypatch.setattr(filters, "_MIN_CHUNK", chunk)
     f, chunked_preds, chunked_sizes = run_rows(kind, range(ROWS))
     assert np.array_equal(chunked_preds, preds, equal_nan=True)
-    assert np.array_equal(chunked_sizes, sizes)
+    assert np.array_equal(chunked_sizes, sizes, equal_nan=True)
     assert np.array_equal(f.diverged_at, whole.diverged_at)
     for r in range(ROWS):
         for a, b in zip(row_state(f, r), row_state(whole, r), strict=True):
             assert np.array_equal(a, b, equal_nan=True)
 
 
+def test_an_engine_with_no_frozen_run_holds_no_block_of_cosines():
+    # one adapting run of D 4096 steps in blocks of 64, whose cosines would
+    # take 64 * 4096 float32, 1 MiB; one per-step (R, D) buffer is 16 KiB
+    bank = sample_feature_bank(1.0, 4096, 2, seed=0)
+    f = AdaptiveRffLms(*zip(bank), 1e-3, 1e-3, 1e-3)
+    inputs, targets = smooth_stream(steps=64)
+    assert f._block_length() == 64
+    tracemalloc.start()
+    try:
+        f.run(inputs[None], targets[None])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not f.diverged_at.any() and peak < 64 * 4096 * 4
+
+
 # ---- the float32 RFF engine ------------------------------------------------
 
 @pytest.mark.parametrize("kind", sorted(MAKERS))
 def test_state_dtype_and_run_output_contract(kind):
-    # the RFF kinds hold float32 state and coherence-klms float64; every
-    # filter returns float64 predictions and integer model sizes
-    f = MAKERS[kind]()
+    # the RFF kinds hold float32 state and coherence-klms float64; run
+    # returns one float64 (R, T) array and step a Python float. The model
+    # size is state: D for an RFF run, and a coherence-klms run's count of
+    # admissions, each at a step the filter has taken, after every call of
+    # any split of the stream
     inputs, targets = smooth_stream(steps=50)
-    preds, sizes = f.run(inputs[None], targets[None])
     dtype = np.float64 if kind == "coherence-klms" else F32
-    assert {a.dtype for a in row_state(f, 0)} == {np.dtype(dtype)}
-    assert preds.dtype == np.float64 and sizes.dtype.kind == "i"
-    prediction, size = f.step(inputs[0], targets[0])
-    assert type(prediction) is float and type(size) is int
+    for cuts in [(), (1,), (17, 33)]:
+        f = MAKERS[kind]()
+        bounds = [0, *cuts, 50]
+        for a, b in zip(bounds, bounds[1:]):
+            preds = f.run(inputs[None, a:b], targets[None, a:b])
+            assert type(preds) is np.ndarray
+            assert preds.dtype == np.float64 and preds.shape == (1, b - a)
+            if kind == "coherence-klms":
+                assert f.admitted_at.dtype.kind == "i" and f.admitted_at.max() <= f.n_steps == b
+                assert ((f.admitted_at > 0).sum(axis=1) == f.model_size).all()
+            else:
+                assert f.model_size.tolist() == [48]
+        assert {a.dtype for a in row_state(f, 0)} == {np.dtype(dtype)}
+        assert type(f.step(inputs[0], targets[0])) is float
 
 
 @pytest.mark.parametrize("value", [1e39, -1e39, F32_MAX * 1.0000001])

@@ -24,16 +24,18 @@ from rfflms.config import (
     config_to_dict,
     preset,
 )
-from oracles import LearningCurve, aggregate_runs
+from oracles import LearningCurve, aggregate_runs, klms_reference
 from rfflms.filters import AdaptiveRffLms
 import rfflms.runner as runner
 from rfflms.runner import (
     ExperimentError,
     _run_batch,
     export_artifacts,
+    make_stream,
     run_experiment,
     run_experiments,
 )
+from rfflms.seeding import derive_seed
 
 FILES = ["emse.csv", "model_size.csv", "summary.csv", "omega_snapshots.csv", "manifest.json"]
 
@@ -326,10 +328,10 @@ def predict_constant(monkeypatch, run_index: int, value: float) -> None:
         run = filt.run
 
         def run_constant(inputs, targets):
-            preds, sizes = run(inputs, targets)
+            preds = run(inputs, targets)
             assert not filt.diverged_at.any()
             preds[run_index] = value
-            return preds, sizes
+            return preds
 
         filt.run = run_constant
         return filt
@@ -370,6 +372,25 @@ def test_a_finite_run_worse_than_predicting_zero_is_a_diverged_run(monkeypatch):
         run_experiment(dataclasses.replace(cfg, max_divergence_fraction=0.01))
 
 
+def test_coherence_klms_sizes_average_only_the_usable_runs(monkeypatch):
+    # run 1 predicts a constant 100 and is dropped, though its dictionary
+    # grows as the others' do: the mean size curve is the reference's over
+    # runs 0, 2 and 3, one batch of four runs
+    klms = tiny_config().filters[0]
+    cfg = tiny_config(filters=(klms,), runs=4, max_divergence_fraction=1.0)
+    curves = []
+    for r in range(cfg.runs):
+        inputs, targets, _ = make_stream(cfg, derive_seed(cfg.seed, r, "stream"))
+        curves.append(klms_reference(klms.bandwidth, klms.coherence_threshold,
+                                     klms.lr_weights, inputs, targets)[1])
+    predict_constant(monkeypatch, 1, 100.0)
+    art = run_experiment(cfg)
+    assert art.diverged["coherence-klms"] == [1]
+    usable = np.mean([curves[r] for r in (0, 2, 3)], axis=0)
+    assert np.array_equal(art.model_size["coherence-klms"], usable)
+    assert not np.array_equal(usable, np.mean(curves, axis=0))
+
+
 def test_a_bank_that_breaks_on_a_calls_last_update_has_no_snapshot(monkeypatch, tmp_path):
     # run 0's bank turns NaN on the last update before the regime change, so
     # its filter flags it only at the second call's first prediction
@@ -380,12 +401,12 @@ def test_a_bank_that_breaks_on_a_calls_last_update_has_no_snapshot(monkeypatch, 
 
     def run_breaking(filt, inputs, targets):
         first = filt.n_steps == 0
-        preds, sizes = run(filt, inputs, targets)
+        preds = run(filt, inputs, targets)
         if first:
             run_0 = slice(None, None, len(inputs))
             filt.freqs[run_0] = np.nan
             assert not filt.diverged_at[run_0].any()
-        return preds, sizes
+        return preds
 
     monkeypatch.setattr(AdaptiveRffLms, "run", run_breaking)
     art = run_experiment(cfg)
@@ -503,7 +524,7 @@ def test_runner_sum_matches_aggregate_oracle(make_cfg):
     cfg = make_cfg(runs=5)
     art = run_experiment(cfg)
     # each run alone in its batch, against the five in one batch
-    per_run = [{lab: (emse[0], sizes[0])
+    per_run = [{lab: (emse[0], sizes)
                 for lab, emse, sizes, _, _ in _run_batch(cfg, range(r, r + 1))}
                for r in range(cfg.runs)]
     assert set(art.emse) == {f.column for f in cfg.filters}

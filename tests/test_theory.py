@@ -31,7 +31,7 @@ def test_steady_state_emse_matches_lms_misadjustment(mu):
     w_star = make_rng(7, "w_star").standard_normal((RUNS, FEATURES)) / math.sqrt(FEATURES)
     filt.weights[:] = w_star
     inputs, targets, clean, trace = span_plant(filt, w_star, NOISE_VAR, HORIZON, seed=11)
-    preds, _ = filt.run(inputs, targets)
+    preds = filt.run(inputs, targets)
     assert not filt.diverged_at.any()
     measured = np.mean((clean - preds)[:, -WINDOW:] ** 2, axis=1)
     theory = mu * NOISE_VAR * trace / (2.0 - mu * trace)
