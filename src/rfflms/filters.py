@@ -16,21 +16,22 @@ whose shapes it checks once, ``CoherenceKlms`` from ``n_runs``.
 ``AdaptiveRffLms``'s three step sizes is one value for every run or one
 per run, so runs of different specs can share a filter: a run whose two
 feature step sizes are both 0 is frozen, and the adapting runs come
-first. ``AdaptiveRffLms.stack`` joins filters of one D into one whose runs
-read the filters' shared streams: its ``run`` takes one filter's streams.
-Every computation is per run, so a run's results are bit-for-bit the same
-whichever runs share its batch.
+first. Its ``n_streams`` S, which divides R, is the number of streams
+that its runs read, R by default: run i reads stream i % S, so the runs
+of several specs of one D, each spec's S runs in consecutive rows, read
+the specs' shared streams. Every computation is per run, so a run's
+results are bit-for-bit the same whichever runs share its batch.
 
 Both classes step through streams with one method, ``run(inputs,
-targets)``. It takes one stream per run, inputs (R, T, L) and targets
-(R, T), checks it for shape and finiteness once per call, and returns
-the (R, T) float64 pre-update predictions. The state carries over
-between calls, so running a stream in pieces gives bit-for-bit what one
-call over the whole stream gives. ``step(x, y)``, for a filter of one
-run, is ``run`` over a stream of length 1 and returns the prediction as
-a float. Model size is state, not output: ``model_size`` holds each
-run's size, D for an RFF run, and ``CoherenceKlms.admitted_at`` each
-center's admission step, from which its size after any step is counted.
+targets)``, the only online one. It takes the filter's streams, inputs
+(S, T, L) and targets (S, T), checks them for shape and finiteness once
+per call, and returns the (R, T) float64 pre-update predictions. The
+state carries over between calls, so running a stream in pieces gives
+bit-for-bit what one call over the whole stream gives; one sample (x, y)
+of a one-stream filter is ``run(x[None, None], [[y]])``. Model size is
+state, not output: ``model_size`` holds each run's size, D for an RFF
+run, and ``CoherenceKlms.admitted_at`` each center's admission step,
+from which its size after any step is counted.
 
 Divergence. A run diverges at its first step whose prediction is not
 finite; steps are global and 1-based, counted over every step the filter
@@ -47,9 +48,9 @@ goes to ``diverged_at`` (0 for a live run) and it is stepped on with the
 other runs, whose bits it cannot touch, until every run of the batch has
 diverged; the call then takes no further step. Its state after that step
 is not defined. At the end of the call its predictions from that step on
-are set to NaN. ``diverged_at`` is the only report of divergence: neither
-``run`` nor ``step`` raises for it, and overflow on the way there raises
-no numpy warning.
+are set to NaN. ``diverged_at`` is the only report of divergence:
+``run`` does not raise for it, and overflow on the way there raises no
+numpy warning.
 
 ``AdaptiveRffLms`` additionally descends on the feature frequencies and
 phases. Within one step every right-hand side uses the pre-update state
@@ -128,7 +129,8 @@ def check_rate(name: str, value: float, dtype) -> float:
 
 
 class _StreamFilter:
-    """``run``, ``step`` and the stream check around a filter's time loop.
+    """``run``, the one online method, and its stream check around a
+    filter's time loop.
 
     A subclass states its ``dtype``, sets ``input_dim``, calls ``_start_runs``
     and provides ``_block_length`` and ``_steps``: a time block's steps, and
@@ -136,10 +138,14 @@ class _StreamFilter:
     over blocks and flags divergence as the module docstring says.
     """
 
-    def _start_runs(self, model_size: np.ndarray) -> None:
+    def _start_runs(self, model_size: np.ndarray, n_streams: int | None = None) -> None:
         """Bookkeeping of runs that have taken no step, one per ``model_size``
-        entry, each reading its own stream."""
-        self.n_runs = self.n_streams = model_size.size
+        entry, reading ``n_streams`` streams, by default one per run."""
+        self.n_runs = model_size.size
+        self.n_streams = self.n_runs if n_streams is None else n_streams
+        if self.n_streams < 1 or self.n_runs % self.n_streams:
+            raise ValueError(f"n_streams must be >= 1 and divide the {self.n_runs} runs, "
+                             f"got {n_streams}")
         self.model_size = model_size
         self.n_steps = 0
         self.diverged_at = np.zeros(self.n_runs, dtype=int)
@@ -164,12 +170,6 @@ class _StreamFilter:
             raise ValueError(f"stream (inputs, targets) must be finite in {dtype}, whose "
                              f"range is +-{np.finfo(dtype).max:.4g}")
         return xs, ys
-
-    def step(self, x, y) -> float:
-        """``run`` over the one-sample stream (x, y) of a single-run filter."""
-        if self.n_runs != 1:  # a stack of single-run filters reads one stream
-            raise ValueError(f"step needs a filter of one run, got {self.n_runs} runs")
-        return float(self.run(np.asarray(x)[None, None], [[y]])[0, 0])
 
     @np.errstate(all="ignore")
     def run(self, inputs, targets) -> np.ndarray:
@@ -227,11 +227,16 @@ class AdaptiveRffLms(_StreamFilter):
     never changes, and the features of a whole time block are computed at
     once. The runs that adapt their features come first: a frozen run
     before an adapting one raises ``ValueError``.
+
+    ``n_streams``, R by default, is the number of streams that ``run``
+    takes; it must divide R, and run r reads stream r % ``n_streams`` (see
+    the module docstring's runs paragraph).
     """
 
     dtype = np.dtype(np.float32)
 
-    def __init__(self, freqs, phases, lr_weights, lr_freqs, lr_phases):
+    def __init__(self, freqs, phases, lr_weights, lr_freqs, lr_phases, *,
+                 n_streams: int | None = None):
         with np.errstate(over="ignore"):  # an entry past the dtype's max casts to inf
             self.freqs = np.stack(freqs, dtype=self.dtype)
             self.phases = np.stack(phases, dtype=self.dtype)
@@ -252,7 +257,7 @@ class AdaptiveRffLms(_StreamFilter):
         if frozen[:self._n_adapting].any():
             raise ValueError("the runs whose lr_freqs and lr_phases are both 0 must follow "
                              "every other run")
-        self._start_runs(np.full(n_runs, n_features))
+        self._start_runs(np.full(n_runs, n_features), n_streams)
 
     def _check_rates(self, name: str, value, n_runs: int):
         """A step size as a float, or one per run as an (R,) float64 array."""
@@ -264,34 +269,13 @@ class AdaptiveRffLms(_StreamFilter):
                              f"got {len(values)} values")
         return np.array(values)
 
-    @classmethod
-    def stack(cls, filters) -> AdaptiveRffLms:
-        """One filter over the runs of ``filters``, filters of one D and L
-        whose R runs each read the same R streams and which have taken no
-        step: filter i's run r is run i * R + r, with that run's bank,
-        weights and step sizes, so it gives the bits that filter i gives.
-        Its ``run`` takes the R streams (``n_streams`` is R); filters that
-        adapt their features must come first."""
-        n_streams = filters[0].n_runs
-        if any(f.n_runs != n_streams or f.n_steps for f in filters):
-            raise ValueError("stacked filters must each hold the same number of runs "
-                             "and have taken no step")
-        rates = ([np.broadcast_to(getattr(f, name), n_streams) for f in filters]
-                 for name in ("lr_weights", "lr_freqs", "lr_phases"))
-        engine = cls([bank for f in filters for bank in f.freqs],
-                     [bank for f in filters for bank in f.phases],
-                     *(np.concatenate(rate) for rate in rates))
-        engine.weights[:] = np.concatenate([f.weights for f in filters])
-        engine.n_streams = n_streams
-        return engine
-
     def _block_length(self) -> int:
         return max(_MIN_CHUNK, _CHUNK // self.weights.size)
 
     def _steps(self, xs, ys, predictions) -> None:
         w, freqs, phases = self.weights, self.freqs, self.phases
         na, n_features = self._n_adapting, w.shape[1]
-        if (reps := len(w) // xs.shape[1]) > 1:  # a stack's runs, the block's streams repeated
+        if (reps := len(w) // xs.shape[1]) > 1:  # runs share streams: repeat the block's
             xs, ys = np.tile(xs, (1, reps, 1)), np.tile(ys, (1, reps))
 
         def leading_rows(rate, n):

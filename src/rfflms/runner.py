@@ -33,16 +33,17 @@ worker has taken yet. Besides the batches they run, the workers hold up
 to ``workers + 1`` taken ones in the pool's queue, and these still finish:
 up to ``2 * workers + 1`` batches past those already done. With 2 workers,
 a call of 9 batches whose first one fails runs 5 or 6 of them. Within a
-batch each filter is built once for all of its runs, and the RFF specs
-of one ``n_features`` D share one engine: ``AdaptiveRffLms.stack`` puts
-their runs in the rows of one filter, adapting specs first, at most
-``max(runs, MAX_FEATURES // D)`` rows an engine. Each engine consumes the
-batch's streams, (R, T, L) inputs and (R, T) targets, in one ``run`` call
-(see ``rfflms.filters``): time is the only sequential axis, and the
-specs of an engine pay its per-step calls once. A spec's rows give the
-bits that it gives alone. The early stop at divergence is per engine, so
-a spec that diverged on every run is stepped on with its engine's other
-specs, which costs time and no bytes. On a plant that reads
+batch each engine is built once, from its specs, for all of their runs:
+a ``coherence-klms`` spec is an engine of its own, and the RFF specs of
+one ``n_features`` D share one ``AdaptiveRffLms`` whose rows hold their
+runs, adapting specs first, at most ``max(runs, MAX_FEATURES // D)`` rows
+an engine, with the batch's run count as its ``n_streams``. Each engine
+consumes the batch's streams, (R, T, L) inputs and (R, T) targets, in
+one ``run`` call (see ``rfflms.filters``): time is the only sequential
+axis, and the specs of an engine pay its per-step calls once. A spec's
+rows give the bits that it gives alone. The early stop at divergence is
+per engine, so a spec that diverged on every run is stepped on with its
+engine's other specs, which costs time and no bytes. On a plant that reads
 ``change_step``, the batch that holds run 0 splits an RFF engine's call
 at the change step to record each spec's run 0 frequency bank there. The
 EMSE curves are then computed from the clean targets and the returned
@@ -146,18 +147,31 @@ def make_stream(cfg: ExperimentConfig, stream_seed: int) -> tuple[np.ndarray, ..
     return gen(cfg.plant, cfg.horizon, stream_seed)
 
 
-def build_filter(spec: FilterSpec, input_dim: int, bank_seeds):
-    """Instantiate one filter over a batch of runs, one per bank seed;
-    RFF-family banks come from the seeds, so matching specs share identical
-    initial banks within a run."""
-    if spec.kind == "coherence-klms":
+def _build_engine(specs: list[FilterSpec], input_dim: int, bank_seeds):
+    """One engine over a batch of runs, one per bank seed, for one of
+    ``_engines``' spec lists: a ``coherence-klms`` spec's own filter, or one
+    ``AdaptiveRffLms`` whose rows hold the RFF specs' runs, spec j's run r
+    in row j * R + r, each spec's step sizes on its rows. RFF-family banks
+    come from the seeds, so matching specs share identical initial banks
+    within a run."""
+    n = len(bank_seeds)
+    if specs[0].kind == "coherence-klms":
+        [spec] = specs
         return CoherenceKlms(spec.bandwidth, spec.coherence_threshold,
-                             spec.lr_weights, input_dim, n_runs=len(bank_seeds))
+                             spec.lr_weights, input_dim, n_runs=n)
     # an rff spec has zero feature step sizes (FilterSpec.validate), which
     # freezes the banks
     banks = [sample_feature_bank(spec.bandwidth, spec.n_features, input_dim, seed)
-             for seed in bank_seeds]
-    return AdaptiveRffLms(*zip(*banks), spec.lr_weights, spec.lr_freqs, spec.lr_phases)
+             for spec in specs for seed in bank_seeds]
+    rates = (np.repeat([getattr(spec, name) for spec in specs], n)
+             for name in ("lr_weights", "lr_freqs", "lr_phases"))
+    return AdaptiveRffLms(*zip(*banks), *rates, n_streams=n)
+
+
+def build_filter(spec: FilterSpec, input_dim: int, bank_seeds):
+    """One spec's engine over a batch of runs, one per bank seed."""
+    # not called here, but perfbench/tracing.py patches it by this name
+    return _build_engine([spec], input_dim, bank_seeds)
 
 
 def _engines(filters: tuple[FilterSpec, ...], n_runs: int) -> list[list[FilterSpec]]:
@@ -184,10 +198,9 @@ def _run_batch(cfg: ExperimentConfig, runs: range):
     """Monte Carlo runs ``runs``: every configured filter over each run's
     fresh stream, all runs of the batch in one ``run`` call per engine.
 
-    Each spec is built by ``build_filter`` over the batch's runs, in config
-    order within its engine. The RFF specs of one D are stacked into one
-    engine (``_engines``, ``AdaptiveRffLms.stack``) whose rows read the
-    same streams; a stack of one spec is its filter itself.
+    Each engine is built in one ``_build_engine`` call from its specs
+    (``_engines``), over the batch's runs: the RFF specs of one D share
+    one engine whose rows read the batch's streams.
 
     Yields, filter by filter: its label, its (R, T) EMSE curves, the (T,)
     integer sum of its usable runs' model sizes (D, or the count of centers
@@ -205,14 +218,9 @@ def _run_batch(cfg: ExperimentConfig, runs: range):
     n = len(runs)
     take_snapshots = runs[0] == 0
     change_step = cfg.plant.change_step if "change_step" in PLANT_FIELDS[cfg.plant.kind] else None
-    order = {spec: i for i, spec in enumerate(cfg.filters)}
 
     for specs in _engines(cfg.filters, n):
-        built = {spec: build_filter(spec, inputs.shape[2], bank_seeds)
-                 for spec in sorted(specs, key=order.get)}
-        filt = built[specs[0]] if len(specs) == 1 else AdaptiveRffLms.stack(
-            [built[spec] for spec in specs])
-        del built
+        filt = _build_engine(specs, inputs.shape[2], bank_seeds)
         # spec j's runs are the engine's rows [j * n, (j + 1) * n), its run 0 row j * n
         firsts = range(0, len(specs) * n, n)
         snapshots = [None] * len(specs)

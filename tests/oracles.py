@@ -177,6 +177,12 @@ def size_curves(filt) -> np.ndarray:
     return sizes
 
 
+def step(filt, x, y) -> float:
+    """One online step of a one-stream filter: the float that ``run``
+    returns over the one-sample stream (x, y)."""
+    return float(filt.run(np.asarray(x)[None, None], [[y]])[0, 0])
+
+
 def predict(filt, x, run: int = 0) -> float:
     """Run ``run``'s prediction at x from the filter's public state, without
     stepping it: the weights against the cosine features, or against the

@@ -44,7 +44,7 @@ def test_rff_filter_is_the_adaptive_core_with_frozen_features():
     [spec] = [s for s in cfg.filters if s.kind == "rff"]
     f = runner.build_filter(spec, 2, [0, 1])
     assert type(f) is rfflms.AdaptiveRffLms
-    assert (f.lr_freqs, f.lr_phases) == (0, 0)
+    assert f.lr_freqs.tolist() == f.lr_phases.tolist() == [0.0, 0.0]
     freqs, phases = f.freqs.tobytes(), f.phases.tobytes()
     inputs, targets, _ = rfflms.gen_stationary_stream(cfg.plant, 300, seed=3)
     f.run(np.stack([inputs] * 2), np.stack([targets] * 2))

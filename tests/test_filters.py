@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import kernel_eval, klms_reference, loss, predict, rff_reference, size_curves
+from oracles import (kernel_eval, klms_reference, loss, predict, rff_reference, size_curves,
+                     step)
 from rfflms import filters
 from rfflms.config import preset
 from rfflms.features import sample_feature_bank
@@ -31,8 +32,9 @@ ONE_STEP_WEIGHT = float((F32(0.1) * F32(1.0)) * np.cos(F32(1.0)))
 
 
 # a bank is (freqs, phases); AdaptiveRffLms(*zip(*banks), ...) builds a
-# filter of one run per bank, as runner.build_filter does, and
-# AdaptiveRffLms(*zip(bank), ...) one of a single run
+# filter of one run per bank, as the runner builds one spec's engine, and
+# AdaptiveRffLms(*zip(bank), ...) one of a single run, which the step
+# oracle steps one sample at a time through run
 def scalar_bank(freq=1.0, phase=0.0):
     return np.array([[freq]]), np.array([phase])
 
@@ -48,7 +50,7 @@ def random_state(seed, n_features=8, input_dim=2):
 def test_zero_weights_predict_zero():
     bank = sample_feature_bank(1.0, 6, 2, seed=1)
     f = AdaptiveRffLms(*zip(bank), 0.01, 0.01, 0.01)
-    assert f.step(np.array([0.7, -2.0]), 1.0) == 0.0
+    assert step(f, np.array([0.7, -2.0]), 1.0) == 0.0
     assert size_curves(f).tolist() == [[6]]
 
 
@@ -56,7 +58,7 @@ def test_predict_is_a_dot_product():
     # 2 * cos(acos(0.5)) in float32, the phase rounded to float32 first
     f = AdaptiveRffLms(*zip(scalar_bank(freq=0.0, phase=math.acos(0.5))), 0.1, 0.0, 0.0)
     f.weights[:] = 2.0
-    assert f.step(np.array([123.0]), 0.0) == F32(2.0) * np.cos(F32(math.acos(0.5)))
+    assert step(f, np.array([123.0]), 0.0) == F32(2.0) * np.cos(F32(math.acos(0.5)))
 
 
 def float64_state(f):
@@ -78,12 +80,12 @@ def test_prediction_invariant_under_phase_wrap():
     wrapped64.phases[0, 3] += 2.0 * math.pi
     assert math.isclose(predict(wrapped64, x), predict(state, x), rel_tol=0, abs_tol=1e-12)
     expected = predict(wrapped, x)  # before the step updates the state
-    assert wrapped.step(x, 0.0) == expected
+    assert step(wrapped, x, 0.0) == expected
 
 
 def test_one_step_hand_oracle():
     f = AdaptiveRffLms(*zip(scalar_bank()), lr_weights=0.1, lr_freqs=1.0, lr_phases=1.0)
-    assert f.step(np.array([1.0]), 1.0) == 0.0
+    assert step(f, np.array([1.0]), 1.0) == 0.0
     assert size_curves(f).tolist() == [[1]]
     assert f.weights[0, 0] == ONE_STEP_WEIGHT
     assert f.freqs[0, 0, 0] == 1.0
@@ -97,7 +99,7 @@ def test_zero_error_is_a_fixed_point(seed):
     x = rng.normal(size=2)
     y = predict(f, x)
     w0, fr0, ph0 = f.weights.copy(), f.freqs.copy(), f.phases.copy()
-    prediction = f.step(x, y)
+    prediction = step(f, x, y)
     assert y - prediction == 0.0
     assert np.array_equal(f.weights, w0)
     assert np.array_equal(f.freqs, fr0)
@@ -114,7 +116,7 @@ def test_frozen_feature_updates_match_rff_bit_for_bit():
     for _ in range(2000):
         x = rng.normal(size=2)
         y = float(rng.normal())
-        assert arff.step(x, y) == rff.step(x, y)
+        assert step(arff, x, y) == step(rff, x, y)
     assert np.array_equal(arff.weights, rff.weights)
     assert np.array_equal(arff.freqs, rff.freqs)
     assert np.array_equal(arff.phases, rff.phases)
@@ -142,7 +144,7 @@ def test_rff_first_step_from_zero_weights():
     # in float32, as the filter computes
     freqs, phases = bank
     z = np.cos(freqs.astype(F32) @ x.astype(F32) + phases.astype(F32))
-    assert f.step(x, 2.0) == 0.0
+    assert step(f, x, 2.0) == 0.0
     assert size_curves(f).tolist() == [[4]]
     assert np.array_equal(f.weights[0], (F32(2.0) * F32(0.05)) * z)
 
@@ -152,7 +154,7 @@ def test_rff_zero_targets_keep_zero_state():
     f = AdaptiveRffLms(*zip(bank), 0.5, 0.0, 0.0)
     rng = np.random.default_rng(1)
     for _ in range(100):
-        f.step(rng.normal(size=2), 0.0)
+        step(f, rng.normal(size=2), 0.0)
     assert np.array_equal(f.weights, np.zeros((1, 4)))
 
 
@@ -168,7 +170,7 @@ def test_rff_three_steps_match_scalar_recursion():
         w = w + (e * F32(lr)) * z
     f = AdaptiveRffLms(*zip(scalar_bank(freq, phase)), lr, 0.0, 0.0)
     for x, y in zip(xs, ys):
-        f.step(np.array([x]), y)
+        step(f, np.array([x]), y)
     assert f.weights[0, 0] == w
 
 
@@ -178,7 +180,7 @@ def test_error_equals_target_minus_prediction():
     y = 1.7
     pred = predict(f, x)
     # the error is y - prediction, so step returns the pre-update prediction
-    prediction = f.step(x, y)
+    prediction = step(f, x, y)
     assert prediction == pred
     assert type(prediction) is float and size_curves(f).tolist() == [[8]]
 
@@ -188,13 +190,13 @@ def test_instantaneous_loss():
     # reproduces without stepping
     f, rng = random_state(8)
     x = rng.normal(size=2)
-    y = copy.deepcopy(f).step(x, 0.0)
+    y = step(copy.deepcopy(f), x, 0.0)
     w0 = f.weights.copy()
     assert loss(f, x, y) == 0.0 and loss(f, x, 1.0) == (1.0 - y) ** 2
     assert np.array_equal(f.weights, w0)
-    assert (y - f.step(x, y)) ** 2 == 0.0
+    assert (y - step(f, x, y)) ** 2 == 0.0
     g = AdaptiveRffLms(f.freqs, f.phases, 0.1, 0.1, 0.1)  # zero weights
-    assert (3.0 - g.step(x, 3.0)) ** 2 == 9.0
+    assert (3.0 - step(g, x, 3.0)) ** 2 == 9.0
 
 
 def test_update_directions_are_loss_gradients():
@@ -210,7 +212,7 @@ def test_update_directions_are_loss_gradients():
         y = float(frng.normal())
 
         ref = copy.deepcopy(f)
-        f.step(x, y)
+        step(f, x, y)
         _, *after = rff_reference(ref.freqs, ref.phases, ref.weights,
                                   1.0, 1.0, 1.0, x[None, None], [[y]])
         for a, b in zip(after, (f.weights, f.freqs, f.phases), strict=True):
@@ -256,11 +258,11 @@ def test_update_directions_are_loss_gradients():
 def test_non_finite_input_is_a_stream_error():
     f, _ = random_state(2)
     with pytest.raises(ValueError):
-        f.step(np.array([np.nan, 0.0]), 1.0)
+        step(f, np.array([np.nan, 0.0]), 1.0)
     with pytest.raises(ValueError):
-        f.step(np.zeros(2), math.inf)
+        step(f, np.zeros(2), math.inf)
     with pytest.raises(ValueError):
-        f.step(np.zeros(3), 1.0)
+        step(f, np.zeros(3), 1.0)
 
 
 def test_divergence_shows_in_diverged_at_and_nan_predictions():
@@ -269,11 +271,11 @@ def test_divergence_shows_in_diverged_at_and_nan_predictions():
     bank = sample_feature_bank(1.0, 4, 2, seed=0)
     f = AdaptiveRffLms(*zip(bank), 1e30, 1e30, 1e30)
     rng = np.random.default_rng(0)
-    preds = np.array([f.step(rng.normal(size=2), float(rng.normal())) for _ in range(50)])
-    step = int(f.diverged_at[0])
-    assert 1 <= step <= 50
-    assert np.isfinite(preds[:step - 1]).all() and set(size_curves(f)[0, :step - 1]) <= {4}
-    assert np.isnan(preds[step - 1:]).all() and f.model_size.tolist() == [4]
+    preds = np.array([step(f, rng.normal(size=2), float(rng.normal())) for _ in range(50)])
+    at = int(f.diverged_at[0])
+    assert 1 <= at <= 50
+    assert np.isfinite(preds[:at - 1]).all() and set(size_curves(f)[0, :at - 1]) <= {4}
+    assert np.isnan(preds[at - 1:]).all() and f.model_size.tolist() == [4]
 
 
 def test_negative_rates_rejected():
@@ -299,14 +301,14 @@ def test_filters_do_not_alias_the_given_bank():
     bank = sample_feature_bank(1.0, 4, 2, seed=0)
     f = AdaptiveRffLms(*zip(bank), 0.1, 0.5, 0.5)
     f.weights[:] = 1.0
-    f.step(np.ones(2), 5.0)
+    step(f, np.ones(2), 5.0)
     fresh = sample_feature_bank(1.0, 4, 2, seed=0)
     assert np.array_equal(bank[0], fresh[0]) and np.array_equal(bank[1], fresh[1])
 
 
 def test_klms_first_sample_is_admitted():
     f = CoherenceKlms(0.95, 0.7, 0.2, input_dim=2)
-    assert f.step(np.array([0.3, 0.4]), 1.5) == 0.0
+    assert step(f, np.array([0.3, 0.4]), 1.5) == 0.0
     assert size_curves(f).tolist() == [[1]] and f.admitted_at[0, :2].tolist() == [1, 0]
     assert math.isclose(f.weights[0][0], 0.2 * 1.5 * 1.0, rel_tol=1e-15)
 
@@ -315,7 +317,7 @@ def test_klms_repeated_input_never_grows_the_dictionary():
     f = CoherenceKlms(1.0, 0.9, 0.1, input_dim=2)
     x = np.array([1.0, -1.0])
     for _ in range(200):
-        f.step(x, 0.5)
+        step(f, x, 0.5)
     assert set(size_curves(f)[0]) == {1}
 
 
@@ -323,7 +325,7 @@ def test_klms_weights_track_dictionary_size():
     f = CoherenceKlms(0.5, 0.5, 0.05, input_dim=2)
     rng = np.random.default_rng(12)
     for _ in range(300):
-        f.step(rng.normal(size=2) * 2, float(rng.normal()))
+        step(f, rng.normal(size=2) * 2, float(rng.normal()))
         size = size_curves(f)[0, -1]
         assert len(f.weights[0]) == size == len(f.centers[0]) == f.model_size[0]
     c = f.centers[0]
@@ -336,12 +338,12 @@ def test_klms_zero_error_fixed_point():
     f = CoherenceKlms(1.0, 0.6, 0.1, input_dim=2)
     rng = np.random.default_rng(7)
     for _ in range(50):
-        f.step(rng.normal(size=2), float(rng.normal()))
+        step(f, rng.normal(size=2), float(rng.normal()))
     x = rng.normal(size=2)
     y = predict(f, x)
     size_before = int(f.model_size[0])
     w_before = f.weights[0].copy()
-    prediction = f.step(x, y)
+    prediction = step(f, x, y)
     assert y - prediction == 0.0
     # admission may still grow the dictionary; the active weights stay put
     assert np.array_equal(f.weights[0][:size_before], w_before)
@@ -389,7 +391,7 @@ def assert_same_state(a, b):
 def step_loop(f, inputs, targets):
     """What ``f.run(inputs[None], targets[None])`` returns, one ``step`` at
     a time: (1, T) predictions."""
-    return np.array([[f.step(x, y) for x, y in zip(inputs, targets)]])
+    return np.array([[step(f, x, y) for x, y in zip(inputs, targets)]])
 
 
 @pytest.mark.parametrize("kind", sorted(MAKERS))
@@ -441,20 +443,20 @@ def test_divergence_step_is_global_across_run_split_run_and_step_loop(kind):
     inputs, targets = smooth_stream()
     whole = DIVERGENT[kind]()
     preds = whole.run(inputs[None], targets[None])
-    step = int(whole.diverged_at[0])
-    assert 1 < step < 2000
+    at = int(whole.diverged_at[0])
+    assert 1 < at < 2000
     # cut halfway, and just before the diverging step so that it is the
     # second call's first
-    for cut in (step // 2, step - 1):
+    for cut in (at // 2, at - 1):
         f = DIVERGENT[kind]()
         f.run(inputs[None, :cut], targets[None, :cut])
         assert f.diverged_at[0] == 0
         f.run(inputs[None, cut:], targets[None, cut:])
-        assert f.diverged_at[0] == step
+        assert f.diverged_at[0] == at
     looped = DIVERGENT[kind]()
     step_preds = step_loop(looped, inputs, targets)
-    assert looped.diverged_at[0] == step
-    assert np.isnan(step_preds[0, step - 1:]).all()
+    assert looped.diverged_at[0] == at
+    assert np.isnan(step_preds[0, at - 1:]).all()
     assert np.array_equal(step_preds, preds, equal_nan=True)
     assert np.array_equal(size_curves(looped), size_curves(whole), equal_nan=True)
 
@@ -489,7 +491,7 @@ def test_predict_rejects_a_bad_input_before_and_after_training(kind):
         for bad in ("garbage", None, 0.0, [np.nan, 0.0], [0.0, np.inf],
                     np.zeros(3), np.zeros((1, 2))):
             with pytest.raises(ValueError):
-                f.step(bad, 0.0)
+                step(f, bad, 0.0)
         assert f.n_steps == 50 * trained
         f.run(inputs[None], targets[None])
 
@@ -562,26 +564,26 @@ def test_batched_run_flags_each_row_at_the_step_its_step_loop_flags(kind):
         # live runs need
         assert len(f.centers[1]) > 64 >= max(len(f.centers[0]), len(f.centers[3]))
     for r, (x, y, bank) in enumerate(batch_rows(kind)):
-        step = int(f.diverged_at[r])
+        at = int(f.diverged_at[r])
         alone = make_filter(kind, [bank])
         step_preds = step_loop(alone, x, y)
-        assert alone.diverged_at[0] == step
+        assert alone.diverged_at[0] == at
         assert np.array_equal(preds[r], step_preds[0], equal_nan=True)
         assert np.array_equal(sizes[r], size_curves(alone)[0], equal_nan=True)
-        if step == 0:
+        if at == 0:
             for a, b in zip(row_state(f, r), row_state(alone, 0), strict=True):
                 assert np.array_equal(a, b)
             continue
         before = make_filter(kind, [bank])
-        assert np.array_equal(preds[r, :step - 1],
-                              before.run(x[None, :step - 1], y[None, :step - 1])[0])
-        assert np.all(np.isnan(preds[r, step - 1:]))
-        if step == 61:
+        assert np.array_equal(preds[r, :at - 1],
+                              before.run(x[None, :at - 1], y[None, :at - 1])[0])
+        assert np.all(np.isnan(preds[r, at - 1:]))
+        if at == 61:
             # the rare path: the state before the step is finite, its
             # prediction is not
             assert all(np.isfinite(a).all() for a in row_state(before, 0))
             with np.errstate(all="ignore"):
-                assert not np.isfinite(predict(before, x[step - 1]))
+                assert not np.isfinite(predict(before, x[at - 1]))
 
 
 @pytest.mark.parametrize("subset", [(0,), (2,), (3, 1), (1, 2, 3), (0, 3), (2, 0, 1)])
@@ -768,49 +770,54 @@ def test_a_frozen_row_before_an_adapting_one_is_refused():
     AdaptiveRffLms(*zip(*banks), 0.1, [0.1, 0.0, 0.0], [0.0, 0.1, 0.0])
 
 
-def test_a_stack_gives_each_filter_its_bits_over_their_shared_streams():
-    # two runs each of an adapting, a frozen and a diverging frozen filter
+# (lr_weights, lr_freqs, lr_phases) of an adapting, a frozen and a frozen
+# group that diverges on every run
+GROUP_RATES = [(0.05, 0.5, 0.5), (0.05, 0.0, 0.0), (1.0, 0.0, 0.0)]
+
+
+def test_row_groups_over_shared_streams_give_each_groups_filter_its_bits():
+    # two streams, read by three groups of two rows each
     rows = batch_rows("rff")
     banks = [rows[0][2], rows[3][2]]
     inputs = np.stack([rows[0][0], rows[3][0]])
     targets = np.stack([rows[0][1], rows[3][1]])
-    makers = [lambda: AdaptiveRffLms(*zip(*banks), 0.05, 0.5, 0.5),
-              lambda: AdaptiveRffLms(*zip(*banks), 0.05, 0.0, 0.0),
-              lambda: AdaptiveRffLms(*zip(*banks), 1.0, 0.0, 0.0)]
-    engine = AdaptiveRffLms.stack([make() for make in makers])
+    engine = AdaptiveRffLms(*zip(*(3 * banks)), *np.repeat(GROUP_RATES, 2, axis=0).T,
+                            n_streams=2)
     assert engine.n_runs == 6 and engine.n_streams == 2
     preds = engine.run(inputs, targets)
     sizes = size_curves(engine)
     assert engine.diverged_at[4:].all() and not engine.diverged_at[:4].any()
-    for i, make in enumerate(makers):
-        alone = make()
+    for i, rates in enumerate(GROUP_RATES):
+        alone = AdaptiveRffLms(*zip(*banks), *rates)
         alone_preds = alone.run(inputs, targets)
         assert np.array_equal(preds[2 * i:2 * i + 2], alone_preds, equal_nan=True)
         assert np.array_equal(sizes[2 * i:2 * i + 2], size_curves(alone), equal_nan=True)
         assert np.array_equal(engine.diverged_at[2 * i:2 * i + 2], alone.diverged_at)
-    # the stack takes the filters' two streams, not one per row
-    with pytest.raises(ValueError):
-        engine.run(np.concatenate([inputs] * 3), np.concatenate([targets] * 3))
+        if i < 2:
+            for r in range(2):
+                for a, b in zip(row_state(engine, 2 * i + r), row_state(alone, r), strict=True):
+                    assert np.array_equal(a, b)
 
 
-def test_a_stack_needs_fresh_filters_of_one_run_count_with_adapting_ones_first():
-    bank = sample_feature_bank(1.0, 4, 2, seed=0)
-    adapting = AdaptiveRffLms(*zip(bank, bank), 0.1, 0.1, 0.1)
-    frozen = AdaptiveRffLms(*zip(bank, bank), 0.1, 0.0, 0.0)
-    with pytest.raises(ValueError, match="must follow every other run"):
-        AdaptiveRffLms.stack([frozen, adapting])
-    with pytest.raises(ValueError, match="same number of runs"):
-        AdaptiveRffLms.stack([adapting, AdaptiveRffLms(*zip(bank), 0.1, 0.0, 0.0)])
-    stepped = AdaptiveRffLms(*zip(bank, bank), 0.1, 0.0, 0.0)
-    stepped.run(np.zeros((2, 1, 2)), np.zeros((2, 1)))
-    with pytest.raises(ValueError, match="taken no step"):
-        AdaptiveRffLms.stack([adapting, stepped])
-    # a stack of single-run filters reads one stream, but holds two runs
-    pair = AdaptiveRffLms.stack([AdaptiveRffLms(*zip(bank), 0.1, 0.1, 0.1),
-                                 AdaptiveRffLms(*zip(bank), 0.1, 0.0, 0.0)])
-    with pytest.raises(ValueError, match="one run"):
-        pair.step(np.zeros(2), 0.0)
-    assert pair.n_steps == 0
+def test_an_n_streams_that_does_not_divide_the_rows_is_refused():
+    banks = 6 * [sample_feature_bank(1.0, 4, 2, seed=0)]
+    for n_streams in (0, 4):
+        with pytest.raises(ValueError, match=f"n_streams must be >= 1 and divide the 6 "
+                                             f"runs, got {n_streams}"):
+            AdaptiveRffLms(*zip(*banks), 0.1, 0.0, 0.0, n_streams=n_streams)
+    for n_streams in (1, 2, 3, 6):
+        f = AdaptiveRffLms(*zip(*banks), 0.1, 0.0, 0.0, n_streams=n_streams)
+        assert (f.n_runs, f.n_streams) == (6, n_streams)
+
+
+def test_run_takes_n_streams_streams():
+    banks = 6 * [sample_feature_bank(1.0, 4, 2, seed=0)]
+    f = AdaptiveRffLms(*zip(*banks), 0.1, 0.0, 0.0, n_streams=2)
+    for given in (1, 3, 6):  # fewer, neither, and one per row
+        with pytest.raises(ValueError, match=r"expected inputs of shape \(2, T, 2\)"):
+            f.run(np.zeros((given, 5, 2)), np.zeros((given, 5)))
+    assert f.n_steps == 0
+    assert f.run(np.zeros((2, 5, 2)), np.zeros((2, 5))).shape == (6, 5)
 
 
 def test_batched_filters_take_streams_only():
@@ -820,8 +827,6 @@ def test_batched_filters_take_streams_only():
         f.run(inputs, targets)  # a single run's stream
     with pytest.raises(ValueError):
         f.run(inputs[None], targets[None])  # one of the two runs' streams
-    with pytest.raises(ValueError):
-        f.step(inputs[0], targets[0])
     assert f.n_steps == 0
 
 
@@ -865,7 +870,8 @@ def test_an_engine_with_no_frozen_run_holds_no_block_of_cosines():
 @pytest.mark.parametrize("kind", sorted(MAKERS))
 def test_state_dtype_and_run_output_contract(kind):
     # the RFF kinds hold float32 state and coherence-klms float64; run
-    # returns one float64 (R, T) array and step a Python float. The model
+    # returns one float64 (R, T) array, and the step oracle a Python float
+    # from it. The model
     # size is state: D for an RFF run, and a coherence-klms run's count of
     # admissions, each at a step the filter has taken, after every call of
     # any split of the stream
@@ -884,7 +890,7 @@ def test_state_dtype_and_run_output_contract(kind):
             else:
                 assert f.model_size.tolist() == [48]
         assert {a.dtype for a in row_state(f, 0)} == {np.dtype(dtype)}
-        assert type(f.step(inputs[0], targets[0])) is float
+        assert type(step(f, inputs[0], targets[0])) is float
 
 
 @pytest.mark.parametrize("value", [1e39, -1e39, F32_MAX * 1.0000001])

@@ -320,23 +320,24 @@ def test_divergent_runs_are_flagged_and_excluded():
 
 def predict_constant(monkeypatch, run_index: int, value: float) -> None:
     """Make run ``run_index`` of every filter predict ``value`` at every step,
-    from a state that its filter never flags."""
-    build = runner.build_filter
+    from a state that its filter never flags: each spec's row for that run
+    in its engine."""
+    build = runner._build_engine
 
-    def build_constant(spec, input_dim, bank_seeds):
-        filt = build(spec, input_dim, bank_seeds)
+    def build_constant(specs, input_dim, bank_seeds):
+        filt = build(specs, input_dim, bank_seeds)
         run = filt.run
 
         def run_constant(inputs, targets):
             preds = run(inputs, targets)
             assert not filt.diverged_at.any()
-            preds[run_index] = value
+            preds[run_index::filt.n_streams] = value
             return preds
 
         filt.run = run_constant
         return filt
 
-    monkeypatch.setattr(runner, "build_filter", build_constant)
+    monkeypatch.setattr(runner, "_build_engine", build_constant)
 
 
 RFF_ONLY = (FilterSpec(kind="rff", lr_weights=0.01, n_features=8, bandwidth=0.95),)
@@ -568,15 +569,16 @@ def assert_same_files(a, b) -> None:
 
 
 def record_builds(monkeypatch) -> list:
-    """Record the spec of every filter that ``build_filter`` builds."""
+    """Record the specs of every engine that ``_build_engine`` builds, one
+    list an engine."""
     built = []
-    build = runner.build_filter
+    build = runner._build_engine
 
-    def recording_build(spec, input_dim, bank_seeds):
-        built.append(spec)
-        return build(spec, input_dim, bank_seeds)
+    def recording_build(specs, input_dim, bank_seeds):
+        built.append(list(specs))
+        return build(specs, input_dim, bank_seeds)
 
-    monkeypatch.setattr(runner, "build_filter", recording_build)
+    monkeypatch.setattr(runner, "_build_engine", recording_build)
     return built
 
 
@@ -663,10 +665,10 @@ def test_an_n_features_sweep_builds_coherence_klms_for_its_first_config_only(mon
     assert len(list(run_experiments(cfgs))) == 3
     # only coherence-klms's reduction outlives its first config, up to the last
     assert [n for _, n in held] == [0, 1, 1] and held[0][0] == {}
-    assert [(f.kind, f.n_features) for f in built] == [
-        ("coherence-klms", 0), ("rff", 8), ("adaptive-rff", 8),
-        ("coherence-klms", 0), ("rff", 8), ("adaptive-rff", 8),
-        *[(kind, d) for d in (16, 24) for _ in range(2) for kind in ("rff", "adaptive-rff")],
+    assert [[(f.kind, f.n_features) for f in engine] for engine in built] == [
+        [("coherence-klms", 0)], [("adaptive-rff", 8), ("rff", 8)],
+        [("coherence-klms", 0)], [("adaptive-rff", 8), ("rff", 8)],
+        *[[(kind, d) for kind in ("adaptive-rff", "rff")] for d in (16, 24) for _ in range(2)],
     ]
 
 
@@ -696,7 +698,7 @@ def test_configs_that_differ_outside_their_filters_share_no_unit(change, monkeyp
     built = record_builds(monkeypatch)
     cfg = tiny_config()
     assert len(list(run_experiments([cfg, tiny_config(**change)]))) == 2
-    assert built == [*cfg.filters, *cfg.filters]  # one batch each
+    assert built == 2 * runner._engines(cfg.filters, cfg.runs)  # one batch each
 
 
 # coherence-klms at a rate where runs 3 and 6 of 12 diverge, one in each
@@ -752,7 +754,8 @@ def test_a_partly_diverged_filter_keeps_its_bytes_across_batchings(tmp_path, mon
     # a unit shared by a sweep: cfg's coherence-klms comes from the first point
     built = record_builds(monkeypatch)
     *_, shared = run_experiments([_override_filters(cfg, "n_features", 16), cfg])
-    assert [f.kind for f in built] == ["coherence-klms", "rff", "rff"]
+    assert [[f.kind for f in engine] for engine in built] == [
+        ["coherence-klms"], ["rff"], ["rff"]]
     export_artifacts(shared, tmp_path / "shared")
     assert_same_files(tmp_path / "serial", tmp_path / "shared")
     # six batches of two runs
