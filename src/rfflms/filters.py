@@ -62,13 +62,15 @@ so its cost is the per-call overhead of its 6 to 20 numpy operations,
 whatever the number of runs, and allocating a fresh result is a large
 part of that. The loop over a time block therefore allocates its working
 arrays (angles, features, error, gradient, updates) once, and every
-per-step operation writes into one of them with ``out=``. An
-``AdaptiveRffLms`` block computes its frozen runs' cosines at once, in a
-(steps, R, D) buffer whose adapting rows each step fills; with no frozen
-run, each step refills one (R, D) buffer. Each step makes one call over
-all runs for each of the prediction (``vecdot``), the error, one
-broadcast of the error to (R, D) and the weight update, and the adapting
-runs' calls over their leading rows. The step sizes are (R, D) float32
+per-step operation writes into one of them with ``out=``.
+``AdaptiveRffLms`` has one step loop for every mix of runs. A block
+computes its frozen runs' cosines at once, in a (steps, R, D) buffer
+whose adapting rows each step fills; with no frozen run, each step
+refills one (R, D) buffer. Each step makes one call over all runs for
+each of the prediction (``vecdot``), the error, one broadcast of the
+error to (R, D) and the weight update, and the adapting runs' calls over
+their leading rows, which an engine with no adapting run skips: it makes
+no call on an empty array. The step sizes are (R, D) float32
 arrays, built once per block, so no per-step call takes a scalar, and no
 call broadcasts the (R, 1) error but that one. ``CoherenceKlms`` doubles
 its capacity before a block, never inside one. The operations and their
@@ -93,6 +95,8 @@ downstream are float64 throughout.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -226,7 +230,9 @@ class AdaptiveRffLms(_StreamFilter):
     A run whose two feature step sizes are both zero is frozen: its bank
     never changes, and the features of a whole time block are computed at
     once. The runs that adapt their features come first: a frozen run
-    before an adapting one raises ``ValueError``.
+    before an adapting one raises ``ValueError``. One step loop runs every
+    engine, the adapting rows' calls guarded, so an engine of frozen runs
+    only makes the calls that every row shares.
 
     ``n_streams``, R by default, is the number of streams that ``run``
     takes; it must divide R, and run r reads stream r % ``n_streams`` (see
@@ -303,37 +309,39 @@ class AdaptiveRffLms(_StreamFilter):
             frozen += phases[na:, :, None]
             cos(frozen, out=frozen)
             zs = zs[..., 0]
-        if not na:
-            for z, y, p in zip(zs, ys, predictions):
-                vecdot(w, z, out=p)
-                subtract(y, p, out=err)
-                E[...] = e
-                w += multiply(multiply(E, lr_weights, out=E), z, out=E)
-            return
         # the adapting runs lead: their state and buffers are views of the
-        # leading rows, and each step writes their cosines to the block's
-        lr_freqs, lr_phases = (leading_rows(rate, na) for rate in (self.lr_freqs, self.lr_phases))
-        freqs, phases, wa, Ea = freqs[:na], phases[:na], w[:na], E[:na]
-        theta = np.empty((*wa.shape, 1), w.dtype)  # matmul's (Ra, D, 1) result
-        angles, s, g, lg = theta[..., 0], *(np.empty_like(wa) for _ in range(3))
-        step = np.empty_like(freqs)
-        columns = list(enumerate(step.transpose(2, 0, 1)))  # (i, step[:, :, i])
-        for x, y, z, za, p in zip(xs[:, :na, :, None], ys, zs, zs[:, :na], predictions):
-            matmul(freqs, x, out=theta)
-            angles += phases
-            cos(angles, out=za)
+        # leading rows, and each step writes their cosines to the block's. An
+        # engine with none steps with None for their inputs and cosines and
+        # makes none of their calls
+        if na:
+            lr_freqs, lr_phases = (leading_rows(rate, na)
+                                   for rate in (self.lr_freqs, self.lr_phases))
+            freqs, phases, wa, Ea = freqs[:na], phases[:na], w[:na], E[:na]
+            theta = np.empty((*wa.shape, 1), w.dtype)  # matmul's (Ra, D, 1) result
+            angles, s, g, lg = theta[..., 0], *(np.empty_like(wa) for _ in range(3))
+            step = np.empty_like(freqs)
+            columns = list(enumerate(step.transpose(2, 0, 1)))  # (i, step[:, :, i])
+            adapting = zip(xs[:, :na, :, None], zs[:, :na])
+        else:
+            adapting = itertools.repeat((None, None))
+        for (x, za), z, y, p in zip(adapting, zs, ys, predictions):
+            if na:
+                matmul(freqs, x, out=theta)
+                angles += phases
+                cos(angles, out=za)
             vecdot(w, z, out=p)
             subtract(y, p, out=err)
             E[...] = e
-            # pre-update weights drive the feature gradients: g = (e * w) * sin
-            multiply(multiply(Ea, wa, out=g), sin(angles, out=s), out=g)
-            # freqs[:, :, i] -= (lr_freqs * g) * x_i for each coordinate i,
-            # built in one buffer so that numpy loops over D, not L
-            multiply(g, lr_freqs, out=lg)
-            for i, column in columns:
-                multiply(lg, x[:, i], out=column)
-            freqs -= step
-            phases -= multiply(g, lr_phases, out=lg)
+            if na:
+                # pre-update weights drive the feature gradients: g = (e * w) * sin
+                multiply(multiply(Ea, wa, out=g), sin(angles, out=s), out=g)
+                # freqs[:, :, i] -= (lr_freqs * g) * x_i for each coordinate i,
+                # built in one buffer so that numpy loops over D, not L
+                multiply(g, lr_freqs, out=lg)
+                for i, column in columns:
+                    multiply(lg, x[:, i], out=column)
+                freqs -= step
+                phases -= multiply(g, lr_phases, out=lg)
             w += multiply(multiply(E, lr_weights, out=E), z, out=E)
 
 
@@ -365,9 +373,9 @@ class CoherenceKlms(_StreamFilter):
     ``weights * kernel`` over the whole buffer; numpy's pairwise sum over a
     power-of-two length adds the padding in whole blocks of zeros, so a
     run's prediction is the same bits whatever capacity its batch needs.
-    ``model_size`` holds each run's dictionary size, and ``weights`` and
-    ``centers`` the active parts as lists of per-run arrays; ``admitted_at``,
-    zero-padded like the weights, each center's global 1-based admission step.
+    ``model_size`` holds each run's dictionary size, the count of its
+    buffers' leading active entries, and ``admitted_at``, zero-padded like
+    the weights, each center's global 1-based admission step.
     """
 
     dtype = np.dtype(np.float64)
@@ -386,17 +394,6 @@ class CoherenceKlms(_StreamFilter):
         self._weights = np.zeros((n_runs, 16), self.dtype)
         self.admitted_at = np.zeros((n_runs, 16), dtype=int)
         self._start_runs(np.zeros(n_runs, dtype=int))
-
-    def _active(self, buffer: np.ndarray) -> list[np.ndarray]:
-        return [buffer[r, :size] for r, size in enumerate(self.model_size.tolist())]
-
-    @property
-    def weights(self) -> list[np.ndarray]:
-        return self._active(self._weights)
-
-    @property
-    def centers(self) -> list[np.ndarray]:
-        return self._active(self._centers.transpose(0, 2, 1))
 
     def _block_length(self) -> int:
         return max(1, min(_BLOCK, _CHUNK // self._centers.size))

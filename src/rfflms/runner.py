@@ -79,6 +79,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 import os
 from collections.abc import Iterator
@@ -402,13 +403,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunArtifacts:
     return art
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
-
-
 def _write_curve_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     # one %-format per row, under half of csv.writer's time on a long
-    # curve: the cells read as _fmt writes them, with csv.writer's \r\n
+    # curve: the cells read as summary.csv's .12g ones, with csv.writer's \r\n
     # line ending
     row = "%d" + ",%.12g" * len(columns) + "\r\n"
     cells = zip(range(columns[0].shape[0]), *(col.tolist() for col in columns))
@@ -440,18 +437,22 @@ def export_artifacts(art: RunArtifacts, out_dir) -> dict:
         writer = csv.writer(fh)
         writer.writerow(["filter", *SUMMARY_VALUES, "runs_used", "runs_diverged"])
         for lab, row in summary.items():
-            cells = [_fmt(row[key]) if key in row else "" for key in SUMMARY_VALUES]
+            cells = [f"{row[key]:.12g}" if key in row else "" for key in SUMMARY_VALUES]
             writer.writerow([lab, *cells, row["runs_used"], len(art.diverged[lab])])
 
     with (out / "omega_snapshots.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
         dim = max((s["initial"].shape[1] for s in art.snapshots.values()), default=0)
-        writer.writerow(["filter", "stage", "feature"] + [f"coord{i}" for i in range(dim)])
+        csv.writer(fh).writerow(["filter", "stage", "feature"] + [f"coord{i}" for i in range(dim)])
         for lab, snaps in art.snapshots.items():
             for stage in SNAPSHOT_STAGES:
                 if (freqs := snaps.get(stage)) is not None:
-                    writer.writerows([lab, stage, m, *map(_fmt, values)]
-                                     for m, values in enumerate(freqs.tolist()))
+                    # as a curve's rows: the label cells quoted once by csv.writer,
+                    # less its \r\n and with % escaped, then one %-format per feature
+                    cells = io.StringIO()
+                    csv.writer(cells).writerow([lab, stage])
+                    row = (cells.getvalue()[:-2].replace("%", "%%") + ",%d"
+                           + ",%.12g" * freqs.shape[1] + "\r\n")
+                    fh.writelines(row % (m, *values) for m, values in enumerate(freqs.tolist()))
 
     manifest = {
         "config": config_to_dict(art.config),

@@ -177,6 +177,18 @@ def size_curves(filt) -> np.ndarray:
     return sizes
 
 
+def klms_weights(filt: CoherenceKlms, run: int = 0) -> np.ndarray:
+    """Run ``run``'s active weights: the leading ``model_size`` entries of
+    its zero-padded buffer."""
+    return filt._weights[run, :filt.model_size[run]]
+
+
+def klms_centers(filt: CoherenceKlms, run: int = 0) -> np.ndarray:
+    """Run ``run``'s centers as (size, L) rows: the leading ``model_size``
+    columns of its +inf-padded (L, capacity) buffer."""
+    return filt._centers[run, :, :filt.model_size[run]].T
+
+
 def step(filt, x, y) -> float:
     """One online step of a one-stream filter: the float that ``run``
     returns over the one-sample stream (x, y)."""
@@ -193,10 +205,10 @@ def predict(filt, x, run: int = 0) -> float:
     casts the stream: an ``AdaptiveRffLms``'s float32 state gives the bits
     of its loop, a float64 copy of it the float64 value."""
     if isinstance(filt, CoherenceKlms):
-        centers = filt.centers[run]
+        centers = klms_centers(filt, run)
         if len(centers) == 0:
             return 0.0
-        return padded_sum(filt.weights[run] * kernelized_input(filt.bandwidth, centers, x))
+        return padded_sum(klms_weights(filt, run) * kernelized_input(filt.bandwidth, centers, x))
     x = np.asarray(x, dtype=float).astype(filt.weights.dtype)
     return float(filt.weights[run] @ np.cos(filt.freqs[run] @ x + filt.phases[run]))
 

@@ -448,8 +448,8 @@ def test_export_layout(tmp_path):
     assert len(snap_lines) == 1 + 2 * 3 * 96
 
 
-@pytest.mark.parametrize("rff_label", ['rff, "fixed"\nD=8', "rff\nD=8"],
-                         ids=["comma-quote-newline", "newline-only"])
+@pytest.mark.parametrize("rff_label", ['rff, "fixed"\nD=8', "rff\nD=8", 'rff, 5%d "fixed"\nD=8'],
+                         ids=["comma-quote-newline", "newline-only", "percent"])
 def test_labels_that_need_csv_quoting_read_back_exactly(tmp_path, rff_label):
     klms_label = "klms, 0.7"
     cfg = tiny_nonstationary(filters=(
