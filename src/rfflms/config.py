@@ -52,9 +52,9 @@ MAX_RUNS = 10**6
 # that one run fits in 1 GiB and a larger value fails here, not in the
 # first batch: generating a run's stream peaks at about 57 bytes a step
 # above the interpreter (260 MiB in all at 2**22 steps, of which the
-# returned stream holds 32 bytes a step), and an RFF run at about 290
-# bytes a feature for rff, whose time blocks hold their (64, D) cosines,
-# and 180 for adaptive-rff: 612 and 389 MiB peak RSS for one run at 2**21
+# returned stream holds 32 bytes a step), and an RFF run at about 180
+# bytes a feature, rff or adaptive-rff: 389 MiB peak RSS for one run at
+# 2**21, 32 MiB of it the interpreter's
 MAX_HORIZON = 2**22
 MAX_FEATURES = 2**21
 

@@ -63,18 +63,18 @@ whatever the number of runs, and allocating a fresh result is a large
 part of that. The loop over a time block therefore allocates its working
 arrays (angles, features, error, gradient, updates) once, and every
 per-step operation writes into one of them with ``out=``.
-``AdaptiveRffLms`` has one step loop for every mix of runs. A block
-computes its frozen runs' cosines at once, in a (steps, R, D) buffer
-whose adapting rows each step fills; with no frozen run, each step
-refills one (R, D) buffer. Each step makes one call over all runs for
-each of the prediction (``vecdot``), the error, one broadcast of the
-error to (R, D) and the weight update, and the adapting runs' calls over
-their leading rows, which an engine with no adapting run skips: it makes
-no call on an empty array. The step sizes are (R, D) float32
-arrays, built once per block, so no per-step call takes a scalar, and no
-call broadcasts the (R, 1) error but that one. ``CoherenceKlms`` doubles
-its capacity before a block, never inside one. The operations and their
-order are those of the plain expressions, so the bits are too.
+``AdaptiveRffLms`` has one step loop for every mix of runs. Each step
+makes one call over all runs for each of the angles (``matmul``, then
+``+= phases``), their cosines, the prediction (``vecdot``), the error,
+one broadcast of the error to (R, D) and the weight update, and the
+adapting runs' calls over their leading rows, which an engine with no
+adapting run skips: it makes no call on an empty array. So its working
+arrays are a few (R, D) ones, whatever the block's length. The step
+sizes are (R, D) float32 arrays, built once per block, so no per-step
+call takes a scalar, and no call broadcasts the (R, 1) error but that
+one. ``CoherenceKlms`` doubles its capacity before a block, never inside
+one. The operations and their order are those of the plain expressions,
+so the bits are too.
 
 Precision. ``AdaptiveRffLms`` computes in float32: its ``freqs``,
 ``phases`` and ``weights``, every buffer of its time loop and its copy of
@@ -96,8 +96,6 @@ downstream are float64 throughout.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 # phase_angles, coherence_admit and kernelized_input stay importable from
@@ -109,8 +107,8 @@ from .kernels import check_bandwidth, check_threshold, kernel_rows
 # run steps through a stream one time block per _steps call and tests
 # each block's predictions, which flag divergence, after it; an engine's
 # _block_length sets the block. AdaptiveRffLms takes _CHUNK // (weight
-# entries of the batch) steps, and at least _MIN_CHUNK: frozen runs
-# compute a block's cosines at once, in place in its matmul result.
+# entries of the batch) steps, and at least _MIN_CHUNK: a block bounds its
+# (steps, R) predictions and its copy of the runs' (steps, R, L) inputs.
 # CoherenceKlms takes at most _BLOCK steps, fewer if the block's (steps,
 # runs, L, capacity) kernel differences would exceed _CHUNK entries, and
 # at least one
@@ -228,11 +226,11 @@ class AdaptiveRffLms(_StreamFilter):
     the module docstring for how that is caught and reported.
 
     A run whose two feature step sizes are both zero is frozen: its bank
-    never changes, and the features of a whole time block are computed at
-    once. The runs that adapt their features come first: a frozen run
-    before an adapting one raises ``ValueError``. One step loop runs every
-    engine, the adapting rows' calls guarded, so an engine of frozen runs
-    only makes the calls that every row shares.
+    never changes, and its steps skip the feature updates. The runs that
+    adapt their features come first: a frozen run before an adapting one
+    raises ``ValueError``. One step loop runs every engine, the adapting
+    rows' calls guarded, so an engine of frozen runs only makes the calls
+    that every row shares.
 
     ``n_streams``, R by default, is the number of streams that ``run``
     takes; it must divide R, and run r reads stream r % ``n_streams`` (see
@@ -293,55 +291,40 @@ class AdaptiveRffLms(_StreamFilter):
         lr_weights = leading_rows(self.lr_weights, len(w))
         cos, sin, matmul, vecdot = np.cos, np.sin, np.matmul, np.vecdot
         multiply, subtract = np.multiply, np.subtract
-        # err (R,) holds the error and e its (R, 1) column; E holds e broadcast
-        # to (R, D), then lr_weights * e and the weight update (lr_weights * e) * z
-        err, E = np.empty(len(w), w.dtype), np.empty_like(w)
+        # theta holds matmul's (R, D, 1) result and angles its (R, D) view, z
+        # the cosines; err (R,) holds the error and e its (R, 1) column; E holds
+        # e broadcast to (R, D), then lr_weights * e and the weight update
+        # (lr_weights * e) * z
+        theta = np.empty((*w.shape, 1), w.dtype)
+        angles, z, E = theta[..., 0], np.empty_like(w), np.empty_like(w)
+        err = np.empty(len(w), w.dtype)
         e = err[:, None]
-        if na == len(w):  # no frozen run: one (R, D) buffer, a zero stride over the steps
-            z = np.empty_like(w)
-            zs = np.lib.stride_tricks.as_strided(z, (len(xs), *w.shape), (0, *z.strides))
-        else:
-            # the block's cosines: the frozen runs' at once, in place in their
-            # stacked matvec, which gives each (step, run) the bits of freqs @ x
-            zs = np.empty((len(xs), *w.shape, 1), w.dtype)
-            frozen = zs[:, na:]
-            matmul(freqs[na:], xs[:, na:, :, None], out=frozen)
-            frozen += phases[na:, :, None]
-            cos(frozen, out=frozen)
-            zs = zs[..., 0]
         # the adapting runs lead: their state and buffers are views of the
-        # leading rows, and each step writes their cosines to the block's. An
-        # engine with none steps with None for their inputs and cosines and
-        # makes none of their calls
+        # leading rows, and an engine with none makes none of their calls
         if na:
             lr_freqs, lr_phases = (leading_rows(rate, na)
                                    for rate in (self.lr_freqs, self.lr_phases))
-            freqs, phases, wa, Ea = freqs[:na], phases[:na], w[:na], E[:na]
-            theta = np.empty((*wa.shape, 1), w.dtype)  # matmul's (Ra, D, 1) result
-            angles, s, g, lg = theta[..., 0], *(np.empty_like(wa) for _ in range(3))
-            step = np.empty_like(freqs)
+            fa, pa, wa, Ea, aa = freqs[:na], phases[:na], w[:na], E[:na], angles[:na]
+            s, g, lg = (np.empty_like(wa) for _ in range(3))
+            step = np.empty_like(fa)
             columns = list(enumerate(step.transpose(2, 0, 1)))  # (i, step[:, :, i])
-            adapting = zip(xs[:, :na, :, None], zs[:, :na])
-        else:
-            adapting = itertools.repeat((None, None))
-        for (x, za), z, y, p in zip(adapting, zs, ys, predictions):
-            if na:
-                matmul(freqs, x, out=theta)
-                angles += phases
-                cos(angles, out=za)
+        for x, y, p in zip(xs[..., None], ys, predictions):
+            matmul(freqs, x, out=theta)
+            angles += phases
+            cos(angles, out=z)
             vecdot(w, z, out=p)
             subtract(y, p, out=err)
             E[...] = e
             if na:
                 # pre-update weights drive the feature gradients: g = (e * w) * sin
-                multiply(multiply(Ea, wa, out=g), sin(angles, out=s), out=g)
+                multiply(multiply(Ea, wa, out=g), sin(aa, out=s), out=g)
                 # freqs[:, :, i] -= (lr_freqs * g) * x_i for each coordinate i,
                 # built in one buffer so that numpy loops over D, not L
                 multiply(g, lr_freqs, out=lg)
                 for i, column in columns:
-                    multiply(lg, x[:, i], out=column)
-                freqs -= step
-                phases -= multiply(g, lr_phases, out=lg)
+                    multiply(lg, x[:na, i], out=column)
+                fa -= step
+                pa -= multiply(g, lr_phases, out=lg)
             w += multiply(multiply(E, lr_weights, out=E), z, out=E)
 
 

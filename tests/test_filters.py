@@ -107,8 +107,8 @@ def test_zero_error_is_a_fixed_point(seed):
 
 
 def test_frozen_feature_updates_match_rff_bit_for_bit():
-    # feature step sizes of one float32 subnormal take the general loop,
-    # whose bank updates then round away; zero ones take rff's frozen loop
+    # feature step sizes of one float32 subnormal make adapting runs, whose
+    # bank updates then round away; zero ones make frozen runs, which skip them
     bank = sample_feature_bank(0.95, 48, 2, seed=77)
     arff = AdaptiveRffLms(*zip(bank), 0.01, F32_TINY, F32_TINY)
     rff = AdaptiveRffLms(*zip(bank), 0.01, 0.0, 0.0)
@@ -120,9 +120,8 @@ def test_frozen_feature_updates_match_rff_bit_for_bit():
     assert np.array_equal(arff.weights, rff.weights)
     assert np.array_equal(arff.freqs, rff.freqs)
     assert np.array_equal(arff.phases, rff.phases)
-    # and in one run call at R=3, where rff computes each time chunk's cosines
-    # at once, in place: at D=48 a chunk is _CHUNK // 144 = 455 steps, so 1500
-    # steps span 4 chunks
+    # and in one run call at R=3 over several time blocks: at D=48 a block is
+    # _CHUNK // 144 = 455 steps, so 1500 steps span 4 blocks
     banks = [sample_feature_bank(0.95, 48, 2, seed=seed) for seed in (77, 78, 79)]
     streams = [smooth_stream(1500, seed=seed) for seed in (4, 5, 6)]
     inputs = np.stack([x for x, _ in streams])
@@ -722,17 +721,17 @@ def test_coherence_klms_live_columns_where_runs_differ():
 
 
 # per-row step sizes (lr_weights, lr_freqs, lr_phases) over batch_rows("rff"):
-# on the mixed loop two adapting rows lead two frozen ones, and at least
-# one row of each loop diverges
+# in the mixed engine two adapting rows lead two frozen ones, and at least
+# one row of each engine diverges
 PER_ROW_RATES = {
     "frozen": [(0.05, 0.0, 0.0), (0.05, 0.0, 0.0), (0.02, 0.0, 0.0), (0.03, 0.0, 0.0)],
     "mixed": [(0.05, 0.5, 0.5), (0.05, 0.3, 0.0), (0.02, 0.0, 0.0), (0.05, 0.0, 0.0)],
 }
 
 
-@pytest.mark.parametrize("loop", sorted(PER_ROW_RATES))
-def test_per_row_step_sizes_give_each_row_its_scalar_filters_bits(loop):
-    rows, rates = batch_rows("rff"), PER_ROW_RATES[loop]
+@pytest.mark.parametrize("engine", sorted(PER_ROW_RATES))
+def test_per_row_step_sizes_give_each_row_its_scalar_filters_bits(engine):
+    rows, rates = batch_rows("rff"), PER_ROW_RATES[engine]
     f = AdaptiveRffLms(*zip(*(bank for _, _, bank in rows)), *zip(*rates))
     preds = f.run(np.stack([x for x, _, _ in rows]), np.stack([y for _, y, _ in rows]))
     assert f.diverged_at.any() and not f.diverged_at.all()
@@ -849,11 +848,13 @@ def test_time_chunk_length_changes_no_bit(kind, chunk, monkeypatch):
             assert np.array_equal(a, b, equal_nan=True)
 
 
-def test_an_engine_with_no_frozen_run_holds_no_block_of_cosines():
-    # one adapting run of D 4096 steps in blocks of 64, whose cosines would
-    # take 64 * 4096 float32, 1 MiB; one per-step (R, D) buffer is 16 KiB
+@pytest.mark.parametrize("rates", [[1e-3], [0.0], [1e-3, 0.0]],
+                         ids=["adapting", "frozen", "mixed"])
+def test_no_engine_holds_a_block_of_cosines(rates):
+    # runs of D 4096 step in blocks of 64, whose cosines would take 64 * 4096
+    # float32, 1 MiB, a run; one per-step (R, D) buffer is 16 KiB a run
     bank = sample_feature_bank(1.0, 4096, 2, seed=0)
-    f = AdaptiveRffLms(*zip(bank), 1e-3, 1e-3, 1e-3)
+    f = AdaptiveRffLms(*zip(*[bank] * len(rates)), 1e-3, rates, rates, n_streams=1)
     inputs, targets = smooth_stream(steps=64)
     assert f._block_length() == 64
     tracemalloc.start()
