@@ -194,6 +194,13 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         _check_types(self, "")
+        if not isinstance(self.plant, PlantConfig):
+            raise ConfigError(f"plant must be a PlantConfig, got {self.plant!r}")
+        if not isinstance(self.filters, (tuple, list)):
+            raise ConfigError(f"filters must be a tuple of FilterSpec, got {self.filters!r}")
+        for i, f in enumerate(self.filters):
+            if not isinstance(f, FilterSpec):
+                raise ConfigError(f"filters[{i}] must be a FilterSpec, got {f!r}")
         # export writes to results/<name> unless out_dir is set; both path
         # separators are refused, so a config validates on every platform,
         # and so is a NUL byte, which no path can hold

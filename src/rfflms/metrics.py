@@ -25,7 +25,7 @@ def steady_state_emse(curve, window: int) -> float:
 def to_db(x):
     """10*log10(x) for positive scalars or arrays."""
     a = np.asarray(x, dtype=float)
-    if np.any(a <= 0):
+    if not np.all(a > 0):  # NaN is not positive either
         raise ValueError("dB conversion needs strictly positive values")
     out = 10.0 * np.log10(a)
     return float(out) if np.isscalar(x) or out.ndim == 0 else out

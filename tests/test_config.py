@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -432,8 +433,22 @@ def test_stationary_plant_rho_must_lie_inside_the_unit_interval(rho):
         config_from_dict(payload)
 
 
-@pytest.mark.parametrize("name", ["stationary-paper", "nonstationary-paper"])
+@pytest.mark.parametrize("name", list_presets())
 def test_presets_round_trip_through_their_manifest_form(name):
     cfg = preset(name)
     assert config_from_dict(config_to_dict(cfg)) == cfg
     assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+
+
+def test_a_plant_or_filter_entry_of_the_wrong_type_is_named():
+    cfg = preset("stationary-paper")
+    plant = {"kind": "stationary", "snr_db": 15.0}
+    with pytest.raises(ConfigError, match=r"^plant must be a PlantConfig"):
+        dataclasses.replace(cfg, plant=plant).validate()
+    spec = {"kind": "rff", "lr_weights": 0.01, "n_features": 48, "bandwidth": 0.95}
+    filters = (*cfg.filters[:2], spec)
+    with pytest.raises(ConfigError, match=r"^filters\[2\] must be a FilterSpec"):
+        dataclasses.replace(cfg, filters=filters).validate()
+    for filters in (None, "rff"):
+        with pytest.raises(ConfigError, match=r"^filters must be a tuple of FilterSpec"):
+            dataclasses.replace(cfg, filters=filters).validate()

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from oracles import (kernel_eval, klms_centers, klms_reference, klms_weights, loss, predict,
                      rff_reference, size_curves, step)
 from rfflms import filters
-from rfflms.config import preset
+from rfflms.config import list_presets, preset
 from rfflms.features import sample_feature_bank
 from rfflms.filters import AdaptiveRffLms, CoherenceKlms
 from rfflms.metrics import steady_state_emse, to_db
@@ -937,7 +937,7 @@ def test_rff_rates_that_float32_cannot_hold_are_refused(name):
     assert CoherenceKlms(1.0, 0.5, 1e39, 2).lr_weights == 1e39
 
 
-@pytest.mark.parametrize("name", ["stationary-paper", "nonstationary-paper"])
+@pytest.mark.parametrize("name", list_presets())
 def test_float32_engine_agrees_with_the_float64_oracle_at_steady_state(name):
     # 4 runs of the preset at full horizon: each RFF filter's steady-state
     # EMSE in dB, float32 engine against the float64 form of its loop

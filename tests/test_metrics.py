@@ -106,3 +106,11 @@ def test_to_db():
             to_db(bad)
     with pytest.raises(ValueError):
         to_db(np.array([1.0, 0.0]))
+
+
+def test_to_db_refuses_nan():
+    # NaN <= 0 is False, so only "all positive" refuses it
+    with pytest.raises(ValueError, match="strictly positive"):
+        to_db(float("nan"))
+    with pytest.raises(ValueError, match="strictly positive"):
+        to_db(np.array([1.0, np.nan]))
