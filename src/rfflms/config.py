@@ -54,7 +54,10 @@ MAX_RUNS = 10**6
 # above the interpreter (260 MiB in all at 2**22 steps, of which the
 # returned stream holds 32 bytes a step), and an RFF run at about 180
 # bytes a feature, rff or adaptive-rff: 389 MiB peak RSS for one run at
-# 2**21, 32 MiB of it the interpreter's
+# 2**21, 32 MiB of it the interpreter's. A batch of runs is held to the
+# same two ceilings, in run-steps and run-features (see rfflms.runner): one
+# stationary-paper run of 2**22 steps peaks at 460 MiB RSS before export,
+# and a batch holds no more run-steps than that run
 MAX_HORIZON = 2**22
 MAX_FEATURES = 2**21
 

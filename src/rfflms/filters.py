@@ -267,11 +267,10 @@ class AdaptiveRffLms(_StreamFilter):
         """A step size as a float, or one per run as an (R,) float64 array."""
         if np.ndim(value) == 0:
             return check_rate(name, value, self.dtype)
-        values = [check_rate(f"{name}[{r}]", v, self.dtype) for r, v in enumerate(value)]
-        if len(values) != n_runs:
+        if np.shape(value) != (n_runs,):
             raise ValueError(f"{name} must be a scalar or one value per run ({n_runs}), "
-                             f"got {len(values)} values")
-        return np.array(values)
+                             f"got shape {np.shape(value)}")
+        return np.array([check_rate(f"{name}[{r}]", v, self.dtype) for r, v in enumerate(value)])
 
     def _block_length(self) -> int:
         return max(_MIN_CHUNK, _CHUNK // self.weights.size)

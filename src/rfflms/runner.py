@@ -15,9 +15,9 @@ no batch; the other filters reuse the earlier config's reduction. So a
 sweep's points share every filter that the swept field does not touch.
 The call's worker count is capped at the total run count and the CPU
 count. Each config's runs are split evenly into contiguous batches of at
-most ``MAX_BATCH_RUNS`` runs, ``MAX_HORIZON`` run-steps and
-``MAX_FEATURES`` run-features (runs times the config's largest
-``n_features``), one run at least: with
+most ``MAX_HORIZON`` run-steps and ``MAX_FEATURES`` run-features (runs
+times the config's largest ``n_features``), one run at least: a batch
+holds what ``rfflms.config`` lets one run hold. With
 ``share = ceil(workers / configs)``, the batch count is the smallest
 multiple of ``share`` that allows this, capped at the config's run count.
 A single experiment thus gets a multiple of the worker count, and a
@@ -99,8 +99,6 @@ from .systems import gen_nonstationary_stream, gen_stationary_stream
 SNAPSHOT_STAGES = ("initial", "change", "final")
 # the summary values of a filter with a usable run, as summary.csv names them
 SUMMARY_VALUES = ("steady_state_emse", "steady_state_emse_db", "final_model_size")
-# runs per batch at most: a batch holds its runs' streams and curves at once
-MAX_BATCH_RUNS = 32
 
 
 class ExperimentError(RuntimeError):
@@ -270,12 +268,9 @@ def _plan_batches(cfgs: list[ExperimentConfig], workers: int) -> tuple[int, list
     plans = []
     for cfg in cfgs:
         n_runs = cfg.runs
-        # a batch holds its runs' streams and feature banks at once:
-        # MAX_HORIZON run-steps and MAX_FEATURES run-features at most, what
-        # config.py lets one run hold
+        # a batch holds its runs' streams and feature banks at once
         features = max(1, *(f.n_features for f in cfg.filters))
-        cap = min(MAX_BATCH_RUNS, max(1, MAX_HORIZON // cfg.horizon),
-                  max(1, MAX_FEATURES // features))
+        cap = max(1, min(MAX_HORIZON // cfg.horizon, MAX_FEATURES // features))
         n_batches = min(share * -(-n_runs // (share * cap)), n_runs)
         bounds = [n_runs * b // n_batches for b in range(n_batches + 1)]
         plans.append([range(lo, hi) for lo, hi in zip(bounds, bounds[1:])])

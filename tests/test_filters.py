@@ -753,7 +753,8 @@ def test_per_row_rates_that_float32_cannot_hold_or_miscount_the_rows_are_refused
     for value in (1e39, F32_TINY / 2):
         with pytest.raises(ValueError, match=fr"{name}\[1\] must be 0 or within float32"):
             AdaptiveRffLms(*zip(*banks), **{**rates, name: [0.1, value, 0.1]})
-    for values in ([0.1, 0.1], [0.1] * 4):
+    # a wrong length, or one value per run in a 2-D array
+    for values in ([0.1, 0.1], [0.1] * 4, np.full((3, 1), 0.1)):
         with pytest.raises(ValueError, match=f"{name} must be a scalar or one value per run"):
             AdaptiveRffLms(*zip(*banks), **{**rates, name: values})
     held = AdaptiveRffLms(*zip(*banks), **{**rates, name: [F32_TINY, 0.1, F32_MAX]})

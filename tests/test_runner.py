@@ -9,6 +9,8 @@ from contextlib import closing
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfflms.cli import _override_filters, _summary_lines, main
 from rfflms.config import (
@@ -89,9 +91,12 @@ def test_worker_count_does_not_change_results(tmp_path):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_batch_cap_does_not_change_the_bytes(workers, tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool even on one core
     export_artifacts(run_experiment(tiny_config(runs=5)), tmp_path / "uncapped")
-    # 3 batches of at most 2 runs serially, 4 on two workers
-    monkeypatch.setattr(runner, "MAX_BATCH_RUNS", 2)
+    # 2 runs of 200 steps per batch: 3 batches serially, 4 on two workers
+    monkeypatch.setattr(runner, "MAX_HORIZON", 2 * 200)
+    [plan] = runner._plan_batches([tiny_config(runs=5)], workers)[1]
+    assert [len(runs) for runs in plan] == {1: [1, 2, 2], 2: [1, 1, 1, 2]}[workers]
     batches = []
     run_batch = runner._run_batch
     monkeypatch.setattr(runner, "_run_batch",
@@ -147,10 +152,10 @@ def test_batch_plan(monkeypatch):
             assert [r for runs in batches for r in runs] == list(range(n_runs))
         return n_workers, [[len(runs) for runs in batches] for batches in plans]
 
-    # one config: a multiple of the worker count, each batch within MAX_BATCH_RUNS
-    assert sizes([200], 2) == (2, [[25] * 8])
-    assert sizes([65], 1) == (1, [[21, 22, 22]])
-    assert sizes([65], 2) == (2, [[16, 16, 16, 17]])
+    # one config: a multiple of the worker count
+    assert sizes([200], 2) == (2, [[100, 100]])
+    assert sizes([65], 1) == (1, [[65]])
+    assert sizes([65], 2) == (2, [[32, 33]])
     assert sizes([5], 64) == (5, [[1] * 5])  # workers capped at the run count
     assert sizes([200], 64) == (8, [[25] * 8])  # and at the CPU count
     # a sweep of small configs: whole configs are the unit of parallel work
@@ -165,8 +170,42 @@ def test_batch_plan(monkeypatch):
     # MAX_FEATURES run-features per batch at most, and one run at least
     assert sizes([32], 1, n_features=MAX_FEATURES) == (1, [[1] * 32])
     assert sizes([32], 2, n_features=MAX_FEATURES // 4) == (2, [[4] * 8])
-    assert sizes([200], 2, 20000) == (2, [[25] * 8])  # the presets' longest horizon
+    assert sizes([200], 2, 20000) == (2, [[100, 100]])  # the presets' longest horizon
     assert list(run_experiments([], workers=2)) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(shapes=st.lists(st.tuples(st.integers(1, 4096), st.integers(1, MAX_HORIZON),
+                                 st.integers(1, MAX_FEATURES)), min_size=1, max_size=4),
+       workers=st.integers(1, 16))
+def test_batch_plan_rule(shapes, workers):
+    # each config: (runs, horizon, the largest n_features, held by rff)
+    cfgs = [tiny_config(runs=runs, horizon=horizon, steady_window=1, filters=(
+        FilterSpec(kind="coherence-klms", lr_weights=0.2, bandwidth=0.95,
+                   coherence_threshold=0.7),
+        FilterSpec(kind="rff", lr_weights=0.01, n_features=d, bandwidth=0.95),
+        FilterSpec(kind="adaptive-rff", lr_weights=0.005, lr_freqs=1.0, lr_phases=1.0,
+                   n_features=-(-d // 2), bandwidth=0.95),
+    )) for runs, horizon, d in shapes]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "cpu_count", lambda: 8)
+        n_workers, plans = runner._plan_batches(cfgs, workers)
+    assert n_workers == min(workers, sum(runs for runs, _, _ in shapes), 8)
+    share = -(-n_workers // len(cfgs))
+    for (n_runs, horizon, d), batches in zip(shapes, plans, strict=True):
+
+        def fits(size):  # a batch of this many runs holds what one run may hold
+            return size == 1 or (size * horizon <= MAX_HORIZON and size * d <= MAX_FEATURES)
+
+        # contiguous, in run-index order, split evenly
+        assert [r for runs in batches for r in runs] == list(range(n_runs))
+        assert max(map(len, batches)) - min(map(len, batches)) <= 1
+        assert all(fits(len(runs)) for runs in batches)
+        # the smallest multiple of share that fits, capped at the run count
+        n = len(batches)
+        assert n % share == 0 or n == n_runs
+        below = (n - 1) // share * share  # the largest multiple of share below n
+        assert below == 0 or not fits(-(-n_runs // below))
 
 
 class CountingPool(concurrent.futures.ProcessPoolExecutor):
@@ -650,8 +689,10 @@ def test_an_engine_holds_at_most_max_features_over_d_rows_or_a_batchs_runs(monke
 
 
 def test_an_n_features_sweep_builds_coherence_klms_for_its_first_config_only(monkeypatch):
-    # 2 batches of each 3-run config
-    monkeypatch.setattr(runner, "MAX_BATCH_RUNS", 2)
+    cfgs = [_override_filters(tiny_config(), "n_features", d) for d in (8, 16, 24)]
+    # 2 runs of 200 steps per batch: 2 batches of each 3-run config
+    monkeypatch.setattr(runner, "MAX_HORIZON", 2 * 200)
+    assert runner._plan_batches(cfgs, 1)[1] == [[range(0, 1), range(1, 3)]] * 3
     built = record_builds(monkeypatch)
     held = []  # the call's units and their count as each config's reduction starts
     aggregate = runner._aggregate
@@ -661,7 +702,6 @@ def test_an_n_features_sweep_builds_coherence_klms_for_its_first_config_only(mon
         return aggregate(cfg, batches, results, units)
 
     monkeypatch.setattr(runner, "_aggregate", noting_aggregate)
-    cfgs = [_override_filters(tiny_config(), "n_features", d) for d in (8, 16, 24)]
     assert len(list(run_experiments(cfgs))) == 3
     # only coherence-klms's reduction outlives its first config, up to the last
     assert [n for _, n in held] == [0, 1, 1] and held[0][0] == {}
@@ -758,7 +798,8 @@ def test_a_partly_diverged_filter_keeps_its_bytes_across_batchings(tmp_path, mon
         ["coherence-klms"], ["rff"], ["rff"]]
     export_artifacts(shared, tmp_path / "shared")
     assert_same_files(tmp_path / "serial", tmp_path / "shared")
-    # six batches of two runs
-    monkeypatch.setattr(runner, "MAX_BATCH_RUNS", 2)
+    # 2 runs of 2000 steps per batch: six batches of two runs
+    monkeypatch.setattr(runner, "MAX_HORIZON", 2 * 2000)
+    assert runner._plan_batches([cfg], 1)[1] == [[range(r, r + 2) for r in range(0, 12, 2)]]
     export_artifacts(run_experiment(cfg), tmp_path / "capped")
     assert_same_files(tmp_path / "serial", tmp_path / "capped")
